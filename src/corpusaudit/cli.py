@@ -22,7 +22,7 @@ import numpy as np
 
 from . import classify, evaluate, faults, features, fingerprint, tagscore
 from .corpus import Corpus, load_audio, load_metadata, load_tags
-from .errors import AuditError
+from .errors import AuditError, ParseError
 
 # fixed default so reruns without an explicit seed are reproducible
 DEFAULT_SEED = 1234
@@ -77,6 +77,11 @@ def cmd_audit_dupes(args) -> int:
     corpus = _load_corpus(args)
     if args.cache and Path(args.cache).exists():
         hashsets = fingerprint.read_cache(args.cache)
+        missing = [ex.id for ex in corpus.excerpts if ex.id not in hashsets]
+        if missing:
+            raise ParseError(f"{args.cache}: no fingerprints for excerpt {missing[0]!r}"
+                             f" ({len(missing)} of {len(corpus.excerpts)} missing);"
+                             " delete the cache to rebuild it")
     else:
         hashsets = _fingerprint_corpus(corpus)
         if args.cache:
@@ -129,23 +134,7 @@ def _read_dupe_groups(path, threshold):
         for row in reader:
             if float(row["score"]) >= threshold:
                 edges.append((row["id_a"], row["id_b"]))
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups = {}
-    for node in parent:
-        groups.setdefault(find(node), set()).add(node)
-    return sorted(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
+    return fingerprint.connected_groups(edges)
 
 
 def cmd_catalog_build(args) -> int:

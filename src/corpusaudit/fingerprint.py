@@ -9,8 +9,9 @@ peak locations invariant to overall gain.
 """
 
 import struct
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,14 @@ class PeakConstellation:
 class HashSet:
     owner: str
     hashes: tuple[tuple[int, int], ...]  # (packed key, anchor frame)
+
+    @cached_property
+    def by_key(self) -> tuple[np.ndarray, np.ndarray]:
+        """The hashes as key-sorted int64 ``(keys, frames)`` arrays, built once."""
+        flat = np.fromiter(chain.from_iterable(self.hashes), dtype=np.int64,
+                           count=2 * len(self.hashes)).reshape(-1, 2)
+        order = np.argsort(flat[:, 0], kind="stable")
+        return flat[order, 0], flat[order, 1]
 
 
 @dataclass(frozen=True)
@@ -116,30 +125,34 @@ def match(a: HashSet, b: HashSet) -> MatchScore:
     """Score two hash sets by their modal-offset aligned hash count.
 
     Agreement is at hop resolution: a delay that is not a whole number
-    of hops moves each peak's frame up or down by one, so the lookup
-    probes the frame delta one either side of exact (key +/- 1 probes
-    delta +/- 1 by construction of the packing) and offsets within one
-    frame of the mode count as aligned.
+    of hops moves each peak's frame up or down by one, so every pair of
+    hashes whose keys differ by at most one counts (key +/- 1 is delta
+    +/- 1 by construction of the packing), and offsets within one frame
+    of the mode count as aligned. The modal offset is the one with the
+    largest pooled count; ties go to the smallest offset magnitude, then
+    to the positive offset.
     """
     pair = (a.owner, b.owner)
     if not a.hashes or not b.hashes:
         return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
-    index: dict[int, list[int]] = {}
-    for key, frame in b.hashes:
-        index.setdefault(key, []).append(frame)
-    offsets: Counter = Counter()
-    for key, frame in a.hashes:
-        for probe in (key - 1, key, key + 1):
-            for bframe in index.get(probe, ()):
-                offsets[frame - bframe] += 1
-    if not offsets:
+    a_keys, a_frames = a.by_key
+    b_keys, b_frames = b.by_key
+    # for each b hash, the run of a hashes with key in [b_key - 1, b_key + 1]
+    lo = np.searchsorted(a_keys, b_keys - 1)
+    runs = np.searchsorted(a_keys, b_keys + 2) - lo
+    hits = int(runs.sum())
+    if hits == 0:
         return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
-    pooled = {off: offsets[off - 1] + offsets[off] + offsets[off + 1]
-              for off in offsets}
-    # modal offset; ties resolved toward the smallest offset magnitude
-    aligned, offset = max(
-        ((count, off) for off, count in pooled.items()),
-        key=lambda co: (co[0], -abs(co[1]), co[1]))
+    run_start = np.repeat(lo - (np.cumsum(runs) - runs), runs)
+    a_index = run_start + np.arange(hits)
+    offsets, counts = np.unique(a_frames[a_index] - np.repeat(b_frames, runs),
+                                return_counts=True)
+    pooled = counts.copy()
+    adjacent = np.flatnonzero(np.diff(offsets) == 1)
+    pooled[adjacent] += counts[adjacent + 1]
+    pooled[adjacent + 1] += counts[adjacent]
+    aligned = int(pooled.max())
+    offset = max(offsets[pooled == aligned].tolist(), key=lambda off: (-abs(off), off))
     score = min(1.0, aligned / min(len(a.hashes), len(b.hashes)))
     return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
 
@@ -155,14 +168,38 @@ def match_all(hashsets: list[HashSet], threshold: float | None = None) -> list[M
     return out
 
 
+def connected_groups(edges) -> list[tuple[str, ...]]:
+    """Connected components of two or more ids of an undirected edge list.
+
+    Members of each group are sorted, and so is the list of groups.
+    """
+    parent: dict[str, str] = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[str, list[str]] = {}
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
+    return sorted(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
+
+
 def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
                            params: FingerprintParams = DEFAULT_PARAMS,
                            hashsets: dict[str, HashSet] | None = None) -> list[tuple[str, ...]]:
     """Connected components of the match graph at the given threshold.
 
     Fingerprints are computed from corpus audio unless precomputed hash
-    sets are supplied. Groups and their members are sorted
-    lexicographically.
+    sets are supplied; supplied sets are grouped by their dict keys.
+    Groups and their members are sorted lexicographically.
     """
     if hashsets is None:
         hashsets = {}
@@ -171,30 +208,17 @@ def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
                 raise IoError(f"excerpt {ex.id!r} has no audio")
             samples = load_audio(ex, corpus.sample_rate)
             hashsets[ex.id] = compute_fingerprint(samples, params, owner=ex.id)
-    ids = sorted(hashsets)
-    parent = {eid: eid for eid in ids}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            if match(hashsets[ids[i]], hashsets[ids[j]]).score >= threshold:
-                ra, rb = find(ids[i]), find(ids[j])
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[str, list[str]] = {}
-    for eid in ids:
-        groups.setdefault(find(eid), []).append(eid)
-    return sorted(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
+    named = [hs if hs.owner == eid else replace(hs, owner=eid)
+             for eid, hs in sorted(hashsets.items())]
+    return connected_groups(ms.pair for ms in match_all(named, threshold))
 
 
 def write_cache(path, hashsets: dict[str, HashSet]) -> None:
-    """Binary fingerprint cache: magic, count, then per-excerpt records."""
+    """Binary fingerprint cache: magic, count, then per-excerpt records.
+
+    A record is the UTF-8 id (``<H`` length first), the hash count
+    (``<I``) and one ``<II`` (key, frame) pair per hash, in hash order.
+    """
     path = Path(path)
     with path.open("wb") as fh:
         fh.write(CACHE_MAGIC)
@@ -205,11 +229,12 @@ def write_cache(path, hashsets: dict[str, HashSet]) -> None:
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<I", len(hs.hashes)))
-            for key, frame in hs.hashes:
-                fh.write(struct.pack("<II", key, frame))
+            fh.write(np.fromiter(chain.from_iterable(hs.hashes), dtype="<u4",
+                                 count=2 * len(hs.hashes)).tobytes())
 
 
 def read_cache(path) -> dict[str, HashSet]:
+    """Read a cache written by ``write_cache``; a malformed one raises ParseError."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -217,21 +242,30 @@ def read_cache(path) -> dict[str, HashSet]:
         raise IoError(f"fingerprint cache not found: {path}") from None
     if data[:5] != CACHE_MAGIC:
         raise ParseError(f"{path}: not a fingerprint cache")
-    pos = 5
-    (count,) = struct.unpack_from("<I", data, pos)
-    pos += 4
+    pos = len(CACHE_MAGIC)
+
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes, which must all be present."""
+        nonlocal pos
+        if pos + size > len(data):
+            raise ParseError(f"{path}: truncated fingerprint cache "
+                             f"({len(data)} bytes, record needs {pos + size})")
+        pos += size
+        return pos - size
+
+    (count,) = struct.unpack_from("<I", data, take(4))
     out = {}
     for _ in range(count):
-        (id_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        eid = data[pos:pos + id_len].decode("utf-8")
-        pos += id_len
-        (n,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        hashes = []
-        for _ in range(n):
-            key, frame = struct.unpack_from("<II", data, pos)
-            pos += 8
-            hashes.append((key, frame))
-        out[eid] = HashSet(owner=eid, hashes=tuple(hashes))
+        (id_len,) = struct.unpack_from("<H", data, take(2))
+        start = take(id_len)
+        try:
+            eid = data[start:start + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: excerpt id at byte {start} is not UTF-8") from None
+        (n,) = struct.unpack_from("<I", data, take(4))
+        pairs = np.frombuffer(data, dtype="<u4", count=2 * n, offset=take(8 * n))
+        out[eid] = HashSet(owner=eid, hashes=tuple(zip(pairs[0::2].tolist(),
+                                                       pairs[1::2].tolist())))
+    if pos != len(data):
+        raise ParseError(f"{path}: {len(data) - pos} bytes after the last record")
     return out

@@ -6,6 +6,7 @@ import pytest
 from scipy.io import wavfile
 
 from corpusaudit.cli import dispatch
+from corpusaudit.fingerprint import read_cache, write_cache
 from corpusaudit.synth import delayed_copy, tone_cloud
 
 SR = 22050
@@ -117,6 +118,53 @@ def test_audit_dupes_high_threshold_empty(workspace, tmp_path):
                      "--out", str(out)])
     assert code == 0
     assert read_csv_rows(out) == []
+
+
+def _audit_dupes(workspace, cache, out):
+    return dispatch(["audit", "dupes",
+                     "--metadata", str(workspace / "metadata.csv"),
+                     "--audio-dir", str(workspace / "audio"),
+                     "--cache", str(cache),
+                     "--out", str(out)])
+
+
+def test_audit_dupes_same_bytes_for_any_thread_count(workspace, tmp_path, monkeypatch):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AUDIT_THREADS", threads)
+        cache, out = tmp_path / f"prints{threads}.bin", tmp_path / f"dupes{threads}.csv"
+        assert _audit_dupes(workspace, cache, out) == 0
+        outputs.append((out.read_bytes(), cache.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _truncate(cache):
+    cache.write_bytes(cache.read_bytes()[:-6])
+
+
+def _drop_slate_002(cache):
+    hashsets = read_cache(cache)
+    del hashsets["slate.002"]
+    write_cache(cache, hashsets)
+
+
+@pytest.mark.parametrize("damage, needles", [
+    (_truncate, ["truncated fingerprint cache"]),
+    (_drop_slate_002, ["'slate.002'", "no fingerprints"]),
+])
+def test_audit_dupes_bad_cache_exits_two(workspace, tmp_path, capsys, damage, needles):
+    cache = tmp_path / "prints.bin"
+    assert _audit_dupes(workspace, cache, tmp_path / "cold.csv") == 0
+    damage(cache)
+    damaged = cache.read_bytes()
+    capsys.readouterr()
+    assert _audit_dupes(workspace, cache, tmp_path / "warm.csv") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    for needle in [str(cache)] + needles:
+        assert needle in err
+    assert not (tmp_path / "warm.csv").exists()
+    assert cache.read_bytes() == damaged
 
 
 def test_audit_labels_flags_planted_mislabeling(workspace, tmp_path):

@@ -1,11 +1,20 @@
+import struct
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from corpusaudit.errors import ParseError
 from corpusaudit.fingerprint import (
+    DEFAULT_PARAMS,
     DEFAULT_THRESHOLD,
     FingerprintParams,
+    HashSet,
+    MatchScore,
     compute_fingerprint,
+    connected_groups,
     find_exact_repetitions,
     match,
     match_all,
@@ -17,6 +26,30 @@ from corpusaudit.corpus import Corpus, Excerpt
 from corpusaudit.synth import delayed_copy, tone_cloud
 
 SR = 22050
+
+
+def reference_match(a: HashSet, b: HashSet) -> MatchScore:
+    """The dict/Counter formulation of ``match``, kept as its oracle."""
+    pair = (a.owner, b.owner)
+    if not a.hashes or not b.hashes:
+        return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
+    index: dict[int, list[int]] = {}
+    for key, frame in b.hashes:
+        index.setdefault(key, []).append(frame)
+    offsets: Counter = Counter()
+    for key, frame in a.hashes:
+        for probe in (key - 1, key, key + 1):
+            for bframe in index.get(probe, ()):
+                offsets[frame - bframe] += 1
+    if not offsets:
+        return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
+    pooled = {off: offsets[off - 1] + offsets[off] + offsets[off + 1]
+              for off in offsets}
+    aligned, offset = max(
+        ((count, off) for off, count in pooled.items()),
+        key=lambda co: (co[0], -abs(co[1]), co[1]))
+    score = min(1.0, aligned / min(len(a.hashes), len(b.hashes)))
+    return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +208,113 @@ def test_empty_fingerprint_matches_nothing(clouds):
     other = compute_fingerprint(clouds[5], owner="o")
     assert match(silent, other).score == 0.0
     assert match(silent, silent).score == 0.0
+
+
+# keys at the packing edges (delta at min_delta/max_delta, extreme bins) and
+# one either side of them, so probes cross delta and field boundaries
+EDGE_KEYS = sorted({
+    pack_key(f1, f2, dt) + step
+    for f1 in (0, 1, 512)
+    for f2 in (0, 1, 1023)
+    for dt in (DEFAULT_PARAMS.min_delta, DEFAULT_PARAMS.min_delta + 1,
+               DEFAULT_PARAMS.max_delta - 1, DEFAULT_PARAMS.max_delta)
+    for step in (-1, 0, 1)})
+
+# half the keys come from a 12-key pool so that hashes of a and b often collide
+hash_lists = st.lists(
+    st.tuples(st.sampled_from(EDGE_KEYS[:6] + EDGE_KEYS[-6:]) | st.sampled_from(EDGE_KEYS),
+              st.integers(0, 40)),
+    max_size=40)
+
+
+def _hashset(owner, hashes, repeats):
+    # repeated (key, frame) hashes are legal and each one counts
+    return HashSet(owner=owner, hashes=tuple(hashes) + tuple(hashes[:repeats]))
+
+
+K = pack_key(3, 7, 10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(hash_lists, hash_lists, st.integers(0, 5), st.integers(0, 5))
+@example([], [(K, 3)], 0, 0)
+@example([(K, 3)], [], 0, 0)
+@example([(K, 3)], [(K + 2, 3)], 0, 0)                      # keys two apart: no hit
+@example([(K, 3), (K, 3)], [(K - 1, 0), (K + 1, 0)], 2, 1)  # keys one apart, repeats
+@example([(K, 10)], [(K, 7), (K, 13)], 0, 0)                # +3 and -3 tie
+@example([(K, 10), (K, 10)], [(K, 5), (K, 6), (K, 14), (K, 15)], 0, 0)  # pooled tie +-4.5
+def test_match_equals_reference(a_hashes, b_hashes, a_repeats, b_repeats):
+    a = _hashset("a", a_hashes, a_repeats)
+    b = _hashset("b", b_hashes, b_repeats)
+    assert match(a, b) == reference_match(a, b)
+    assert match(b, a) == reference_match(b, a)
+
+
+def test_match_all_equals_pairwise_reference(clouds):
+    rng = np.random.default_rng(5)
+    signals = list(clouds) + [
+        delayed_copy(clouds[0], float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.3, 1.0)), SR),
+        delayed_copy(clouds[0], float(rng.uniform(0.1, 1.5)), float(rng.uniform(0.3, 1.0)), SR),
+        delayed_copy(clouds[3], 512.5 / SR, 0.8, SR),
+    ]
+    fps = [compute_fingerprint(s, owner=f"c{i}") for i, s in enumerate(signals)]
+    expected = [reference_match(fps[i], fps[j])
+                for i in range(len(fps)) for j in range(i + 1, len(fps))]
+    assert match_all(fps) == expected
+    assert sum(ms.score >= DEFAULT_THRESHOLD for ms in expected) >= 3
+    assert match_all(fps, DEFAULT_THRESHOLD) == [
+        ms for ms in expected if ms.score >= DEFAULT_THRESHOLD]
+
+
+def test_connected_groups():
+    edges = [("e", "d"), ("c", "b"), ("a", "b"), ("f", "f"), ("x", "c")]
+    assert connected_groups(edges) == [("a", "b", "c", "x"), ("d", "e")]
+    assert connected_groups([]) == []
+
+
+HAND_BUILT = {
+    "b.01": HashSet(owner="b.01", hashes=((pack_key(512, 1023, 64), 0), (1, 2**32 - 1),
+                                          (1, 2**32 - 1), (0, 7))),
+    "a": HashSet(owner="a", hashes=()),
+    "\u00e9": HashSet(owner="\u00e9", hashes=((pack_key(0, 0, 1), 12),)),
+}
+
+
+def test_write_cache_matches_struct_reference(tmp_path):
+    path = tmp_path / "prints.bin"
+    write_cache(path, HAND_BUILT)
+    expected = b"DFPK1" + struct.pack("<I", len(HAND_BUILT))
+    for eid in sorted(HAND_BUILT):
+        encoded = eid.encode("utf-8")
+        expected += struct.pack("<H", len(encoded)) + encoded
+        expected += struct.pack("<I", len(HAND_BUILT[eid].hashes))
+        for key, frame in HAND_BUILT[eid].hashes:
+            expected += struct.pack("<II", key, frame)
+    assert path.read_bytes() == expected
+    loaded = read_cache(path)
+    assert loaded == HAND_BUILT
+    assert all(type(h) is tuple for hs in loaded.values() for h in hs.hashes)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 9, 20])
+def test_truncated_cache_is_a_parse_error(tmp_path, cut):
+    path = tmp_path / "prints.bin"
+    write_cache(path, HAND_BUILT)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(ParseError, match="truncated"):
+        read_cache(path)
+
+
+def test_cache_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "prints.bin"
+    write_cache(path, HAND_BUILT)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ParseError, match="after the last record"):
+        read_cache(path)
+
+
+def test_find_exact_repetitions_groups_supplied_sets_by_key(clouds):
+    copy = delayed_copy(clouds[1], 0.3, 0.5, SR)
+    hashsets = {"x": compute_fingerprint(clouds[1]), "y": compute_fingerprint(copy),
+                "z": compute_fingerprint(clouds[2])}
+    assert find_exact_repetitions(None, hashsets=hashsets) == [("x", "y")]
