@@ -18,11 +18,9 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import classify, evaluate, faults, features, fingerprint, tagscore
-from .corpus import Corpus, load_audio, load_metadata, load_tags
-from .errors import AuditError, ParseError
+from .corpus import Corpus, load_audio, load_metadata, load_tags, open_text, read_json
+from .errors import AuditError, ParseError, in_file
 
 # fixed default so reruns without an explicit seed are reproducible
 DEFAULT_SEED = 1234
@@ -99,10 +97,8 @@ def cmd_audit_dupes(args) -> int:
 
 def cmd_audit_labels(args) -> int:
     corpus = load_metadata(args.metadata)
-    tags = load_tags(args.tags, corpus)
-    profiles = _profiles(corpus, tags)
-    matrix = tagscore.score_matrix(profiles, delta_rule=args.delta_rule)
-    verdicts = tagscore.detect_mislabelings(corpus, tags, profiles, matrix)
+    matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus),
+                                             args.delta_rule)
     lines = ["id,label,own_score,diagonal,best_other_label,best_other_score,delta,rule"]
     flagged = 0
     for v in verdicts:
@@ -116,45 +112,33 @@ def cmd_audit_labels(args) -> int:
     return 1 if args.strict and flagged else 0
 
 
-def _profiles(corpus: Corpus, tags) -> list[tagscore.LabelProfile]:
-    profiles = []
-    for label in corpus.labels:
-        sets = [tags[ex.id] for ex in corpus.with_label(label)
-                if ex.identified and ex.id in tags and tags[ex.id].pairs]
-        if sets:
-            profiles.append(tagscore.label_profile(label, sets))
-    return profiles
-
-
 def _read_dupe_groups(path, threshold):
     """Exact-repetition groups from an ``audit dupes`` CSV."""
     edges = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            if float(row["score"]) >= threshold:
-                edges.append((row["id_a"], row["id_b"]))
+    with open_text(path, "dupes CSV") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                if float(row["score"]) >= threshold:
+                    edges.append((row["id_a"], row["id_b"]))
+            except (KeyError, TypeError, ValueError):
+                raise ParseError(f"{path}:{lineno}: expected id_a,id_b,score") from None
     return fingerprint.connected_groups(edges)
 
 
 def cmd_catalog_build(args) -> int:
     corpus = load_metadata(args.metadata)
     exact_groups = _read_dupe_groups(args.dupes, args.threshold) if args.dupes else []
-    recording_groups = []
-    if args.recordings:
-        recording_groups = json.loads(Path(args.recordings).read_text(encoding="utf-8"))
+    recording_groups = read_json(args.recordings, "recording groups") if args.recordings else []
     distortions = []
     if args.distortions:
-        distortions = [faults.Distortion(excerpt_id=d["id"], note=d.get("note", ""),
-                                         usable_prefix_seconds=d.get("usable_prefix_seconds"))
-                       for d in json.loads(Path(args.distortions).read_text(encoding="utf-8"))]
+        entries = read_json(args.distortions, "distortion list")
+        with in_file(args.distortions):
+            distortions = faults.distortions_from_json(entries)
     verdicts, deltas = [], {}
     if args.tags:
-        tags = load_tags(args.tags, corpus)
-        profiles = _profiles(corpus, tags)
-        matrix = tagscore.score_matrix(profiles, delta_rule=args.delta_rule)
-        verdicts = [v for v in tagscore.detect_mislabelings(corpus, tags, profiles, matrix)
-                    if v.flagged]
+        matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus),
+                                                 args.delta_rule)
+        verdicts = [v for v in verdicts if v.flagged]
         deltas = {label: float(matrix.deltas[i]) for i, label in enumerate(matrix.labels)}
     catalog = faults.build_catalog(corpus, exact_groups=exact_groups,
                                    verdicts=verdicts, distortions=distortions,
@@ -193,9 +177,7 @@ def cmd_catalog_show(args) -> int:
 def cmd_partition_make(args) -> int:
     corpus = load_metadata(args.metadata)
     catalog = faults.load_catalog(args.catalog) if args.catalog else None
-    artist_folds = None
-    if args.artist_folds:
-        artist_folds = json.loads(Path(args.artist_folds).read_text(encoding="utf-8"))
+    artist_folds = read_json(args.artist_folds, "artist folds") if args.artist_folds else None
     partition = evaluate.make_partition(corpus, args.scheme, seed=args.seed,
                                         catalog=catalog, artist_folds=artist_folds,
                                         realization=args.realization)
@@ -218,34 +200,14 @@ def cmd_features_extract(args) -> int:
     return 0
 
 
-def _report_from_results(corpus, results, scheme, kind, seed):
-    realizations = []
-    for res in results:
-        folds = []
-        for table in res.tables:
-            fom = evaluate.figures_of_merit(table)
-            folds.append({
-                "confusion": [[round(v, 10) for v in row] for row in fom.confusion],
-                "recall": fom.recall,
-                "precision": fom.precision,
-                "fscore": fom.fscore,
-                "accuracy": fom.accuracy,
-            })
-        realizations.append({
-            "folds": folds,
-            "predictions": [{"id": p.excerpt_id, "true": p.true_label,
-                             "predicted": p.predicted_label, "fold": p.fold}
-                            for p in res.predictions],
-        })
-    mean, std = evaluate.accuracy_summary(results)
+def _fold_json(table: evaluate.ConfusionTable) -> dict:
+    fom = evaluate.figures_of_merit(table)
     return {
-        "scheme": scheme,
-        "classifier": kind,
-        "seed": seed,
-        "labels": list(corpus.labels),
-        "accuracy_mean": mean,
-        "accuracy_std": std,
-        "realizations": realizations,
+        "confusion": [[round(v, 10) for v in row] for row in fom.confusion],
+        "recall": fom.recall,
+        "precision": fom.precision,
+        "fscore": fom.fscore,
+        "accuracy": fom.accuracy,
     }
 
 
@@ -253,9 +215,7 @@ def cmd_eval_run(args) -> int:
     corpus = load_metadata(args.metadata)
     feats = features.read_feature_cache(args.features)
     catalog = faults.load_catalog(args.catalog) if args.catalog else None
-    artist_folds = None
-    if args.artist_folds:
-        artist_folds = json.loads(Path(args.artist_folds).read_text(encoding="utf-8"))
+    artist_folds = read_json(args.artist_folds, "artist folds") if args.artist_folds else None
     results = []
     for realization in range(args.realizations):
         partition = evaluate.make_partition(
@@ -263,23 +223,39 @@ def cmd_eval_run(args) -> int:
             artist_folds=artist_folds, realization=realization)
         results.append(evaluate.run_experiment(corpus, partition, args.classifier,
                                                feats, seed=args.seed))
-    _write_json(args.out, _report_from_results(corpus, results, args.scheme,
-                                               args.classifier, args.seed))
+    mean, std = evaluate.accuracy_summary(results)
+    _write_json(args.out, {
+        "scheme": args.scheme,
+        "classifier": args.classifier,
+        "seed": args.seed,
+        "labels": list(corpus.labels),
+        "accuracy_mean": mean,
+        "accuracy_std": std,
+        "realizations": [
+            {"folds": [_fold_json(t) for t in res.tables],
+             "predictions": [{"id": p.excerpt_id, "true": p.true_label,
+                              "predicted": p.predicted_label, "fold": p.fold}
+                             for p in res.predictions]}
+            for res in results],
+    })
     return 0
 
 
-def _predictions_from_report(path):
-    report = json.loads(Path(path).read_text(encoding="utf-8"))
-    preds = {}
-    for realization in report["realizations"]:
-        for p in realization["predictions"]:
-            preds[p["id"]] = (p["true"], p["predicted"])
-    return report, [(eid, t, p) for eid, (t, p) in preds.items()]
+def _read_predictions(path) -> list[list[evaluate.PredictionRecord]]:
+    """Each realization's predictions from an ``eval run`` report."""
+    report = read_json(path, "report")
+    try:
+        return [[evaluate.PredictionRecord(excerpt_id=p["id"], true_label=p["true"],
+                                           predicted_label=p["predicted"], fold=p["fold"])
+                 for p in realization["predictions"]]
+                for realization in report["realizations"]]
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: malformed report: {exc!r}") from None
 
 
 def cmd_eval_compare(args) -> int:
-    _, preds_a = _predictions_from_report(args.report_a)
-    _, preds_b = _predictions_from_report(args.report_b)
+    preds_a, preds_b = ([p for preds in _read_predictions(path) for p in preds]
+                        for path in (args.report_a, args.report_b))
     res = evaluate.significance_test(preds_a, preds_b)
     _write_json(args.out, {
         "n_disagreements": res.n,
@@ -295,78 +271,30 @@ def cmd_eval_compare(args) -> int:
 
 def cmd_eval_relabel(args) -> int:
     catalog = faults.load_catalog(args.catalog)
-    report, _ = _predictions_from_report(args.predictions)
-    index = {label: i for i, label in enumerate(catalog.labels)}
-    new_labels = {}
-    for v in catalog.mislabelings:
-        if v.flagged and v.scores:
-            ranked = sorted(v.scores.items(), key=lambda p: (-p[1], index[p[0]]))
-            if ranked[0][1] > 0.0:
-                new_labels[v.excerpt_id] = ranked[0][0]
-
-    out_realizations = []
-    accs = []
-    n = len(catalog.labels)
-    for realization in report["realizations"]:
-        by_fold = {}
-        for p in realization["predictions"]:
-            by_fold.setdefault(p["fold"], []).append(p)
-        folds = []
-        for fold in sorted(by_fold):
-            counts = np.zeros((n, n))
-            for p in by_fold[fold]:
-                true = new_labels.get(p["id"], p["true"])
-                counts[index[p["predicted"]], index[true]] += 1
-            fom = evaluate.figures_of_merit(
-                evaluate.ConfusionTable(labels=catalog.labels, counts=counts))
-            accs.append(fom.accuracy)
-            folds.append({
-                "confusion": [[round(v, 10) for v in row] for row in fom.confusion],
-                "recall": fom.recall,
-                "precision": fom.precision,
-                "fscore": fom.fscore,
-                "accuracy": fom.accuracy,
-            })
-        out_realizations.append({"folds": folds})
+    realizations = _read_predictions(args.predictions)
+    known = set(catalog.labels)
+    stray = [p.excerpt_id for preds in realizations for p in preds
+             if not {p.true_label, p.predicted_label} <= known]
+    if stray:
+        raise ParseError(f"{args.predictions}: prediction for {stray[0]!r} names a label "
+                         "outside the catalog labels")
+    new_labels = faults.relabel_map(catalog)
+    results = [evaluate.ExperimentResult(
+        tables=evaluate.confusion_tables(catalog.labels, preds, true_labels=new_labels),
+        predictions=tuple(preds)) for preds in realizations]
+    mean, std = evaluate.accuracy_summary(results)
     _write_json(args.out, {
         "relabeled": sorted(new_labels),
-        "accuracy_mean": float(np.mean(accs)),
-        "accuracy_std": float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-        "realizations": out_realizations,
+        "accuracy_mean": mean,
+        "accuracy_std": std,
+        "realizations": [{"folds": [_fold_json(t) for t in res.tables]} for res in results],
     })
     return 0
 
 
-def _perfect_confusion_from_catalog(catalog) -> faults.PerfectConfusion:
-    index = {label: i for i, label in enumerate(catalog.labels)}
-    n = len(catalog.labels)
-    matrix = np.zeros((n, n))
-    flagged_per_label = {label: 0 for label in catalog.labels}
-    for v in catalog.mislabelings:
-        if not v.flagged:
-            continue
-        flagged_per_label[v.label] += 1
-        col = index[v.label]
-        ranked = sorted(v.scores.items(), key=lambda p: (-p[1], index[p[0]]))
-        best_label, best = ranked[0]
-        if best == 0.0:
-            matrix[:, col] += 1.0 / n
-            continue
-        delta = catalog.deltas[v.label]
-        if len(ranked) > 1 and ranked[1][1] >= best - delta:
-            matrix[index[best_label], col] += 0.5
-            matrix[index[ranked[1][0]], col] += 0.5
-        else:
-            matrix[index[best_label], col] += 1.0
-    for label, total in catalog.label_counts.items():
-        i = index[label]
-        matrix[i, i] += total - flagged_per_label[label]
-    return faults.PerfectConfusion(labels=catalog.labels, matrix=matrix)
-
-
 def cmd_report_perfect(args) -> int:
     catalog = faults.load_catalog(args.catalog)
-    pc = _perfect_confusion_from_catalog(catalog)
+    pc = faults.perfect_confusion(catalog)
     fom = faults.perfect_statistics(pc)
     labels = catalog.labels
     if args.format == "json":

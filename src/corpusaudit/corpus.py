@@ -116,6 +116,23 @@ class Corpus:
         return n_id, len(self.excerpts) - n_id
 
 
+def open_text(path, what: str):
+    """Open a UTF-8 text file for reading; a missing file is an ``IoError``."""
+    try:
+        return Path(path).open(newline="", encoding="utf-8")
+    except FileNotFoundError:
+        raise IoError(f"{what} not found: {path}") from None
+
+
+def read_json(path, what: str):
+    """Parse a JSON file; ``IoError`` if missing, ``ParseError`` if invalid."""
+    with open_text(path, what) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON syntax or bytes that are not UTF-8
+            raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
 def load_metadata(path, labels=None, sample_rate=DEFAULT_SAMPLE_RATE,
                   excerpt_duration=DEFAULT_EXCERPT_DURATION) -> Corpus:
     """Read a metadata CSV into a Corpus.
@@ -125,7 +142,7 @@ def load_metadata(path, labels=None, sample_rate=DEFAULT_SAMPLE_RATE,
     """
     path = Path(path)
     rows = []
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path, "metadata CSV") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -179,13 +196,7 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
     Tags are lower-cased and whitespace-collapsed; zero-count entries are
     dropped; duplicate tags are merged by summing counts.
     """
-    path = Path(path)
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise IoError(f"tag snapshot not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    entries = read_json(path, "tag snapshot")
     if not isinstance(entries, list):
         raise ParseError(f"{path}: expected a JSON array")
 
@@ -201,6 +212,8 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
             raise ParseError(f"{path}: entry {i}: bad source {source!r}")
         merged: dict[str, int] = {}
         for tag_obj in entry.get("tags", []):
+            if not isinstance(tag_obj, dict) or not {"tag", "count"} <= tag_obj.keys():
+                raise ParseError(f"{path}: entry {i}: tag object needs a 'tag' and a 'count'")
             tag = normalize_text(str(tag_obj["tag"]))
             count = tag_obj["count"]
             if not isinstance(count, int) or isinstance(count, bool):

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the toolkit."""
 
+from contextlib import contextmanager
+
 
 class AuditError(Exception):
     """Base class for all toolkit errors."""
@@ -59,3 +61,12 @@ class IncompleteVerdictError(AuditError):
 
 class IncompleteFeaturesError(AuditError):
     """An excerpt in the partition has no cached feature vectors."""
+
+
+@contextmanager
+def in_file(path):
+    """Prefix the message of any toolkit error raised inside with ``path``."""
+    try:
+        yield
+    except AuditError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

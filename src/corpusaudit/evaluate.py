@@ -208,9 +208,7 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
     if missing:
         raise IncompleteFeaturesError(f"no features for: {missing[:5]}")
 
-    tables = []
     predictions = []
-    label_index = {label: i for i, label in enumerate(corpus.labels)}
     for i, test_fold in enumerate(partition.folds):
         train_ids = [eid for j, fold in enumerate(partition.folds)
                      if j != i for eid in fold]
@@ -220,17 +218,30 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
         nmap = fit_normalization(train_x)
         model = train(kind, apply_normalization(nmap, train_x), train_y,
                       label_order=corpus.labels, seed=seed)
-        counts = np.zeros((len(corpus.labels), len(corpus.labels)))
         for j, eid in enumerate(sorted(test_fold)):
             vecs = apply_normalization(nmap, features[eid])
             rng = np.random.default_rng([seed, partition.realization, i, j])
             predicted = classify_excerpt(model, vecs, rng=rng)
-            true = corpus.get(eid).label
-            counts[label_index[predicted], label_index[true]] += 1
             predictions.append(PredictionRecord(
-                excerpt_id=eid, true_label=true, predicted_label=predicted, fold=i))
-        tables.append(ConfusionTable(labels=corpus.labels, counts=counts))
-    return ExperimentResult(tables=tuple(tables), predictions=tuple(predictions))
+                excerpt_id=eid, true_label=corpus.get(eid).label,
+                predicted_label=predicted, fold=i))
+    return ExperimentResult(tables=confusion_tables(corpus.labels, predictions),
+                            predictions=tuple(predictions))
+
+
+def confusion_tables(labels, predictions, true_labels=None) -> tuple[ConfusionTable, ...]:
+    """One confusion table per fold that has predictions, in fold order.
+
+    ``true_labels`` maps excerpt ids to corrected true labels (as
+    ``faults.relabel_map`` gives); other predictions keep their own.
+    """
+    index = {label: i for i, label in enumerate(labels)}
+    true_labels = true_labels or {}
+    counts: dict[int, np.ndarray] = {}
+    for p in predictions:
+        fold = counts.setdefault(p.fold, np.zeros((len(labels), len(labels))))
+        fold[index[p.predicted_label], index[true_labels.get(p.excerpt_id, p.true_label)]] += 1
+    return tuple(ConfusionTable(labels=tuple(labels), counts=counts[f]) for f in sorted(counts))
 
 
 def figures_of_merit(table: ConfusionTable) -> FiguresOfMerit:

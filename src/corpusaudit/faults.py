@@ -12,18 +12,18 @@ excerpt across predicted labels according to its mislabel verdict.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, normalize_text
+from .corpus import Corpus, normalize_text, read_json
 from .errors import (
     DegenerateClassError,
     IncompleteVerdictError,
-    IoError,
     ParseError,
     UnknownExcerptError,
+    in_file,
 )
 from .tagscore import MislabelVerdict
 
@@ -147,39 +147,44 @@ class PerfectConfusion:
     matrix: np.ndarray  # [predicted, true] fractional weights
 
 
-def perfect_confusion(corpus: Corpus, verdicts, deltas) -> PerfectConfusion:
+def ranked_scores(verdict: MislabelVerdict, index: dict[str, int]) -> list[tuple[str, float]]:
+    """A verdict's (label, score) pairs, best first; ties go to ``index`` order."""
+    if not verdict.scores:
+        raise IncompleteVerdictError(
+            f"verdict for {verdict.excerpt_id!r} carries no score vector")
+    return sorted(verdict.scores.items(), key=lambda p: (-p[1], index[p[0]]))
+
+
+def perfect_confusion(catalog: FaultCatalog) -> PerfectConfusion:
     """Confusion of the hypothetical system whose only errors are mislabelings.
 
     Each excerpt contributes one unit of weight in its true-label column:
-    unflagged (or unverdicted) excerpts put it on the diagonal; flagged
-    ones put it on their highest-scoring label, split 0.5/0.5 when the
-    runner-up lies within the label's margin of the best, or spread
-    1/|labels| everywhere when every score is zero.
+    unflagged excerpts put it on the diagonal; flagged ones put it on
+    their highest-scoring label, split 0.5/0.5 when the runner-up lies
+    within the label's margin of the best, or spread 1/|labels|
+    everywhere when every score is zero. Flagged weights are added in
+    catalog order, then each label's unflagged count on the diagonal.
     """
-    labels = corpus.labels
+    labels = catalog.labels
     index = {label: i for i, label in enumerate(labels)}
-    by_id = {v.excerpt_id: v for v in verdicts}
     matrix = np.zeros((len(labels), len(labels)))
-    for ex in corpus.excerpts:
-        col = index[ex.label]
-        v = by_id.get(ex.id)
-        if v is None or not v.flagged:
-            matrix[col, col] += 1.0
+    flagged = dict.fromkeys(labels, 0)
+    for v in catalog.mislabelings:
+        if not v.flagged:
             continue
-        if not v.scores:
-            raise IncompleteVerdictError(
-                f"verdict for {ex.id!r} carries no score vector")
-        ranked = sorted(v.scores.items(), key=lambda p: (-p[1], index[p[0]]))
+        flagged[v.label] += 1
+        col = index[v.label]
+        ranked = ranked_scores(v, index)
         best_label, best = ranked[0]
         if best == 0.0:
             matrix[:, col] += 1.0 / len(labels)
-            continue
-        delta = deltas[ex.label]
-        if len(ranked) > 1 and ranked[1][1] >= best - delta:
+        elif len(ranked) > 1 and ranked[1][1] >= best - catalog.deltas[v.label]:
             matrix[index[best_label], col] += 0.5
             matrix[index[ranked[1][0]], col] += 0.5
         else:
             matrix[index[best_label], col] += 1.0
+    for label, total in catalog.label_counts.items():
+        matrix[index[label], index[label]] += total - flagged[label]
     return PerfectConfusion(labels=labels, matrix=matrix)
 
 
@@ -192,24 +197,26 @@ def perfect_statistics(pc: PerfectConfusion):
     return figures_of_merit(ConfusionTable(labels=pc.labels, counts=pc.matrix))
 
 
+def relabel_map(catalog: FaultCatalog) -> dict[str, str]:
+    """Each flagged excerpt's highest-scoring label, unless every score is zero."""
+    index = {label: i for i, label in enumerate(catalog.labels)}
+    new_labels = {}
+    for v in catalog.mislabelings:
+        if v.flagged:
+            best_label, best = ranked_scores(v, index)[0]
+            if best > 0.0:
+                new_labels[v.excerpt_id] = best_label
+    return new_labels
+
+
 def apply_relabeling(corpus: Corpus, catalog: FaultCatalog) -> Corpus:
     """Reassign each flagged excerpt to its highest-scoring label.
 
     Excerpts whose scores are zero everywhere keep their original label.
     """
-    index = {label: i for i, label in enumerate(corpus.labels)}
-    new_labels = {}
-    for v in catalog.mislabelings:
-        if not v.flagged or not v.scores:
-            continue
-        ranked = sorted(v.scores.items(), key=lambda p: (-p[1], index[p[0]]))
-        if ranked[0][1] > 0.0:
-            new_labels[v.excerpt_id] = ranked[0][0]
-    excerpts = tuple(
-        ex if ex.id not in new_labels else
-        type(ex)(id=ex.id, label=new_labels[ex.id], artist=ex.artist,
-                 title=ex.title, audio_path=ex.audio_path)
-        for ex in corpus.excerpts)
+    new_labels = relabel_map(catalog)
+    excerpts = tuple(replace(ex, label=new_labels[ex.id]) if ex.id in new_labels else ex
+                     for ex in corpus.excerpts)
     return Corpus(labels=corpus.labels, excerpts=excerpts,
                   sample_rate=corpus.sample_rate,
                   excerpt_duration=corpus.excerpt_duration)
@@ -236,9 +243,40 @@ def catalog_to_json(catalog: FaultCatalog) -> dict:
     }
 
 
+def distortions_from_json(entries) -> list[Distortion]:
+    """Distortion entries ``{"id", "note"?, "usable_prefix_seconds"?}``."""
+    if not isinstance(entries, list):
+        raise ParseError("expected a JSON array of distortion entries")
+    out = []
+    for i, d in enumerate(entries):
+        if not isinstance(d, dict) or "id" not in d:
+            raise ParseError(f"distortion entry {i} is not an object with an 'id'")
+        out.append(Distortion(excerpt_id=d["id"], note=d.get("note", ""),
+                              usable_prefix_seconds=d.get("usable_prefix_seconds")))
+    return out
+
+
+def _check_catalog(catalog: FaultCatalog) -> FaultCatalog:
+    """Reject verdicts that the perfect-confusion and relabeling rules cannot use."""
+    labels = set(catalog.labels)
+    if set(catalog.label_counts) != labels:
+        raise ParseError("label_counts must name exactly the catalog labels")
+    for v in catalog.mislabelings:
+        if v.label not in labels or not set(v.scores) <= labels:
+            raise ParseError(f"mislabeling {v.excerpt_id!r} names a label outside "
+                             "the catalog labels")
+        if v.flagged and not v.scores:
+            raise IncompleteVerdictError(f"flagged mislabeling {v.excerpt_id!r} "
+                                         "carries no score vector")
+        if v.flagged and v.label not in catalog.deltas:
+            raise ParseError(f"flagged mislabeling {v.excerpt_id!r}: no delta for "
+                             f"label {v.label!r}")
+    return catalog
+
+
 def catalog_from_json(data: dict) -> FaultCatalog:
     try:
-        return FaultCatalog(
+        return _check_catalog(FaultCatalog(
             labels=tuple(data["labels"]),
             label_counts={k: int(v) for k, v in data["label_counts"].items()},
             repetitions=[RepetitionGroup(kind=g["kind"],
@@ -252,12 +290,10 @@ def catalog_from_json(data: dict) -> FaultCatalog:
                 best_other_score=v["best_other_score"],
                 flagged=v["flagged"], rule=v["rule"])
                 for v in data["mislabelings"]],
-            distortions=[Distortion(excerpt_id=d["id"], note=d.get("note", ""),
-                                    usable_prefix_seconds=d.get("usable_prefix_seconds"))
-                         for d in data["distortions"]],
+            distortions=distortions_from_json(data["distortions"]),
             deltas={k: float(v) for k, v in data.get("deltas", {}).items()},
-        )
-    except (KeyError, TypeError) as exc:
+        ))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ParseError(f"malformed catalog JSON: {exc}") from None
 
 
@@ -268,11 +304,6 @@ def save_catalog(catalog: FaultCatalog, path) -> None:
 
 
 def load_catalog(path) -> FaultCatalog:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise IoError(f"catalog not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return catalog_from_json(data)
+    data = read_json(path, "catalog")
+    with in_file(path):
+        return catalog_from_json(data)

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct, rfft
 
-from .errors import IncompleteFeaturesError, TooShortError
+from .corpus import open_text
+from .errors import IncompleteFeaturesError, ParseError, TooShortError
 
 FRAME_SIZE = 1024
 HOP = 512
@@ -173,15 +174,18 @@ def write_feature_cache(path, features: dict[str, np.ndarray]) -> None:
 
 def read_feature_cache(path) -> dict[str, np.ndarray]:
     """Read a feature CSV back into id -> (n_windows, 32) arrays."""
-    path = Path(path)
     rows: dict[str, list[tuple[int, list[float]]]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with open_text(path, "feature CSV") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["id", "window_index"]:
             raise IncompleteFeaturesError(f"{path}: not a feature cache")
-        for row in reader:
-            eid, w = row[0], int(row[1])
-            rows.setdefault(eid, []).append((w, [float(v) for v in row[2:]]))
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                entry = int(row[1]), [float(v) for v in row[2:]]
+            except (IndexError, ValueError):
+                raise ParseError(f"{path}:{lineno}: expected an id, an integer "
+                                 "window_index and numeric features") from None
+            rows.setdefault(row[0], []).append(entry)
     return {eid: np.array([vec for _, vec in sorted(entries)])
             for eid, entries in rows.items()}

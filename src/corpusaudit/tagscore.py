@@ -227,3 +227,19 @@ def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
             rule=rule,
         ))
     return verdicts
+
+
+def audit_labels(corpus: Corpus, tags: dict[str, TagCountSet],
+                 delta_rule: str = "adjacent-gap") -> tuple[ScoreMatrix, list[MislabelVerdict]]:
+    """Profile each label from its identified, tagged excerpts, then score and flag.
+
+    Labels without such excerpts get no profile and drop out of the matrix.
+    """
+    profiles = []
+    for label in corpus.labels:
+        sets = [tags[ex.id] for ex in corpus.with_label(label)
+                if ex.identified and ex.id in tags and tags[ex.id].pairs]
+        if sets:
+            profiles.append(label_profile(label, sets))
+    matrix = score_matrix(profiles, delta_rule=delta_rule)
+    return matrix, detect_mislabelings(corpus, tags, profiles, matrix)

@@ -6,6 +6,7 @@ import pytest
 from scipy.io import wavfile
 
 from corpusaudit.cli import dispatch
+from corpusaudit.faults import load_catalog, perfect_confusion, perfect_statistics
 from corpusaudit.fingerprint import read_cache, write_cache
 from corpusaudit.synth import delayed_copy, tone_cloud
 
@@ -65,12 +66,6 @@ def test_help_exits_zero():
 
 def test_missing_required_argument_exits_two():
     assert dispatch(["audit", "dupes"]) == 2
-
-
-def test_audit_error_exits_two(workspace, tmp_path, capsys):
-    code = dispatch(["catalog", "show", "--catalog", str(tmp_path / "none.json")])
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_audit_dupes_finds_planted_pair(workspace, tmp_path):
@@ -338,3 +333,218 @@ def test_report_perfect_text_and_json(catalog_path, tmp_path):
     # the planted mislabeling moves slate weight toward amber
     assert matrix[0, 1] > 0
     assert data["accuracy"] < 1.0
+
+
+def test_report_perfect_json_equals_library(catalog_path, tmp_path):
+    out = tmp_path / "perfect.json"
+    assert dispatch(["report", "perfect", "--catalog", str(catalog_path),
+                     "--format", "json", "--out", str(out)]) == 0
+    pc = perfect_confusion(load_catalog(catalog_path))
+    fom = perfect_statistics(pc)
+    assert json.loads(out.read_text()) == {
+        "labels": list(pc.labels),
+        "matrix": [[round(v, 10) for v in row] for row in pc.matrix],
+        "recall": fom.recall, "precision": fom.precision, "fscore": fom.fscore,
+        "accuracy": fom.accuracy}
+
+
+def test_eval_relabel_without_flags_reproduces_report(workspace, features_path, tmp_path):
+    catalog = tmp_path / "catalog.json"
+    assert dispatch(["catalog", "build", "--metadata", str(workspace / "metadata.csv"),
+                     "--out", str(catalog)]) == 0
+    report, out = tmp_path / "report.json", tmp_path / "relabeled.json"
+    assert dispatch(["eval", "run", "--metadata", str(workspace / "metadata.csv"),
+                     "--features", str(features_path), "--scheme", "st",
+                     "--classifier", "nn", "--seed", "3", "--realizations", "2",
+                     "--out", str(report)]) == 0
+    assert dispatch(["eval", "relabel", "--catalog", str(catalog),
+                     "--predictions", str(report), "--out", str(out)]) == 0
+    run, relabeled = json.loads(report.read_text()), json.loads(out.read_text())
+    assert relabeled["relabeled"] == []
+    assert [r["folds"] for r in relabeled["realizations"]] == \
+        [r["folds"] for r in run["realizations"]]
+    for key in ("accuracy_mean", "accuracy_std"):
+        assert relabeled[key] == run[key]
+
+
+def _verdict(eid, label, scores):
+    return {"id": eid, "label": label, "own_score": scores[label], "scores": scores,
+            "best_other_label": None, "best_other_score": 0.0, "flagged": True,
+            "rule": "low_own"}
+
+
+# a.0: best b, runner-up tied between a and c within a's margin -> split b/a
+# b.0: every score zero -> spread 1/3; b.1: runner-up outside b's margin -> a
+# c.0: best tied between a and b -> a leads by label order, split a/b
+TIE_CATALOG = {
+    "labels": ["a", "b", "c"],
+    "label_counts": {"a": 4, "b": 4, "c": 4},
+    "repetitions": [],
+    "mislabelings": [
+        _verdict("a.0", "a", {"a": 0.25, "b": 0.75, "c": 0.25}),
+        _verdict("b.0", "b", {"a": 0.0, "b": 0.0, "c": 0.0}),
+        _verdict("b.1", "b", {"a": 0.9, "b": 0.1, "c": 0.0}),
+        _verdict("c.0", "c", {"a": 0.5, "b": 0.5, "c": 0.0}),
+    ],
+    "distortions": [],
+    "deltas": {"a": 0.5, "b": 0.5, "c": 0.01},
+}
+
+
+def test_report_perfect_and_relabel_share_the_ranking_rule(tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(TIE_CATALOG))
+    out = tmp_path / "perfect.json"
+    assert dispatch(["report", "perfect", "--catalog", str(catalog),
+                     "--format", "json", "--out", str(out)]) == 0
+    third = 1.0 / 3
+    assert json.loads(out.read_text())["matrix"] == [
+        [3.5, round(third + 1.0, 10), 0.5],
+        [0.5, round(third + 2.0, 10), 0.5],
+        [0.0, round(third, 10), 3.0]]
+
+    # relabeling moves a.0 -> b, b.1 -> a and c.0 -> a, which makes every
+    # one of these predictions right
+    preds = [("a.0", "a", "b"), ("a.1", "a", "a"), ("b.1", "b", "a"),
+             ("b.2", "b", "b"), ("c.0", "c", "a"), ("c.1", "c", "c")]
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"realizations": [{"predictions": [
+        {"id": eid, "true": true, "predicted": pred, "fold": 0}
+        for eid, true, pred in preds]}]}))
+    out = tmp_path / "relabeled.json"
+    assert dispatch(["eval", "relabel", "--catalog", str(catalog),
+                     "--predictions", str(report), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["relabeled"] == ["a.0", "b.1", "c.0"]
+    assert data["accuracy_mean"] == 1.0
+
+
+def _damaged_catalog(mutate):
+    def build(fx, tmp):
+        data = json.loads(fx["catalog"].read_text())
+        mutate(data)
+        path = tmp / "damaged-catalog.json"
+        path.write_text(json.dumps(data))
+        return path
+    return build
+
+
+def _text(name, text):
+    def build(fx, tmp):
+        path = tmp / name
+        path.write_text(text)
+        return path
+    return build
+
+
+def _absent(name):
+    return lambda fx, tmp: tmp / name
+
+
+def _slate_003(data):
+    return next(v for v in data["mislabelings"] if v["id"] == "slate.003")
+
+
+def _catalog_build(fx, bad, option):
+    return ["catalog", "build", "--metadata", fx["metadata"], option, bad]
+
+
+def _eval_run(fx, features, *extra):
+    return ["eval", "run", "--metadata", fx["metadata"], "--features", features,
+            "--scheme", "af", "--classifier", "md", *extra]
+
+
+# (make the bad file, argv for it, text the one stderr line must also hold)
+BAD_INPUTS = {
+    "catalog_empty_scores": (
+        _damaged_catalog(lambda d: _slate_003(d).update(scores={})),
+        lambda fx, bad: ["report", "perfect", "--catalog", bad], "'slate.003'"),
+    "catalog_label_outside_labels": (
+        _damaged_catalog(lambda d: _slate_003(d).update(label="violet")),
+        lambda fx, bad: ["report", "perfect", "--catalog", bad], "'slate.003'"),
+    "catalog_score_key_outside_labels": (
+        _damaged_catalog(lambda d: _slate_003(d)["scores"].update(violet=0.5)),
+        lambda fx, bad: ["eval", "relabel", "--catalog", bad,
+                         "--predictions", fx["report"]], "'slate.003'"),
+    "catalog_flagged_label_without_delta": (
+        _damaged_catalog(lambda d: d["deltas"].pop("slate")),
+        lambda fx, bad: ["report", "perfect", "--catalog", bad], "'slate'"),
+    "report_label_outside_catalog": (
+        _text("report.json", json.dumps({"realizations": [{"predictions": [
+            {"id": "amber.000", "true": "amber", "predicted": "violet", "fold": 0}]}]})),
+        lambda fx, bad: ["eval", "relabel", "--catalog", fx["catalog"],
+                         "--predictions", bad], "'amber.000'"),
+    "missing_recordings": (
+        _absent("recordings.json"),
+        lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "not found"),
+    "invalid_recordings": (
+        _text("recordings.json", "[[\"amber.000\","),
+        lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "invalid JSON"),
+    "missing_distortions": (
+        _absent("distortions.json"),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "not found"),
+    "invalid_distortions": (
+        _text("distortions.json", "{"),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "invalid JSON"),
+    "distortion_without_id": (
+        _text("distortions.json", json.dumps([{"id": "amber.001"}, {"note": "hum"}])),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "entry 1"),
+    "missing_dupes": (
+        _absent("dupes.csv"),
+        lambda fx, bad: _catalog_build(fx, bad, "--dupes"), "not found"),
+    "missing_artist_folds": (
+        _absent("folds.json"),
+        lambda fx, bad: ["partition", "make", "--metadata", fx["metadata"],
+                         "--scheme", "af", "--artist-folds", bad], "not found"),
+    "invalid_artist_folds": (
+        _text("folds.json", "{\"fold1\": "),
+        lambda fx, bad: _eval_run(fx, fx["features"], "--artist-folds", bad), "invalid JSON"),
+    "missing_report": (
+        _absent("report.json"),
+        lambda fx, bad: ["eval", "relabel", "--catalog", fx["catalog"],
+                         "--predictions", bad], "not found"),
+    "invalid_report": (
+        _text("report.json", "not json"),
+        lambda fx, bad: ["eval", "compare", fx["report"], bad], "invalid JSON"),
+    "missing_catalog": (
+        _absent("none.json"),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad], "not found"),
+    "missing_metadata": (
+        _absent("metadata.csv"),
+        lambda fx, bad: ["audit", "labels", "--metadata", bad, "--tags", fx["tags"]],
+        "not found"),
+    "missing_features": (
+        _absent("features.csv"),
+        lambda fx, bad: _eval_run(fx, bad), "not found"),
+    "non_integer_window_index": (
+        _text("features.csv", "id,window_index,f0\namber.000,0,0.5\namber.000,one,0.5\n"),
+        lambda fx, bad: _eval_run(fx, bad), ":3:"),
+    "tag_entry_without_tag": (
+        _text("tags.json", json.dumps([{"id": "amber.000", "tags": [{"count": 3}]}])),
+        lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],
+        "entry 0"),
+}
+
+
+@pytest.fixture(scope="module")
+def good_inputs(workspace, catalog_path, features_path, tmp_path_factory):
+    report = tmp_path_factory.mktemp("good") / "report.json"
+    assert dispatch(["eval", "run", "--metadata", str(workspace / "metadata.csv"),
+                     "--features", str(features_path), "--scheme", "st",
+                     "--classifier", "md", "--out", str(report)]) == 0
+    return {"metadata": workspace / "metadata.csv", "tags": workspace / "tags.json",
+            "catalog": catalog_path, "features": features_path, "report": report}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_two(good_inputs, tmp_path, capsys, case):
+    make_bad, argv_for, needle = BAD_INPUTS[case]
+    bad = make_bad(good_inputs, tmp_path)
+    out = tmp_path / "out"
+    argv = [str(a) for a in argv_for(good_inputs, bad)] + ["--out", str(out)]
+    capsys.readouterr()
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(bad) in err and needle in err
+    assert not out.exists()

@@ -20,6 +20,8 @@ from corpusaudit.faults import (
     load_catalog,
     perfect_confusion,
     perfect_statistics,
+    ranked_scores,
+    relabel_map,
     save_catalog,
 )
 from corpusaudit.tagscore import MislabelVerdict
@@ -98,29 +100,66 @@ def two_label_corpus():
 
 def test_perfect_confusion_unflagged_diagonal():
     corpus = two_label_corpus()
-    pc = perfect_confusion(corpus, [], {"one": 0.01, "two": 0.01})
+    pc = perfect_confusion(build_catalog(corpus, deltas={"one": 0.01, "two": 0.01}))
     assert np.array_equal(pc.matrix, [[2.0, 0.0], [0.0, 2.0]])
 
 
 def test_perfect_confusion_flagged_moves_weight():
     corpus = two_label_corpus()
     verdicts = [verdict("one.0", "one", {"one": 0.001, "two": 0.06}, True, "low_own")]
-    pc = perfect_confusion(corpus, verdicts, {"one": 0.01, "two": 0.01})
+    pc = perfect_confusion(build_catalog(corpus, verdicts=verdicts,
+                                         deltas={"one": 0.01, "two": 0.01}))
     assert pc.matrix[0, 0] == 1.0 and pc.matrix[1, 0] == 1.0
 
 
 def test_perfect_confusion_margin_split():
     corpus = two_label_corpus()
     verdicts = [verdict("one.0", "one", {"one": 0.055, "two": 0.06}, True, "high_other")]
-    pc = perfect_confusion(corpus, verdicts, {"one": 0.01, "two": 0.01})
+    pc = perfect_confusion(build_catalog(corpus, verdicts=verdicts,
+                                         deltas={"one": 0.01, "two": 0.01}))
     assert pc.matrix[0, 0] == 1.5 and pc.matrix[1, 0] == 0.5
 
 
 def test_perfect_confusion_all_zero_scores_spread():
     corpus = two_label_corpus()
     verdicts = [verdict("one.0", "one", {"one": 0.0, "two": 0.0}, True, "low_own")]
-    pc = perfect_confusion(corpus, verdicts, {"one": 0.01, "two": 0.01})
+    pc = perfect_confusion(build_catalog(corpus, verdicts=verdicts,
+                                         deltas={"one": 0.01, "two": 0.01}))
     assert pc.matrix[0, 0] == 1.5 and pc.matrix[1, 0] == 0.5
+
+
+def test_perfect_confusion_adds_flagged_weight_before_the_diagonal():
+    labels = ("a", "b", "c")
+    corpus = Corpus(labels=labels, excerpts=tuple(
+        Excerpt(id=f"{label}.{i}", label=label, artist=f"{label}{i}")
+        for label in labels for i in range(6)))
+    zero = {"a": 0.0, "b": 0.0, "c": 0.0}
+    verdicts = [verdict("a.0", "a", zero, True, "low_own"),
+                verdict("a.1", "a", zero, True, "low_own")]
+    pc = perfect_confusion(build_catalog(corpus, verdicts=verdicts,
+                                         deltas={l: 0.01 for l in labels}))
+    third = 1.0 / 3
+    assert pc.matrix[0, 0] == third + third + 4.0
+    # excerpt order would round the other way: the order above is the rule
+    assert pc.matrix[0, 0] != third + third + 1.0 + 1.0 + 1.0 + 1.0
+    assert pc.matrix[1, 0] == pc.matrix[2, 0] == third + third
+
+
+def test_ranked_scores_ties_go_to_label_order():
+    index = {"a": 0, "b": 1, "c": 2}
+    v = verdict("x", "b", {"c": 0.3, "b": 0.1, "a": 0.3}, True)
+    assert ranked_scores(v, index) == [("a", 0.3), ("c", 0.3), ("b", 0.1)]
+    with pytest.raises(IncompleteVerdictError):
+        ranked_scores(verdict("y", "b", {}, True), index)
+
+
+def test_relabel_map_takes_the_first_tied_label():
+    corpus = two_label_corpus()
+    catalog = build_catalog(corpus, verdicts=[
+        verdict("two.0", "two", {"two": 0.2, "one": 0.2}, True, "high_other"),
+        verdict("two.1", "two", {"two": 0.0, "one": 0.0}, True, "low_own"),
+        verdict("one.0", "one", {"one": 0.1, "two": 0.4}, False)])
+    assert relabel_map(catalog) == {"two.0": "one"}
 
 
 def test_perfect_confusion_empty_scores_error():
@@ -129,7 +168,8 @@ def test_perfect_confusion_empty_scores_error():
                                 scores={}, best_other_label=None,
                                 best_other_score=0.0, flagged=True, rule="low_own")]
     with pytest.raises(IncompleteVerdictError):
-        perfect_confusion(corpus, verdicts, {"one": 0.01, "two": 0.01})
+        perfect_confusion(build_catalog(corpus, verdicts=verdicts,
+                                        deltas={"one": 0.01, "two": 0.01}))
 
 
 def test_perfect_confusion_columns_conserve_weight():
@@ -146,15 +186,16 @@ def test_perfect_confusion_columns_conserve_weight():
                 scores = {l: 0.0 for l in labels}
             verdicts.append(verdict(eid, label, scores, flagged=True, rule="low_own"))
     corpus = Corpus(labels=labels, excerpts=tuple(excerpts))
-    pc = perfect_confusion(corpus, verdicts, {l: 0.005 for l in labels})
+    pc = perfect_confusion(build_catalog(corpus, verdicts=verdicts,
+                                         deltas={l: 0.005 for l in labels}))
     assert np.allclose(pc.matrix.sum(axis=0), [10.0, 10.0, 10.0])
 
 
 def test_perfect_statistics_values():
-    pc = perfect_confusion(two_label_corpus(),
-                           [verdict("one.0", "one", {"one": 0.001, "two": 0.06},
-                                    True, "low_own")],
-                           {"one": 0.01, "two": 0.01})
+    pc = perfect_confusion(build_catalog(
+        two_label_corpus(),
+        verdicts=[verdict("one.0", "one", {"one": 0.001, "two": 0.06}, True, "low_own")],
+        deltas={"one": 0.01, "two": 0.01}))
     stats = perfect_statistics(pc)
     assert stats.recall["one"] == pytest.approx(0.5)
     assert stats.recall["two"] == pytest.approx(1.0)
@@ -164,7 +205,7 @@ def test_perfect_statistics_values():
 def test_perfect_statistics_degenerate_column():
     corpus = Corpus(labels=("one", "two"), excerpts=(
         Excerpt(id="one.0", label="one", artist="A"),))
-    pc = perfect_confusion(corpus, [], {})
+    pc = perfect_confusion(build_catalog(corpus))
     with pytest.raises(DegenerateClassError):
         perfect_statistics(pc)
 
