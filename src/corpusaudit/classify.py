@@ -21,6 +21,12 @@ KINDS = ("nn", "md", "mmd")
 
 COV_REG_SCALE = 1e-6
 
+# windows scored at once: a distance block against ~4500 training rows is ~1 MB
+BLOCK = 32
+
+# beyond this magnitude squared norms might overflow; the NN prefilter keeps every row
+PREFILTER_MAX_ABS = 1e100
+
 
 @dataclass(frozen=True)
 class TrainedModel:
@@ -69,27 +75,93 @@ def train(kind: str, vectors: np.ndarray, labels, label_order=None,
                         cov_inv=np.linalg.inv(cov_reg))
 
 
+def window_distances(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
+    """Squared distance of each window to each class mean (MD/MMD only).
+
+    Shape (n_windows, n_labels): Euclidean for MD, Mahalanobis under the
+    regularized total covariance for MMD. Windows are scored ``BLOCK`` at
+    a time; each value depends on its own window only, so the blocking
+    does not change a bit of the result.
+    """
+    if model.kind not in ("md", "mmd"):
+        raise ValueError("window distances are defined for MD/MMD only")
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    out = np.empty((vectors.shape[0], len(model.labels)))
+    for start in range(0, vectors.shape[0], BLOCK):
+        diffs = vectors[start:start + BLOCK, None, :] - model.means[None, :, :]
+        if model.kind == "md":
+            out[start:start + BLOCK] = np.sum(diffs * diffs, axis=2)
+        else:
+            out[start:start + BLOCK] = np.einsum("vld,de,vle->vl", diffs,
+                                                 model.cov_inv, diffs)
+    return out
+
+
 def log_posteriors(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     """Per-class log posterior sums over the given windows (MD/MMD only)."""
-    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    diffs = vectors[:, None, :] - model.means[None, :, :]
-    if model.kind == "md":
-        sq = np.sum(diffs * diffs, axis=2)
-    elif model.kind == "mmd":
-        sq = np.einsum("vld,de,vle->vl", diffs, model.cov_inv, diffs)
-    else:
-        raise ValueError("log posteriors are defined for MD/MMD only")
-    return -0.5 * np.sum(sq, axis=0)
+    return -0.5 * np.sum(window_distances(model, vectors), axis=0)
 
 
 def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     """Per-window nearest-training-neighbor label indices (NN only).
 
-    Distance ties resolve to the earliest training index.
+    The neighbor is ``argmin(cdist(vectors, train_x), axis=1)``, bit for
+    bit: the smallest Euclidean distance as ``cdist`` rounds it, ties to
+    the earliest training index. Windows go ``BLOCK`` at a time through
+    a BLAS prefilter, and only the training rows it keeps are scored
+    with ``cdist``.
+
+    Prefilter. For window a and training row x, BLAS gives
+    p = ||x||^2 - 2 a.x, which is ||a - x||^2 minus ||a||^2, a constant
+    per window. Every row whose p lies within 2B of the window's
+    smallest p is kept, with B = 4(d + 5) eps (||a||^2 + max ||x||^2)
+    plus 8(d + 5) times the smallest subnormal; eps = 2u = 2**-52 and d
+    is the dimension. The kept rows of a block are scored against the
+    whole block, in index order, and each window takes the argmin of
+    its row.
+
+    Why every cdist minimizer is kept. Let s = ||a||^2 + ||x||^2 and
+    D = ||a - x||^2 in exact arithmetic. A sum of d products, formed in
+    any order with or without FMA, is within gamma_d = du/(1 - du) of
+    the sum of their absolute values, and |a.x| <= s/2; so the computed
+    p is within (2 gamma_d + 2u) s of D - ||a||^2. cdist rounds each
+    difference, square and partial sum and then the square root, so its
+    value c has |c^2 - D| <= gamma_{d+5} D <= 2 gamma_{d+5} s. If row j
+    minimizes c, then c_j^2 <= c_k^2 for every row k, and chaining the
+    four bounds gives p_j <= p_k + 4 gamma_{d+5} (s_j + s_k)
+    <= p_k + 8 gamma_{d+5} (||a||^2 + max ||x||^2), about half of 2B.
+    The other half absorbs the rounding of the norms, of B itself and
+    of the threshold sum. Underflow adds at most half the smallest
+    subnormal per operation, which the subnormal term covers. So row j
+    is kept, and since every kept set holds all minimizers of its
+    window in index order, the argmin over it is the earliest minimizer.
+    The bounds need finite values whose squares cannot overflow: if any
+    value is not finite or exceeds ``PREFILTER_MAX_ABS`` in magnitude,
+    every row is kept and the kernel is plain blocked cdist.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    dists = cdist(vectors, model.train_x)
-    return model.train_y[np.argmin(dists, axis=1)]
+    train_x = model.train_x
+    dim = train_x.shape[1]
+    train_sq = np.einsum("ij,ij->i", train_x, train_x)
+    scale = 4 * (dim + 5) * np.finfo(float).eps
+    floor = 8 * (dim + 5) * np.finfo(float).smallest_subnormal
+    # Each comparison is False when its array holds a nan.
+    prefilter = (np.abs(train_x).max(initial=0.0) <= PREFILTER_MAX_ABS
+                 and np.abs(vectors).max(initial=0.0) <= PREFILTER_MAX_ABS)
+    reach = train_sq.max()
+    minus_2xt = -2.0 * train_x.T
+    kept = np.arange(train_x.shape[0])  # every row, unless the prefilter narrows it
+    out = np.empty(vectors.shape[0], dtype=np.intp)
+    for start in range(0, vectors.shape[0], BLOCK):
+        block = vectors[start:start + BLOCK]
+        if prefilter:
+            partial = block @ minus_2xt
+            partial += train_sq
+            bound = scale * (np.einsum("ij,ij->i", block, block) + reach) + floor
+            limit = partial.min(axis=1) + 2 * bound
+            kept = np.flatnonzero((partial <= limit[:, None]).any(axis=0))
+        out[start:start + BLOCK] = kept[np.argmin(cdist(block, train_x[kept]), axis=1)]
+    return model.train_y[out]
 
 
 def vote(label_indices: np.ndarray, n_labels: int, rng: np.random.Generator) -> int:
@@ -110,3 +182,37 @@ def classify_excerpt(model: TrainedModel, vectors: np.ndarray,
         winners = nearest_labels(model, vectors)
         return model.labels[vote(winners, len(model.labels), rng)]
     return model.labels[int(np.argmax(log_posteriors(model, vectors)))]
+
+
+def classify_excerpts(model: TrainedModel, vectors: np.ndarray, sizes,
+                      rng_for) -> list[str]:
+    """Label a run of excerpts whose windows are stacked in ``vectors``.
+
+    ``sizes`` holds each excerpt's window count, in stacking order.
+    ``rng_for(j)`` gives the generator for excerpt ``j``; it is called
+    only when an NN vote ties. Each label equals what ``classify_excerpt``
+    gives for that excerpt's windows and generator.
+    """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    n_labels = len(model.labels)
+    starts = np.cumsum(sizes) - sizes
+    if model.kind == "nn":
+        winners = nearest_labels(model, vectors)
+        owners = np.repeat(np.arange(len(sizes)), sizes)
+        counts = np.bincount(owners * n_labels + winners,
+                             minlength=len(sizes) * n_labels).reshape(-1, n_labels)
+        picks = counts.argmax(axis=1)
+        tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        for j in np.flatnonzero(tied):
+            picks[j] = vote(winners[starts[j]:starts[j] + sizes[j]], n_labels,
+                            rng_for(int(j)))
+    else:
+        dists = window_distances(model, vectors)
+        sums = np.empty((len(sizes), n_labels))
+        # summing a (k, n, labels) stack over axis 1 adds each excerpt's
+        # windows in the order np.sum(axis=0) adds them for one excerpt
+        for n in np.unique(sizes):
+            group = np.flatnonzero(sizes == n)
+            sums[group] = dists[starts[group][:, None] + np.arange(n)].sum(axis=1)
+        picks = np.argmax(-0.5 * sums, axis=1)
+    return [model.labels[k] for k in picks]

@@ -128,12 +128,17 @@ def _read_dupe_groups(path, threshold):
 def cmd_catalog_build(args) -> int:
     corpus = load_metadata(args.metadata)
     exact_groups = _read_dupe_groups(args.dupes, args.threshold) if args.dupes else []
-    recording_groups = read_json(args.recordings, "recording groups") if args.recordings else []
-    distortions = []
+    recording_groups, distortions = [], []
+    if args.recordings:
+        entries = read_json(args.recordings, "recording groups")
+        with in_file(args.recordings):
+            recording_groups = faults.recording_groups_from_json(entries)
+            faults.check_known_ids(corpus, recording_groups=recording_groups)
     if args.distortions:
         entries = read_json(args.distortions, "distortion list")
         with in_file(args.distortions):
             distortions = faults.distortions_from_json(entries)
+            faults.check_known_ids(corpus, distortions=distortions)
     verdicts, deltas = [], {}
     if args.tags:
         matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus),
@@ -174,10 +179,20 @@ def cmd_catalog_show(args) -> int:
     return 0
 
 
+def _read_artist_folds(path):
+    """The ``--artist-folds`` mapping, checked on reading so errors name the file."""
+    if not path:
+        return None
+    artist_folds = read_json(path, "artist folds")
+    with in_file(path):
+        evaluate.read_artist_folds(artist_folds)
+    return artist_folds
+
+
 def cmd_partition_make(args) -> int:
     corpus = load_metadata(args.metadata)
     catalog = faults.load_catalog(args.catalog) if args.catalog else None
-    artist_folds = read_json(args.artist_folds, "artist folds") if args.artist_folds else None
+    artist_folds = _read_artist_folds(args.artist_folds)
     partition = evaluate.make_partition(corpus, args.scheme, seed=args.seed,
                                         catalog=catalog, artist_folds=artist_folds,
                                         realization=args.realization)
@@ -215,7 +230,7 @@ def cmd_eval_run(args) -> int:
     corpus = load_metadata(args.metadata)
     feats = features.read_feature_cache(args.features)
     catalog = faults.load_catalog(args.catalog) if args.catalog else None
-    artist_folds = read_json(args.artist_folds, "artist folds") if args.artist_folds else None
+    artist_folds = _read_artist_folds(args.artist_folds)
     results = []
     for realization in range(args.realizations):
         partition = evaluate.make_partition(
@@ -282,7 +297,8 @@ def cmd_eval_relabel(args) -> int:
     results = [evaluate.ExperimentResult(
         tables=evaluate.confusion_tables(catalog.labels, preds, true_labels=new_labels),
         predictions=tuple(preds)) for preds in realizations]
-    mean, std = evaluate.accuracy_summary(results)
+    with in_file(args.predictions):
+        mean, std = evaluate.accuracy_summary(results)
     _write_json(args.out, {
         "relabeled": sorted(new_labels),
         "accuracy_mean": mean,

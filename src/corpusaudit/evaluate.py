@@ -19,7 +19,8 @@ from math import comb
 
 import numpy as np
 
-from .classify import classify_excerpt, train
+# classify_excerpt is unused here but stays importable: perfbench's tracer wraps it
+from .classify import classify_excerpt, classify_excerpts, train  # noqa: F401
 from .corpus import Corpus, normalize_text
 from .errors import (
     ArtistLeakError,
@@ -136,18 +137,20 @@ def _greedy_assign(groups: dict[str, list[str]], corpus: Corpus,
     return folds
 
 
-def _read_artist_folds(artist_folds) -> dict[str, int]:
+def read_artist_folds(artist_folds) -> dict[str, int]:
     """Normalize a manual {artist: fold} assignment; folds are 1-based lists."""
-    if isinstance(artist_folds, dict) and set(artist_folds) <= {"fold1", "fold2"}:
-        assignment = {}
-        for fold, names in (("fold1", 0), ("fold2", 1)):
-            for name in artist_folds.get(fold, []):
-                key = normalize_text(name)
-                if key in assignment and assignment[key] != names:
-                    raise ArtistLeakError(f"artist {name!r} assigned to both folds")
-                assignment[key] = names
-        return assignment
-    raise ParseError("artist fold file must map 'fold1' and 'fold2' to artist lists")
+    if not (isinstance(artist_folds, dict) and set(artist_folds) <= {"fold1", "fold2"}
+            and all(isinstance(names, list) and all(isinstance(n, str) for n in names)
+                    for names in artist_folds.values())):
+        raise ParseError("artist fold file must map 'fold1' and 'fold2' to artist lists")
+    assignment = {}
+    for fold, index in (("fold1", 0), ("fold2", 1)):
+        for name in artist_folds.get(fold, []):
+            key = normalize_text(name)
+            if key in assignment and assignment[key] != index:
+                raise ArtistLeakError(f"artist {name!r} assigned to both folds")
+            assignment[key] = index
+    return assignment
 
 
 def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
@@ -175,7 +178,7 @@ def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
         groups = _artist_groups(corpus, included)
         preassigned = None
         if artist_folds is not None:
-            assignment = _read_artist_folds(artist_folds)
+            assignment = read_artist_folds(artist_folds)
             # names absent from the corpus are ignored
             preassigned = {k: v for k, v in assignment.items() if k in groups}
         fold_lists = _greedy_assign(groups, corpus, preassigned)
@@ -202,6 +205,9 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
     Each fold serves as the test set once, with the model trained on the
     union of the others; normalization is fitted on the training windows
     and applied unchanged to the test windows. Original labels are kept.
+    A fold's test excerpts are scored together, in sorted id order; the
+    ``j``-th one draws NN vote ties from ``default_rng([seed, realization,
+    fold, j])``, so each label equals ``classify_excerpt`` on its own.
     """
     all_ids = [eid for fold in partition.folds for eid in fold]
     missing = [eid for eid in all_ids if eid not in features]
@@ -218,13 +224,17 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
         nmap = fit_normalization(train_x)
         model = train(kind, apply_normalization(nmap, train_x), train_y,
                       label_order=corpus.labels, seed=seed)
-        for j, eid in enumerate(sorted(test_fold)):
-            vecs = apply_normalization(nmap, features[eid])
-            rng = np.random.default_rng([seed, partition.realization, i, j])
-            predicted = classify_excerpt(model, vecs, rng=rng)
-            predictions.append(PredictionRecord(
-                excerpt_id=eid, true_label=corpus.get(eid).label,
-                predicted_label=predicted, fold=i))
+        test_ids = sorted(test_fold)
+        if not test_ids:
+            continue
+        test_x = apply_normalization(nmap,
+                                     np.concatenate([features[eid] for eid in test_ids]))
+        predicted = classify_excerpts(
+            model, test_x, [len(features[eid]) for eid in test_ids],
+            lambda j: np.random.default_rng([seed, partition.realization, i, j]))
+        predictions += [PredictionRecord(excerpt_id=eid, true_label=corpus.get(eid).label,
+                                         predicted_label=label, fold=i)
+                        for eid, label in zip(test_ids, predicted)]
     return ExperimentResult(tables=confusion_tables(corpus.labels, predictions),
                             predictions=tuple(predictions))
 
@@ -277,6 +287,8 @@ def figures_of_merit(table: ConfusionTable) -> FiguresOfMerit:
 def accuracy_summary(results) -> tuple[float, float]:
     """Mean and one standard deviation of per-fold normalized accuracies."""
     accs = [figures_of_merit(t).accuracy for res in results for t in res.tables]
+    if not accs:
+        raise DegenerateClassError("no fold holds a prediction to summarize")
     return float(np.mean(accs)), float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
 
 

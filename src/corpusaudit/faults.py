@@ -94,6 +94,13 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
     normalized title without already sitting inside one exact/recording
     group.
     """
+    recording_groups = [tuple(g) for g in recording_groups]
+    dist_list = [d if isinstance(d, Distortion)
+                 else Distortion(*d) if isinstance(d, (tuple, list)) else Distortion(**d)
+                 for d in distortions]
+    check_known_ids(corpus, recording_groups=recording_groups, distortions=dist_list)
+    dist_list.sort(key=lambda d: d.excerpt_id)
+
     repetitions = [RepetitionGroup(kind="exact", members=tuple(sorted(g)),
                                    evidence="fingerprint")
                    for g in sorted(tuple(sorted(g)) for g in exact_groups)]
@@ -108,15 +115,6 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
             corpus, lambda ex: normalize_text(ex.title) if ex.title else None, "version"):
         if not any(set(group.members) <= members for members in same_recording):
             repetitions.append(group)
-
-    dist_list = []
-    for d in distortions:
-        if not isinstance(d, Distortion):
-            d = Distortion(*d) if isinstance(d, (tuple, list)) else Distortion(**d)
-        if d.excerpt_id not in corpus:
-            raise UnknownExcerptError(f"distortion names unknown excerpt {d.excerpt_id!r}")
-        dist_list.append(d)
-    dist_list.sort(key=lambda d: d.excerpt_id)
 
     counts = {label: len(corpus.with_label(label)) for label in corpus.labels}
     return FaultCatalog(
@@ -241,6 +239,26 @@ def catalog_to_json(catalog: FaultCatalog) -> dict:
             for d in catalog.distortions],
         "deltas": dict(catalog.deltas),
     }
+
+
+def check_known_ids(corpus: Corpus, recording_groups=(), distortions=()) -> None:
+    """Reject a recording-group member or distortion id absent from the corpus."""
+    for i, group in enumerate(recording_groups):
+        unknown = [eid for eid in group if eid not in corpus]
+        if unknown:
+            raise UnknownExcerptError(f"recording group {i} names unknown excerpt "
+                                      f"{unknown[0]!r}")
+    for d in distortions:
+        if d.excerpt_id not in corpus:
+            raise UnknownExcerptError(f"distortion names unknown excerpt {d.excerpt_id!r}")
+
+
+def recording_groups_from_json(entries) -> list[tuple[str, ...]]:
+    """Manual recording groups: arrays of excerpt ids."""
+    if not (isinstance(entries, list) and all(
+            isinstance(g, list) and all(isinstance(eid, str) for eid in g) for g in entries)):
+        raise ParseError("expected a JSON array of recording groups (arrays of excerpt ids)")
+    return [tuple(g) for g in entries]
 
 
 def distortions_from_json(entries) -> list[Distortion]:

@@ -16,6 +16,7 @@ import csv
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -173,19 +174,41 @@ def write_feature_cache(path, features: dict[str, np.ndarray]) -> None:
 
 
 def read_feature_cache(path) -> dict[str, np.ndarray]:
-    """Read a feature CSV back into id -> (n_windows, 32) arrays."""
-    rows: dict[str, list[tuple[int, list[float]]]] = {}
+    """Read a feature CSV back into id -> (n_windows, n_features) arrays.
+
+    Rows stream through one ``csv.reader``; all feature values go through
+    ``float`` in a single ``np.fromiter`` pass. Each id's rows are ordered
+    by window index (rows sharing one by their values, as tuples sort).
+    """
     with open_text(path, "feature CSV") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["id", "window_index"]:
             raise IncompleteFeaturesError(f"{path}: not a feature cache")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                entry = int(row[1]), [float(v) for v in row[2:]]
-            except (IndexError, ValueError):
-                raise ParseError(f"{path}:{lineno}: expected an id, an integer "
-                                 "window_index and numeric features") from None
-            rows.setdefault(row[0], []).append(entry)
-    return {eid: np.array([vec for _, vec in sorted(entries)])
-            for eid, entries in rows.items()}
+        rows = []  # (id, window index, field count, line) per data row
+
+        def value_fields():
+            for row in reader:
+                rows.append((row[0], int(row[1]), len(row), reader.line_num))
+                yield row[2:]
+
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(value_fields())), dtype=float)
+        except (IndexError, ValueError):
+            raise ParseError(f"{path}:{reader.line_num}: expected an id, an integer "
+                             "window_index and numeric features") from None
+    ids, windows, widths, lines = zip(*rows) if rows else ((), (), (), ())
+    wrong = np.flatnonzero(np.array(widths, dtype=int) != len(header))
+    if wrong.size:
+        r = wrong[0]
+        raise ParseError(f"{path}:{lines[r]}: expected {len(header)} fields as in the "
+                         f"header, got {widths[r]}")
+    table = values.reshape(len(rows), len(header) - 2)
+    by_id: dict[str, list[int]] = {}
+    for r, eid in enumerate(ids):
+        by_id.setdefault(eid, []).append(r)
+    out = {}
+    for eid, order in by_id.items():
+        order.sort(key=lambda r: (windows[r], table[r].tolist()))
+        out[eid] = table[order]
+    return out

@@ -1,16 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from corpusaudit.classify import (
+    BLOCK,
     COV_REG_SCALE,
+    PREFILTER_MAX_ABS,
     TrainedModel,
     classify_excerpt,
+    classify_excerpts,
     log_posteriors,
     nearest_labels,
     train,
     vote,
 )
 from corpusaudit.errors import EmptyClassError
+
+
+def reference_nearest(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
+    """The one-``cdist`` formulation of ``nearest_labels``, kept as its oracle."""
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    dists = cdist(vectors, model.train_x)
+    return model.train_y[np.argmin(dists, axis=1)]
 
 
 def toy_training(seed=0, n=20, dim=4, sep=3.0):
@@ -150,3 +163,90 @@ def test_separated_classes_high_accuracy():
             vecs = rng.normal(mu, 1.0, size=(9, x.shape[1]))
             correct += classify_excerpt(model, vecs, rng) == label
         assert correct >= 38
+
+
+def _nn_case(seed, dim, n_train, n_test, offset, step):
+    """Grid points around ``offset`` (many exact ties), plus test rows that
+    copy a training row, sit one ulp from one, or are all zero."""
+    rng = np.random.default_rng(seed)
+    train_x = offset + step * rng.integers(-2, 3, size=(n_train, dim))
+    test_x = offset + step * rng.integers(-2, 3, size=(n_test, dim))
+    kind = rng.integers(0, 5, size=n_test)
+    source = train_x[rng.integers(0, n_train, size=n_test)]
+    test_x[kind == 1] = source[kind == 1]
+    nudged = np.nextafter(source, rng.choice([-np.inf, np.inf], size=source.shape))
+    test_x[kind == 2] = nudged[kind == 2]
+    test_x[kind == 3] = 0.0
+    test_x[kind == 4] += rng.normal(0.0, 1.0, size=test_x[kind == 4].shape)
+    if rng.random() < 0.3:
+        train_x[rng.integers(0, n_train)] = 0.0
+    return train_x, test_x, rng.integers(0, 3, size=n_train)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60),
+       st.integers(1, 2 * BLOCK + 5),
+       st.sampled_from([0.0, 1.0, -3.5, 1e6, -1e6, 1e12, 1e90]),
+       st.sampled_from([1.0, 0.25, 1e-3, 1e-9, 0.0]))
+@example(0, 32, 50, 70, 0.0, 0.0)      # every distance ties at zero
+@example(1, 32, 60, 70, 1e6, 1e-3)     # large common offset, small spread
+@example(2, 1, 2, 1, 5e-324, 5e-324)   # subnormal values
+def test_nearest_labels_equals_reference(seed, dim, n_train, n_test, offset, step):
+    train_x, test_x, y = _nn_case(seed, dim, n_train, n_test, offset, step)
+    model = train("nn", train_x, [f"l{k}" for k in y], label_order=("l0", "l1", "l2"))
+    assert np.array_equal(nearest_labels(model, test_x), reference_nearest(model, test_x))
+
+
+@pytest.mark.parametrize("where", ["both", "train", "test", "test_block"])
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, 10 * PREFILTER_MAX_ABS])
+def test_nearest_labels_without_prefilter_equals_reference(special, where):
+    rng = np.random.default_rng(12)
+    train_x = rng.integers(0, 3, size=(40, 4)).astype(float)
+    test_x = rng.integers(0, 3, size=(BLOCK + 9, 4)).astype(float)
+    train_x[0] = 50.0  # no finite window's neighbor; argmin of a nan row picks it
+    if where in ("both", "train"):
+        train_x[[3, 17], 1] = special
+    if where in ("both", "test"):
+        test_x[[0, 33], 2] = special
+    if where == "test_block":  # every window of the first block
+        test_x[:BLOCK] = special
+    model = train("nn", train_x, [f"r{i:02d}" for i in range(40)])  # one label per row
+    assert np.array_equal(nearest_labels(model, test_x), reference_nearest(model, test_x))
+
+
+@pytest.mark.parametrize("kind", ["nn", "md", "mmd"])
+def test_classify_excerpts_equals_one_excerpt_at_a_time(kind):
+    """Excerpts of 0 to 40 windows, stacked across block edges, with NN ties."""
+    rng = np.random.default_rng(13)
+    x, y = toy_training(seed=14, dim=3, sep=1.0)
+    model = train(kind, x, y)
+    sizes = [0, 1, 2, 9, 9, 40, 4, 9, 31, 2, 0, 9]
+    vectors = [x[rng.integers(0, len(x), size=n)] + rng.normal(0, 0.2, size=(n, 3))
+               if j % 2 else x[rng.integers(0, len(x), size=n)]  # exact copies
+               for j, n in enumerate(sizes)]
+    vectors[2] = x[[0, -1]]  # one window of each label: an NN vote tie
+    got = classify_excerpts(model, np.concatenate(vectors), sizes,
+                            lambda j: np.random.default_rng([3, j]))
+    expected = [classify_excerpt(model, v, np.random.default_rng([3, j]))
+                for j, v in enumerate(vectors)]
+    assert got == expected
+
+
+def reference_log_posteriors(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
+    """``log_posteriors`` without blocking, kept as its oracle."""
+    diffs = vectors[:, None, :] - model.means[None, :, :]
+    if model.kind == "md":
+        sq = np.sum(diffs * diffs, axis=2)
+    else:
+        sq = np.einsum("vld,de,vle->vl", diffs, model.cov_inv, diffs)
+    return -0.5 * np.sum(sq, axis=0)
+
+
+@pytest.mark.parametrize("kind", ["md", "mmd"])
+@pytest.mark.parametrize("n_windows", [1, 9, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_log_posteriors_blocking_changes_no_bit(kind, n_windows):
+    x, y = toy_training(seed=15, dim=32)
+    model = train(kind, x, y)
+    vectors = np.random.default_rng(16).normal(1.0, 2.0, size=(n_windows, 32))
+    assert np.array_equal(log_posteriors(model, vectors),
+                          reference_log_posteriors(model, vectors))

@@ -519,6 +519,34 @@ BAD_INPUTS = {
     "non_integer_window_index": (
         _text("features.csv", "id,window_index,f0\namber.000,0,0.5\namber.000,one,0.5\n"),
         lambda fx, bad: _eval_run(fx, bad), ":3:"),
+    "short_feature_row": (
+        _text("features.csv", "id,window_index,f0,f1\namber.000,0,0.5,0.5\namber.000,1,0.5\n"),
+        lambda fx, bad: _eval_run(fx, bad), ":3:"),
+    "long_feature_row": (
+        _text("features.csv",
+              "id,window_index,f0,f1\namber.000,0,0.5,0.5\namber.000,1,0.5,0.5,0.5\n"),
+        lambda fx, bad: _eval_run(fx, bad), ":3:"),
+    "non_numeric_feature": (
+        _text("features.csv",
+              "id,window_index,f0,f1\namber.000,0,0.5,0.5\namber.000,1,0.5,n/a\n"),
+        lambda fx, bad: _eval_run(fx, bad), ":3:"),
+    "unknown_recording_id": (
+        _text("recordings.json", json.dumps([["amber.000", "nope.999"]])),
+        lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "'nope.999'"),
+    "unknown_distortion_id": (
+        _text("distortions.json", json.dumps([{"id": "nope.999"}])),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "'nope.999'"),
+    "report_without_predictions": (
+        _text("report.json", json.dumps({"realizations": [{"predictions": []}]})),
+        lambda fx, bad: ["eval", "relabel", "--catalog", fx["catalog"],
+                         "--predictions", bad], "no fold"),
+    "artist_folds_not_a_mapping": (
+        _text("folds.json", "[]"),
+        lambda fx, bad: ["partition", "make", "--metadata", fx["metadata"],
+                         "--scheme", "af", "--artist-folds", bad], "'fold1'"),
+    "artist_folds_not_lists": (
+        _text("folds.json", json.dumps({"fold1": "Artist Amber 0"})),
+        lambda fx, bad: _eval_run(fx, fx["features"], "--artist-folds", bad), "'fold1'"),
     "tag_entry_without_tag": (
         _text("tags.json", json.dumps([{"id": "amber.000", "tags": [{"count": 3}]}])),
         lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],

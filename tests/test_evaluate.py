@@ -3,6 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from corpusaudit.classify import classify_excerpt, nearest_labels, train
 from corpusaudit.corpus import Corpus, Excerpt
 from corpusaudit.errors import (
     ArtistLeakError,
@@ -13,6 +14,7 @@ from corpusaudit.errors import (
 )
 from corpusaudit.evaluate import (
     ConfusionTable,
+    Partition,
     PredictionRecord,
     accuracy_summary,
     binomial_significance,
@@ -22,6 +24,7 @@ from corpusaudit.evaluate import (
     significance_test,
 )
 from corpusaudit.faults import build_catalog
+from corpusaudit.features import apply_normalization, fit_normalization
 from corpusaudit.synth import two_class_feature_corpus
 
 
@@ -186,6 +189,64 @@ def test_run_experiment_deterministic():
     a = run_experiment(corpus, part, "nn", features, seed=6)
     b = run_experiment(corpus, part, "nn", features, seed=6)
     assert a.predictions == b.predictions
+
+
+def per_excerpt_predictions(corpus, partition, kind, features, seed):
+    """``run_experiment`` one excerpt at a time, kept as its oracle.
+
+    Also counts the NN votes that tie, so a test can see it reached them.
+    """
+    out, ties = [], 0
+    for i, test_fold in enumerate(partition.folds):
+        train_ids = [eid for j, fold in enumerate(partition.folds) if j != i for eid in fold]
+        train_x = np.concatenate([features[eid] for eid in train_ids])
+        train_y = [corpus.get(eid).label for eid in train_ids for _ in features[eid]]
+        nmap = fit_normalization(train_x)
+        model = train(kind, apply_normalization(nmap, train_x), train_y,
+                      label_order=corpus.labels, seed=seed)
+        for j, eid in enumerate(sorted(test_fold)):
+            vecs = apply_normalization(nmap, features[eid])
+            rng = np.random.default_rng([seed, partition.realization, i, j])
+            out.append(PredictionRecord(excerpt_id=eid, true_label=corpus.get(eid).label,
+                                        predicted_label=classify_excerpt(model, vecs, rng),
+                                        fold=i))
+            if kind == "nn":
+                counts = np.bincount(nearest_labels(model, vecs), minlength=len(corpus.labels))
+                ties += np.sum(counts == counts.max()) > 1
+    return out, ties
+
+
+def test_run_experiment_equals_per_excerpt_loop():
+    """Three classes, 1 to 12 windows per excerpt; excerpts ``l0.9xx`` copy
+    windows of one excerpt per class from the other fold, so NN votes tie."""
+    rng = np.random.default_rng(21)
+    corpus = grid_corpus(n_labels=3, n_per_label=30)
+    features = {ex.id: rng.normal(int(ex.id[1]) * 0.5, 1.0, size=(rng.integers(1, 13), 6))
+                for ex in corpus.excerpts}
+    halves = make_partition(corpus, "st", seed=21).folds
+    planted = []
+    for fold, other in ((0, 1), (1, 0)):
+        sources = [next(eid for eid in halves[other] if eid.startswith(f"l{c}."))
+                   for c in range(3)]
+        for k in range(2 + fold):  # 2 windows from each of 2 or 3 classes
+            eid = f"l0.9{fold}{k}"
+            features[eid] = np.concatenate([features[src][:1].repeat(2, axis=0)
+                                            for src in sources[:2 + k % 2]])
+            planted.append((eid, fold))
+    corpus = Corpus(labels=corpus.labels, excerpts=corpus.excerpts + tuple(
+        Excerpt(id=eid, label="l0", artist=f"planted-{eid}") for eid, _ in planted))
+    tie_folds = tuple(tuple(sorted(halves[f] + tuple(e for e, g in planted if g == f)))
+                      for f in (0, 1))
+    partitions = [Partition(scheme="st", folds=tie_folds, seed=21, realization=3),
+                  make_partition(corpus, "st", seed=22, realization=1),
+                  make_partition(corpus, "kfold", seed=23, k=3)]
+    for part in partitions:
+        for kind in ("nn", "md", "mmd"):
+            expected, ties = per_excerpt_predictions(corpus, part, kind, features, seed=9)
+            assert run_experiment(corpus, part, kind, features, seed=9).predictions \
+                == tuple(expected)
+            if part is partitions[0] and kind == "nn":
+                assert ties >= len(planted)
 
 
 def test_figures_of_merit_hand_example():

@@ -76,6 +76,11 @@ def test_unknown_distortion_id(small_corpus):
         build_catalog(small_corpus, distortions=[Distortion("nope.000")])
 
 
+def test_unknown_recording_group_id(small_corpus):
+    with pytest.raises(UnknownExcerptError, match="'nope.999'"):
+        build_catalog(small_corpus, recording_groups=[("alpha.000", "nope.999")])
+
+
 def test_artist_bounds(small_corpus):
     # four distinct artists, one unidentified excerpt
     assert artist_bounds(small_corpus) == (4, 5)

@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from corpusaudit.errors import IncompleteFeaturesError, TooShortError
+from corpusaudit.errors import IncompleteFeaturesError, ParseError, TooShortError
 from corpusaudit.features import (
     FRAME_SIZE,
     HOP,
+    N_TEXTURE_DIMS,
     apply_normalization,
     excerpt_features,
     fit_normalization,
@@ -200,4 +206,35 @@ def test_feature_cache_rejects_other_csv(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("x,y\n1,2\n")
     with pytest.raises(IncompleteFeaturesError):
+        read_feature_cache(path)
+
+
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf,
+               np.nan, 1.797e308, -1.797e308]
+texture_values = st.sampled_from(EDGE_VALUES) | st.floats(allow_nan=False)
+excerpt_ids = st.text(alphabet='ab.0,"\n ', min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(excerpt_ids, st.integers(1, 4).flatmap(
+    lambda n: hnp.arrays(float, (n, N_TEXTURE_DIMS), elements=texture_values)),
+    min_size=1, max_size=3))
+@example({'a,"b': np.array([EDGE_VALUES * 3 + [1.0, -1.0]])})
+def test_feature_cache_round_trip_keeps_every_bit(tmp_path_factory, features):
+    path = tmp_path_factory.mktemp("cache") / "features.csv"
+    write_feature_cache(path, features)
+    loaded = read_feature_cache(path)
+    assert sorted(loaded) == sorted(features)
+    for eid, vectors in features.items():
+        # repr writes every nan as "nan", which reads back as the canonical nan
+        expected = np.where(np.isnan(vectors), float("nan"), vectors)
+        assert loaded[eid].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("row", ["a.000,1,0.5", "a.000,1,0.5,0.5,0.5", "a.000,1,0.5,x",
+                                 "a.000,1.0,0.5,0.5", "a.000"])
+def test_feature_cache_bad_row_names_its_line(tmp_path, row):
+    path = tmp_path / "features.csv"
+    path.write_text(f"id,window_index,f0,f1\na.000,0,0.5,0.5\n{row}\nb.000,0,1,1\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}:3: ")):
         read_feature_cache(path)
