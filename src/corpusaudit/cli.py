@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import classify, evaluate, faults, features, fingerprint, tagscore
 from .corpus import Corpus, load_audio, load_metadata, load_tags, open_text, read_json
-from .errors import AuditError, ParseError, in_file
+from .errors import AuditError, ParseError, in_file, writing
 
 # fixed default so reruns without an explicit seed are reproducible
 DEFAULT_SEED = 1234
@@ -62,7 +62,8 @@ def _fingerprint_corpus(corpus: Corpus, params=fingerprint.DEFAULT_PARAMS):
 
 def _write_text(path, text: str):
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        with writing(path, "output"):
+            Path(path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -341,8 +342,28 @@ def cmd_report_perfect(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument in one line, as every other bad input is."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _at_least(minimum: int):
+    """Argument type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corpusaudit",
         description="Corpus-integrity auditing and fault-aware evaluation "
                     "for labeled audio datasets.")
@@ -393,8 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     pmake = partition_sub.add_parser("make")
     pmake.add_argument("--metadata", required=True)
     pmake.add_argument("--scheme", choices=evaluate.SCHEMES, required=True)
-    pmake.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pmake.add_argument("--realization", type=int, default=0)
+    pmake.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
+    pmake.add_argument("--realization", type=_at_least(0), default=0)
     pmake.add_argument("--catalog")
     pmake.add_argument("--artist-folds", help="JSON {fold1: [...], fold2: [...]}")
     pmake.add_argument("--out")
@@ -415,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     erun.add_argument("--features", required=True)
     erun.add_argument("--scheme", choices=evaluate.SCHEMES, required=True)
     erun.add_argument("--classifier", choices=classify.KINDS, required=True)
-    erun.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    erun.add_argument("--realizations", type=int, default=1)
+    erun.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
+    erun.add_argument("--realizations", type=_at_least(1), default=1)
     erun.add_argument("--catalog")
     erun.add_argument("--artist-folds")
     erun.add_argument("--out")

@@ -25,6 +25,8 @@ from .errors import (
     LabelError,
     ParseError,
     UnknownExcerptError,
+    reading,
+    writing,
 )
 
 DEFAULT_SAMPLE_RATE = 22050
@@ -117,11 +119,9 @@ class Corpus:
 
 
 def open_text(path, what: str):
-    """Open a UTF-8 text file for reading; a missing file is an ``IoError``."""
-    try:
+    """Open a UTF-8 text file for reading; a missing or unreadable file is an ``IoError``."""
+    with reading(path, what):
         return Path(path).open(newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise IoError(f"{what} not found: {path}") from None
 
 
 def read_json(path, what: str):
@@ -183,7 +183,7 @@ def load_metadata(path, labels=None, sample_rate=DEFAULT_SAMPLE_RATE,
 def save_metadata(corpus: Corpus, path) -> None:
     """Write a Corpus back to metadata CSV; inverse of load_metadata."""
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with writing(path, "metadata CSV"), path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(METADATA_HEADER)
         for ex in corpus.excerpts:
@@ -254,9 +254,8 @@ def load_audio(excerpt: Excerpt, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.n
         raise IoError(f"excerpt {excerpt.id!r} has no audio path")
     path = Path(excerpt.audio_path)
     try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise IoError(f"audio file not found: {path}") from None
+        with reading(path, "audio file"):
+            rate, data = wavfile.read(path)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
     if data.ndim != 1:

@@ -70,3 +70,23 @@ def in_file(path):
         yield
     except AuditError as exc:
         raise type(exc)(f"{path}: {exc}") from None
+
+
+@contextmanager
+def reading(path, what: str):
+    """Turn an ``OSError`` raised inside into an ``IoError`` naming ``path``."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise IoError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+
+
+@contextmanager
+def writing(path, what: str):
+    """Turn an ``OSError`` raised inside into an ``IoError`` naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(f"cannot write {what} {path}: {exc.strerror or exc}") from None

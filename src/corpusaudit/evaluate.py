@@ -224,6 +224,7 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
         nmap = fit_normalization(train_x)
         model = train(kind, apply_normalization(nmap, train_x), train_y,
                       label_order=corpus.labels, seed=seed)
+        del train_x  # scoring does not need it; freeing it lowers the peak memory
         test_ids = sorted(test_fold)
         if not test_ids:
             continue

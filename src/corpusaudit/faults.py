@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     UnknownExcerptError,
     in_file,
+    writing,
 )
 from .tagscore import MislabelVerdict
 
@@ -269,8 +270,13 @@ def distortions_from_json(entries) -> list[Distortion]:
     for i, d in enumerate(entries):
         if not isinstance(d, dict) or "id" not in d:
             raise ParseError(f"distortion entry {i} is not an object with an 'id'")
+        prefix = d.get("usable_prefix_seconds")
+        if prefix is not None and (isinstance(prefix, bool)
+                                   or not isinstance(prefix, (int, float))):
+            raise ParseError(f"distortion entry {i}: usable_prefix_seconds must be a "
+                             f"number, got {prefix!r}")
         out.append(Distortion(excerpt_id=d["id"], note=d.get("note", ""),
-                              usable_prefix_seconds=d.get("usable_prefix_seconds")))
+                              usable_prefix_seconds=prefix))
     return out
 
 
@@ -316,9 +322,9 @@ def catalog_from_json(data: dict) -> FaultCatalog:
 
 
 def save_catalog(catalog: FaultCatalog, path) -> None:
-    Path(path).write_text(
-        json.dumps(catalog_to_json(catalog), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    text = json.dumps(catalog_to_json(catalog), indent=2, sort_keys=True) + "\n"
+    with writing(path, "catalog"):
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def load_catalog(path) -> FaultCatalog:

@@ -13,6 +13,9 @@ type-II DCT, coefficients 0-12.
 """
 
 import csv
+import hashlib
+import os
+import struct
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.fft import dct, rfft
 
 from .corpus import open_text
-from .errors import IncompleteFeaturesError, ParseError, TooShortError
+from .errors import IncompleteFeaturesError, ParseError, TooShortError, reading, writing
 
 FRAME_SIZE = 1024
 HOP = 512
@@ -162,19 +165,111 @@ def apply_normalization(nmap: NormalizationMap, vectors: np.ndarray) -> np.ndarr
     return out
 
 
-def write_feature_cache(path, features: dict[str, np.ndarray]) -> None:
-    """Write texture vectors as CSV rows ``id,window_index,f0..f31``."""
+COMPANION_MAGIC = b"DFTX1"
+_HASH_CHUNK = 1 << 16
+
+
+def companion_path(path) -> Path:
+    """Where ``write_feature_cache`` puts the binary companion of a feature CSV."""
     path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    return path.with_name(path.name + ".bin")
+
+
+def _csv_digest(path) -> bytes:
+    """SHA-256 of the file's bytes, read in chunks into one reused buffer."""
+    digest = hashlib.sha256()
+    buffer = memoryview(bytearray(_HASH_CHUNK))
+    with reading(path, "feature CSV"), open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buffer):
+            digest.update(buffer[:n])
+    return digest.digest()
+
+
+def write_feature_cache(path, features: dict[str, np.ndarray]) -> None:
+    """Write texture vectors as CSV rows ``id,window_index,f0..f31``, then the companion.
+
+    The companion, ``companion_path(path)``, holds the same values in
+    binary: the magic, the SHA-256 of the CSV's bytes, a ``<I`` id count,
+    per id in sorted order a ``<H`` UTF-8 length, the id and a ``<I``
+    window count, then one ``<f8`` block of every value in id and window
+    order. Every nan is stored as the canonical nan, which is what the CSV
+    gives back. An id with no windows has no CSV rows and no record.
+    """
+    path = Path(path)
+    for eid, vectors in features.items():
+        shape = np.shape(vectors)
+        if len(shape) != 2 or shape[1] != N_TEXTURE_DIMS:
+            raise ValueError(f"features for {eid!r}: expected shape "
+                             f"(n, {N_TEXTURE_DIMS}), got {shape}")
+    with writing(path, "feature CSV"), path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "window_index"] + [f"f{i}" for i in range(N_TEXTURE_DIMS)])
         for eid in sorted(features):
-            for w, vec in enumerate(features[eid]):
-                writer.writerow([eid, w] + [repr(float(v)) for v in vec])
+            # float() on the Python scalars of tolist() is far cheaper than on numpy's
+            for w, vec in enumerate(np.asarray(features[eid]).tolist()):
+                writer.writerow([eid, w, *map(repr, map(float, vec))])
+    ids = [eid for eid in sorted(features) if len(features[eid])]
+    encoded = [eid.encode("utf-8") for eid in ids]
+    if any(len(e) > 0xFFFF for e in encoded):
+        return  # too long for the length field; readers parse the CSV
+    header = [COMPANION_MAGIC, _csv_digest(path), struct.pack("<I", len(ids))]
+    for eid, e in zip(ids, encoded):
+        header += [struct.pack("<H", len(e)), e, struct.pack("<I", len(features[eid]))]
+    companion = companion_path(path)
+    with writing(companion, "feature companion"), companion.open("wb") as fh:
+        fh.write(b"".join(header))
+        for eid in ids:
+            values = np.array(features[eid], dtype="<f8")
+            values[np.isnan(values)] = np.nan
+            fh.write(values.tobytes())
+
+
+def _read_companion(path: Path, digest: bytes) -> dict[str, np.ndarray] | None:
+    """The companion's arrays if it is well-formed and holds ``digest``, else None."""
+    try:
+        with path.open("rb") as fh:
+            def take(size: int) -> bytes:
+                data = fh.read(size)
+                if len(data) != size:
+                    raise EOFError
+                return data
+
+            if take(len(COMPANION_MAGIC) + len(digest)) != COMPANION_MAGIC + digest:
+                return None
+            (count,) = struct.unpack("<I", take(4))
+            ids, windows = [], []
+            for _ in range(count):
+                (size,) = struct.unpack("<H", take(2))
+                ids.append(take(size).decode("utf-8"))
+                windows.append(struct.unpack("<I", take(4))[0])
+            total = sum(windows)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if 0 in windows or len(set(ids)) != count or left != 8 * N_TEXTURE_DIMS * total:
+                return None
+            out = {}
+            for eid, n in zip(ids, windows):
+                out[eid] = np.empty((n, N_TEXTURE_DIMS), dtype="<f8")
+                if fh.readinto(out[eid]) != out[eid].nbytes:
+                    return None
+    except (OSError, EOFError, UnicodeDecodeError):
+        return None
+    return out
 
 
 def read_feature_cache(path) -> dict[str, np.ndarray]:
     """Read a feature CSV back into id -> (n_windows, n_features) arrays.
+
+    When the companion ``write_feature_cache`` left next to the CSV is
+    well-formed and holds the SHA-256 of the CSV's bytes, its arrays are
+    returned and nothing is parsed. Otherwise, the companion missing,
+    stale or damaged, the CSV is parsed.
+    """
+    cached = _read_companion(companion_path(path), _csv_digest(path))
+    return cached if cached is not None else _parse_feature_csv(path)
+
+
+def _parse_feature_csv(path) -> dict[str, np.ndarray]:
+    """Parse a feature CSV into id -> (n_windows, n_features) arrays.
 
     Rows stream through one ``csv.reader``; all feature values go through
     ``float`` in a single ``np.fromiter`` pass. Each id's rows are ordered

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter
 
 from .corpus import Corpus, load_audio
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, reading, writing
 from .features import stft_magnitude
 
 DEFAULT_THRESHOLD = 0.25
@@ -220,7 +220,7 @@ def write_cache(path, hashsets: dict[str, HashSet]) -> None:
     (``<I``) and one ``<II`` (key, frame) pair per hash, in hash order.
     """
     path = Path(path)
-    with path.open("wb") as fh:
+    with writing(path, "fingerprint cache"), path.open("wb") as fh:
         fh.write(CACHE_MAGIC)
         fh.write(struct.pack("<I", len(hashsets)))
         for eid in sorted(hashsets):
@@ -236,10 +236,8 @@ def write_cache(path, hashsets: dict[str, HashSet]) -> None:
 def read_cache(path) -> dict[str, HashSet]:
     """Read a cache written by ``write_cache``; a malformed one raises ParseError."""
     path = Path(path)
-    try:
+    with reading(path, "fingerprint cache"):
         data = path.read_bytes()
-    except FileNotFoundError:
-        raise IoError(f"fingerprint cache not found: {path}") from None
     if data[:5] != CACHE_MAGIC:
         raise ParseError(f"{path}: not a fingerprint cache")
     pos = len(CACHE_MAGIC)

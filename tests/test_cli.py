@@ -547,6 +547,31 @@ BAD_INPUTS = {
     "artist_folds_not_lists": (
         _text("folds.json", json.dumps({"fold1": "Artist Amber 0"})),
         lambda fx, bad: _eval_run(fx, fx["features"], "--artist-folds", bad), "'fold1'"),
+    "distortion_prefix_not_a_number": (
+        _text("distortions.json", json.dumps([{"id": "amber.000",
+                                               "usable_prefix_seconds": "three"}])),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "entry 0"),
+    "features_is_a_directory": (
+        lambda fx, tmp: tmp,
+        lambda fx, bad: _eval_run(fx, bad), "cannot read"),
+    "eval_out_in_missing_directory": (
+        _absent("missing/report.json"),
+        lambda fx, bad: _eval_run(fx, fx["features"], "--out", bad), "cannot write"),
+    "catalog_out_in_missing_directory": (
+        _absent("missing/catalog.json"),
+        lambda fx, bad: ["catalog", "build", "--metadata", fx["metadata"], "--out", bad],
+        "cannot write"),
+    "negative_eval_seed": (
+        lambda fx, tmp: "-1",
+        lambda fx, bad: _eval_run(fx, fx["features"], "--seed", bad), "--seed"),
+    "negative_partition_seed": (
+        lambda fx, tmp: "-5",
+        lambda fx, bad: ["partition", "make", "--metadata", fx["metadata"],
+                         "--scheme", "st", "--seed", bad], "--seed"),
+    "zero_realizations": (
+        lambda fx, tmp: "0",
+        lambda fx, bad: _eval_run(fx, fx["features"], "--realizations", bad),
+        "--realizations"),
     "tag_entry_without_tag": (
         _text("tags.json", json.dumps([{"id": "amber.000", "tags": [{"count": 3}]}])),
         lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],
@@ -569,7 +594,9 @@ def test_bad_input_exits_two(good_inputs, tmp_path, capsys, case):
     make_bad, argv_for, needle = BAD_INPUTS[case]
     bad = make_bad(good_inputs, tmp_path)
     out = tmp_path / "out"
-    argv = [str(a) for a in argv_for(good_inputs, bad)] + ["--out", str(out)]
+    argv = [str(a) for a in argv_for(good_inputs, bad)]
+    if "--out" not in argv:  # rows whose bad input is the output path set their own
+        argv += ["--out", str(out)]
     capsys.readouterr()
     assert dispatch(argv) == 2
     err = capsys.readouterr().err

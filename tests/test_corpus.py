@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ def test_metadata_round_trip(tmp_path):
     out = tmp_path / "again.csv"
     save_metadata(corpus, out)
     assert load_metadata(out) == corpus
+
+
+def test_metadata_io_errors_name_the_file(tmp_path):
+    corpus = load_metadata(write_csv(tmp_path, "a.0,rock,,\n"))
+    out = tmp_path / "missing" / "again.csv"
+    with pytest.raises(IoError, match="cannot write metadata CSV .*again.csv"):
+        save_metadata(corpus, out)
+    with pytest.raises(IoError, match="cannot read metadata CSV"):
+        load_metadata(tmp_path)
 
 
 def test_load_metadata_order_insensitive(tmp_path):
@@ -204,6 +214,12 @@ def test_load_audio_wrong_rate(tmp_path):
 def test_load_audio_missing_file(tmp_path):
     ex = Excerpt(id="x", label="rock", audio_path=tmp_path / "nope.wav")
     with pytest.raises(IoError):
+        load_audio(ex, 22050)
+
+
+def test_load_audio_directory_is_an_io_error(tmp_path):
+    ex = Excerpt(id="x", label="rock", audio_path=tmp_path)
+    with pytest.raises(IoError, match=f"cannot read audio file {re.escape(str(tmp_path))}"):
         load_audio(ex, 22050)
 
 

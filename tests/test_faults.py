@@ -5,6 +5,7 @@ from corpusaudit.corpus import Corpus, Excerpt
 from corpusaudit.errors import (
     DegenerateClassError,
     IncompleteVerdictError,
+    IoError,
     ParseError,
     UnknownExcerptError,
 )
@@ -17,6 +18,7 @@ from corpusaudit.faults import (
     build_catalog,
     catalog_from_json,
     catalog_to_json,
+    distortions_from_json,
     load_catalog,
     perfect_confusion,
     perfect_statistics,
@@ -69,6 +71,20 @@ def test_distortion_exclusion_rule():
     assert Distortion("x", "static", 4.9).excluded
     assert not Distortion("x", "static", 5.0).excluded
     assert not Distortion("x", "static").excluded
+
+
+@pytest.mark.parametrize("prefix", ["three", True, [4.0], {"s": 4}])
+def test_distortion_prefix_must_be_a_number(prefix):
+    entries = [{"id": "a.000", "usable_prefix_seconds": 3},
+               {"id": "a.001", "usable_prefix_seconds": prefix}]
+    with pytest.raises(ParseError, match="entry 1"):
+        distortions_from_json(entries)
+
+
+def test_distortion_prefix_numbers_and_null_are_kept():
+    entries = [{"id": "a.000", "usable_prefix_seconds": 3}, {"id": "a.001",
+               "usable_prefix_seconds": 4.5}, {"id": "a.002", "usable_prefix_seconds": None}]
+    assert [d.usable_prefix_seconds for d in distortions_from_json(entries)] == [3, 4.5, None]
 
 
 def test_unknown_distortion_id(small_corpus):
@@ -242,6 +258,14 @@ def test_catalog_json_round_trip(tmp_path, small_corpus):
     loaded = load_catalog(path)
     assert loaded == catalog
     assert catalog_from_json(catalog_to_json(catalog)) == catalog
+
+
+def test_save_catalog_io_error_names_the_file(tmp_path, small_corpus):
+    path = tmp_path / "missing" / "catalog.json"
+    with pytest.raises(IoError, match="cannot write catalog .*catalog.json"):
+        save_catalog(build_catalog(small_corpus), path)
+    with pytest.raises(IoError, match="cannot read catalog"):
+        load_catalog(tmp_path)
 
 
 def test_catalog_json_malformed(tmp_path):

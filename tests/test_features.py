@@ -1,4 +1,6 @@
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -6,12 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from corpusaudit.errors import IncompleteFeaturesError, ParseError, TooShortError
+from corpusaudit.errors import IncompleteFeaturesError, IoError, ParseError, TooShortError
 from corpusaudit.features import (
     FRAME_SIZE,
     HOP,
     N_TEXTURE_DIMS,
     apply_normalization,
+    companion_path,
     excerpt_features,
     fit_normalization,
     frame_features,
@@ -238,3 +241,145 @@ def test_feature_cache_bad_row_names_its_line(tmp_path, row):
     path.write_text(f"id,window_index,f0,f1\na.000,0,0.5,0.5\n{row}\nb.000,0,1,1\n")
     with pytest.raises(ParseError, match=re.escape(f"{path}:3: ")):
         read_feature_cache(path)
+
+
+def _bits(loaded):
+    return [(eid, vectors.shape, vectors.view(np.uint64).tolist())
+            for eid, vectors in loaded.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(excerpt_ids, st.integers(1, 4).flatmap(
+    lambda n: hnp.arrays(float, (n, N_TEXTURE_DIMS), elements=texture_values)),
+    min_size=1, max_size=3), excerpt_ids)
+@example({'a,"b': np.array([EDGE_VALUES * 3 + [1.0, -1.0]])}, "empty")
+@example({"nans": np.array([[-np.nan, np.uint64(0x7FF8000000000001).view(float),
+                             np.uint64(0xFFF0000000000001).view(float)] + [0.5] * 29])}, "e")
+def test_companion_read_equals_csv_parse(tmp_path_factory, features, empty_id):
+    features = {**features, empty_id: np.empty((0, N_TEXTURE_DIMS))}
+    path = tmp_path_factory.mktemp("cache") / "features.csv"
+    write_feature_cache(path, features)
+    with_companion = read_feature_cache(path)
+    # one record per id with windows, so the empty id does not make it a miss
+    assert struct.unpack_from("<I", companion_path(path).read_bytes(), 37)[0] == \
+        len(with_companion)
+    companion_path(path).unlink()
+    parsed = read_feature_cache(path)
+    assert _bits(with_companion) == _bits(parsed)
+    assert all(v.dtype == np.float64 and v.flags.writeable for v in with_companion.values())
+
+
+def test_companion_bytes_repeat_across_writes(tmp_path):
+    rng = np.random.default_rng(3)
+    features = {"b.001": rng.normal(size=(2, 32)), "a.000": np.full((3, 32), np.nan)}
+    blobs = []
+    for name in ("one.csv", "two.csv"):
+        write_feature_cache(tmp_path / name, features)
+        blobs.append(companion_path(tmp_path / name).read_bytes())
+    assert blobs[0] == blobs[1]
+    assert blobs[0][:5] == b"DFTX1"
+    assert blobs[0][5:37] == hashlib.sha256((tmp_path / "one.csv").read_bytes()).digest()
+
+
+def _plant(path, value):
+    """Overwrite the companion's first value, keeping it well-formed."""
+    data = bytearray(companion_path(path).read_bytes())
+    block = len(data) - 8 * N_TEXTURE_DIMS * 5  # the fixture's five windows
+    data[block:block + 8] = struct.pack("<d", value)
+    companion_path(path).write_bytes(bytes(data))
+
+
+@pytest.fixture
+def cached(tmp_path):
+    features = {"a.000": np.arange(64.0).reshape(2, 32),
+                "\u00e9.00": np.arange(96.0).reshape(3, 32) / 7}
+    path = tmp_path / "features.csv"
+    write_feature_cache(path, features)
+    _plant(path, -1.5)  # shows whether a read used the companion
+    return path
+
+
+def test_planted_companion_value_is_read(cached):
+    assert read_feature_cache(cached)["a.000"][0, 0] == -1.5
+
+
+def test_stale_companion_is_ignored(cached):
+    text = cached.read_text()
+    cached.write_text(text.replace("\na.000,0,0.0,", "\na.000,0,4.0,", 1))
+    loaded = read_feature_cache(cached)
+    assert loaded["a.000"][0, 0] == 4.0
+    assert loaded["a.000"][1, 0] == 32.0
+    lines = text.splitlines(keepends=True)
+    cached.write_text("".join(lines[:2] + ["a.000,2,0.5\n"] + lines[2:]))
+    with pytest.raises(ParseError, match=re.escape(f"{cached}:3: ")):
+        read_feature_cache(cached)
+
+
+def _count(data, delta, records=b""):
+    (count,) = struct.unpack_from("<I", data, 37)
+    return data[:37] + struct.pack("<I", count + delta) + records + data[41:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: b"DFTX2" + d[5:],
+    lambda d: d[:5] + bytes([d[5] ^ 1]) + d[6:],
+    lambda d: d[:-1],
+    lambda d: d[:-8],
+    lambda d: d[:20],
+    lambda d: b"",
+    lambda d: d + b"\0" * 8,
+    lambda d: _count(d, 1),
+    lambda d: _count(d, -1),
+    lambda d: d.replace(b"\x05\x00a.000\x02", b"\x05\x00a.000\x03"),
+    lambda d: d.replace(b"a.000", b"a\xff000"),
+    lambda d: d.replace("\u00e9.00".encode(), b"a.000"),
+    lambda d: _count(d, 1, b"\x01\x00z" + struct.pack("<I", 0)),
+], ids=["magic", "digest", "truncated", "short_by_a_value", "truncated_header", "empty",
+        "trailing_bytes", "count_plus_one", "count_minus_one", "window_count", "not_utf8",
+        "repeated_id", "zero_window_record"])
+def test_malformed_companion_gives_the_parse(cached, damage):
+    companion = companion_path(cached)
+    data = companion.read_bytes()
+    companion.write_bytes(damage(data))
+    assert companion.read_bytes() != data
+    loaded = read_feature_cache(cached)
+    assert loaded["a.000"][0, 0] == 0.0
+    companion.unlink()
+    assert _bits(loaded) == _bits(read_feature_cache(cached))
+
+
+def test_companion_that_is_a_directory_gives_the_parse(cached):
+    companion_path(cached).unlink()
+    companion_path(cached).mkdir()
+    assert read_feature_cache(cached)["a.000"][0, 0] == 0.0
+
+
+def test_id_too_long_for_the_companion_is_parsed(tmp_path):
+    path = tmp_path / "features.csv"
+    features = {"a" * 0x10000: np.ones((1, 32))}
+    write_feature_cache(path, features)
+    assert not companion_path(path).exists()
+    assert _bits(read_feature_cache(path)) == _bits(features)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 31)), np.zeros(32), np.zeros((1, 2, 32))])
+def test_writer_rejects_wrong_shapes_before_writing(tmp_path, bad):
+    path = tmp_path / "features.csv"
+    with pytest.raises(ValueError, match="'b'"):
+        write_feature_cache(path, {"a": np.zeros((1, 32)), "b": bad})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_io_errors_name_the_file(tmp_path):
+    path = tmp_path / "missing" / "features.csv"
+    with pytest.raises(IoError, match=re.escape(str(path))):
+        write_feature_cache(path, {"a": np.zeros((1, 32))})
+    path = tmp_path / "features.csv"
+    companion_path(path).mkdir()
+    with pytest.raises(IoError, match=re.escape(str(companion_path(path)))):
+        write_feature_cache(path, {"a": np.zeros((1, 32))})
+
+
+def test_reading_a_directory_is_an_io_error(tmp_path):
+    with pytest.raises(IoError, match=re.escape(str(tmp_path))):
+        read_feature_cache(tmp_path)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from corpusaudit.errors import ParseError
+from corpusaudit.errors import IoError, ParseError
 from corpusaudit.fingerprint import (
     DEFAULT_PARAMS,
     DEFAULT_THRESHOLD,
@@ -311,6 +311,14 @@ def test_cache_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ParseError, match="after the last record"):
         read_cache(path)
+
+
+def test_cache_io_errors_name_the_file(tmp_path):
+    path = tmp_path / "missing" / "prints.bin"
+    with pytest.raises(IoError, match="cannot write fingerprint cache .*prints.bin"):
+        write_cache(path, HAND_BUILT)
+    with pytest.raises(IoError, match="cannot read fingerprint cache"):
+        read_cache(tmp_path)
 
 
 def test_find_exact_repetitions_groups_supplied_sets_by_key(clouds):
