@@ -6,12 +6,18 @@ many hashes agree on a single time offset; the score normalizes the
 aligned count by the smaller hash count so truncated copies still score
 high. The peak floor is relative (median log-magnitude + 10 dB), making
 peak locations invariant to overall gain.
+
+Each ``HashSet`` also carries a probe table: a ``2**PROBE_BITS``-bit
+table in which a multiplicative hash of ``k - 1``, ``k`` and ``k + 1`` is
+marked for every key ``k`` it holds. ``match`` looks up the other set's
+keys in it and only searches for the few whose slot is marked. The
+filter is exact: a key within one of some key ``k`` of the set is one of
+the three keys marked for ``k``, so its slot is always set, and a false
+positive costs only a search that finds nothing.
 """
 
 import struct
-from dataclasses import dataclass, replace
-from functools import cached_property
-from itertools import chain
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,18 +53,65 @@ class PeakConstellation:
     peaks: tuple[tuple[int, int, float], ...]  # (frame, bin, magnitude dB)
 
 
-@dataclass(frozen=True)
-class HashSet:
-    owner: str
-    hashes: tuple[tuple[int, int], ...]  # (packed key, anchor frame)
+# log2 of the probe table's size in bits: 32 KiB per hash set. Read when a
+# set is built, so only sets built under the same value can be matched.
+PROBE_BITS = 18
 
-    @cached_property
-    def by_key(self) -> tuple[np.ndarray, np.ndarray]:
-        """The hashes as key-sorted int64 ``(keys, frames)`` arrays, built once."""
-        flat = np.fromiter(chain.from_iterable(self.hashes), dtype=np.int64,
-                           count=2 * len(self.hashes)).reshape(-1, 2)
-        order = np.argsort(flat[:, 0], kind="stable")
-        return flat[order, 0], flat[order, 1]
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier of Fibonacci hashing
+
+
+def _probe_slots(keys: np.ndarray) -> np.ndarray:
+    """Each int64 key's probe-table slot: the top ``PROBE_BITS`` bits of key x golden."""
+    return (keys.astype(np.uint64) * _GOLDEN) >> np.uint64(64 - PROBE_BITS)
+
+
+@dataclass(frozen=True, eq=False)
+class HashSet:
+    """One excerpt's landmark hashes.
+
+    ``hashes`` is a read-only ``(n, 2)`` int64 array of (packed key,
+    anchor frame) rows in hash order; any sequence of pairs is accepted
+    and copied. Two sets are equal when their owners and hashes, in order,
+    are. The other fields are derived once, for ``match``: the hashes
+    sorted by key (stable), the packed probe table and each sorted key's
+    slot in it, split into byte index and bit mask.
+    """
+    owner: str
+    hashes: np.ndarray
+    keys: np.ndarray = field(init=False, repr=False)
+    frames: np.ndarray = field(init=False, repr=False)
+    probe_table: np.ndarray = field(init=False, repr=False)
+    slot_bytes: np.ndarray = field(init=False, repr=False)
+    slot_bits: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        hashes = np.array(self.hashes, dtype=np.int64)
+        if hashes.size == 0:
+            hashes = hashes.reshape(0, 2)
+        elif hashes.ndim != 2 or hashes.shape[1] != 2:
+            raise ValueError(f"hashes of {self.owner!r} are not (key, frame) pairs: "
+                             f"shape {hashes.shape}")
+        hashes.flags.writeable = False
+        order = np.argsort(hashes[:, 0], kind="stable")
+        keys = hashes[order, 0]
+        marked = np.zeros(1 << PROBE_BITS, dtype=bool)
+        marked[_probe_slots(np.concatenate([keys - 1, keys, keys + 1]))] = True
+        slots = _probe_slots(keys)
+        derived = {
+            "hashes": hashes,
+            "keys": keys,
+            "frames": hashes[order, 1],
+            "probe_table": np.packbits(marked, bitorder="little"),
+            "slot_bytes": (slots >> np.uint64(3)).astype(np.intp),
+            "slot_bits": np.left_shift(1, slots & np.uint64(7)).astype(np.uint8),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, HashSet):
+            return NotImplemented
+        return self.owner == other.owner and np.array_equal(self.hashes, other.hashes)
 
 
 @dataclass(frozen=True)
@@ -105,7 +158,7 @@ def compute_fingerprint(samples: np.ndarray,
     """Hash peak pairs: each anchor pairs with up to ``fan_out`` later peaks."""
     constellation = find_peaks(samples, params, owner)
     peaks = constellation.peaks
-    hashes = []
+    flat = []  # key, frame, key, frame, ...
     for i, (t1, f1, _) in enumerate(peaks):
         paired = 0
         for t2, f2, _ in peaks[i + 1:]:
@@ -114,11 +167,11 @@ def compute_fingerprint(samples: np.ndarray,
                 continue
             if delta > params.max_delta:
                 break
-            hashes.append((pack_key(f1, f2, delta), t1))
+            flat += (pack_key(f1, f2, delta), t1)
             paired += 1
             if paired >= params.fan_out:
                 break
-    return HashSet(owner=owner, hashes=tuple(hashes))
+    return HashSet(owner=owner, hashes=np.array(flat, dtype=np.int64).reshape(-1, 2))
 
 
 def match(a: HashSet, b: HashSet) -> MatchScore:
@@ -131,21 +184,25 @@ def match(a: HashSet, b: HashSet) -> MatchScore:
     of the mode count as aligned. The modal offset is the one with the
     largest pooled count; ties go to the smallest offset magnitude, then
     to the positive offset.
+
+    Only the ``b`` hashes whose slot is marked in ``a``'s probe table are
+    searched for. That drops no hit: a ``b`` key within one of an ``a``
+    key ``k`` is ``k - 1``, ``k`` or ``k + 1``, all three marked for ``k``.
     """
     pair = (a.owner, b.owner)
-    if not a.hashes or not b.hashes:
+    if not len(a.hashes) or not len(b.hashes):
         return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
-    a_keys, a_frames = a.by_key
-    b_keys, b_frames = b.by_key
-    # for each b hash, the run of a hashes with key in [b_key - 1, b_key + 1]
-    lo = np.searchsorted(a_keys, b_keys - 1)
-    runs = np.searchsorted(a_keys, b_keys + 2) - lo
+    probed = ((a.probe_table[b.slot_bytes] & b.slot_bits) != 0).nonzero()[0]
+    b_keys, b_frames = b.keys[probed], b.frames[probed]
+    # for each probed b hash, the run of a hashes with key in [b_key - 1, b_key + 1]
+    lo = np.searchsorted(a.keys, b_keys - 1)
+    runs = np.searchsorted(a.keys, b_keys + 2) - lo
     hits = int(runs.sum())
     if hits == 0:
         return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
     run_start = np.repeat(lo - (np.cumsum(runs) - runs), runs)
     a_index = run_start + np.arange(hits)
-    offsets, counts = np.unique(a_frames[a_index] - np.repeat(b_frames, runs),
+    offsets, counts = np.unique(a.frames[a_index] - np.repeat(b_frames, runs),
                                 return_counts=True)
     pooled = counts.copy()
     adjacent = np.flatnonzero(np.diff(offsets) == 1)
@@ -208,7 +265,7 @@ def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
                 raise IoError(f"excerpt {ex.id!r} has no audio")
             samples = load_audio(ex, corpus.sample_rate)
             hashsets[ex.id] = compute_fingerprint(samples, params, owner=ex.id)
-    named = [hs if hs.owner == eid else replace(hs, owner=eid)
+    named = [hs if hs.owner == eid else HashSet(owner=eid, hashes=hs.hashes)
              for eid, hs in sorted(hashsets.items())]
     return connected_groups(ms.pair for ms in match_all(named, threshold))
 
@@ -218,7 +275,12 @@ def write_cache(path, hashsets: dict[str, HashSet]) -> None:
 
     A record is the UTF-8 id (``<H`` length first), the hash count
     (``<I``) and one ``<II`` (key, frame) pair per hash, in hash order.
+    A key or frame outside ``<u4`` raises ValueError, naming the excerpt,
+    before the file is opened.
     """
+    for eid, hs in hashsets.items():
+        if len(hs.hashes) and (hs.hashes.min() < 0 or hs.hashes.max() > 0xFFFFFFFF):
+            raise ValueError(f"excerpt {eid!r}: a hash key or frame is outside 0..2**32-1")
     path = Path(path)
     with writing(path, "fingerprint cache"), path.open("wb") as fh:
         fh.write(CACHE_MAGIC)
@@ -229,8 +291,7 @@ def write_cache(path, hashsets: dict[str, HashSet]) -> None:
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<I", len(hs.hashes)))
-            fh.write(np.fromiter(chain.from_iterable(hs.hashes), dtype="<u4",
-                                 count=2 * len(hs.hashes)).tobytes())
+            fh.write(hs.hashes.astype("<u4").tobytes())
 
 
 def read_cache(path) -> dict[str, HashSet]:
@@ -262,8 +323,10 @@ def read_cache(path) -> dict[str, HashSet]:
             raise ParseError(f"{path}: excerpt id at byte {start} is not UTF-8") from None
         (n,) = struct.unpack_from("<I", data, take(4))
         pairs = np.frombuffer(data, dtype="<u4", count=2 * n, offset=take(8 * n))
-        out[eid] = HashSet(owner=eid, hashes=tuple(zip(pairs[0::2].tolist(),
-                                                       pairs[1::2].tolist())))
+        out[eid] = HashSet(owner=eid, hashes=pairs.reshape(n, 2))
     if pos != len(data):
         raise ParseError(f"{path}: {len(data) - pos} bytes after the last record")
+    if len(out) != count or list(out) != sorted(out):
+        # write_cache writes each id once, in sorted order
+        raise ParseError(f"{path}: excerpt ids are not unique and in ascending order")
     return out

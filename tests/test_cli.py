@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from corpusaudit import cli
 from corpusaudit.cli import dispatch
 from corpusaudit.faults import load_catalog, perfect_confusion, perfect_statistics
 from corpusaudit.fingerprint import read_cache, write_cache
@@ -346,6 +347,31 @@ def test_report_perfect_json_equals_library(catalog_path, tmp_path):
         "matrix": [[round(v, 10) for v in row] for row in pc.matrix],
         "recall": fom.recall, "precision": fom.precision, "fscore": fom.fscore,
         "accuracy": fom.accuracy}
+
+
+def test_dispatch_reuses_one_parser_as_if_fresh(catalog_path, capsys, monkeypatch):
+    commands = [
+        ["report", "perfect", "--catalog", str(catalog_path), "--format", "pdf"],
+        ["catalog", "show", "--catalog", str(catalog_path)],
+        ["report", "perfect", "--catalog", str(catalog_path), "--format", "json"],
+    ]
+
+    def run_all():
+        results = []
+        for argv in commands:
+            code = dispatch(argv)
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    shared = run_all()
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert run_all() == shared
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "invalid choice: 'pdf'" in shared[0][2]
+    assert shared[1][1].startswith("fault catalog\n")
+    assert json.loads(shared[2][1])["labels"] == ["amber", "slate"]
 
 
 def test_eval_relabel_without_flags_reproduces_report(workspace, features_path, tmp_path):

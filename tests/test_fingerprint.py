@@ -3,9 +3,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from corpusaudit import fingerprint
 from corpusaudit.errors import IoError, ParseError
 from corpusaudit.fingerprint import (
     DEFAULT_PARAMS,
@@ -31,13 +32,13 @@ SR = 22050
 def reference_match(a: HashSet, b: HashSet) -> MatchScore:
     """The dict/Counter formulation of ``match``, kept as its oracle."""
     pair = (a.owner, b.owner)
-    if not a.hashes or not b.hashes:
+    if not len(a.hashes) or not len(b.hashes):
         return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
     index: dict[int, list[int]] = {}
-    for key, frame in b.hashes:
+    for key, frame in b.hashes.tolist():
         index.setdefault(key, []).append(frame)
     offsets: Counter = Counter()
-    for key, frame in a.hashes:
+    for key, frame in a.hashes.tolist():
         for probe in (key - 1, key, key + 1):
             for bframe in index.get(probe, ()):
                 offsets[frame - bframe] += 1
@@ -61,7 +62,7 @@ def clouds():
 def test_fingerprint_deterministic(clouds):
     a = compute_fingerprint(clouds[0], owner="x")
     b = compute_fingerprint(clouds[0], owner="x")
-    assert a.hashes == b.hashes
+    assert np.array_equal(a.hashes, b.hashes)
 
 
 def test_silence_yields_no_hashes():
@@ -191,7 +192,7 @@ def test_cache_round_trip(tmp_path, clouds):
     loaded = read_cache(str(path))
     assert sorted(loaded) == sorted(fps)
     for eid in fps:
-        assert loaded[eid].hashes == fps[eid].hashes
+        assert np.array_equal(loaded[eid].hashes, fps[eid].hashes)
     with open(path, "rb") as fh:
         assert fh.read(5) == b"DFPK1"
 
@@ -235,19 +236,61 @@ def _hashset(owner, hashes, repeats):
 K = pack_key(3, 7, 10)
 
 
-@settings(max_examples=400, deadline=None)
-@given(hash_lists, hash_lists, st.integers(0, 5), st.integers(0, 5))
-@example([], [(K, 3)], 0, 0)
-@example([(K, 3)], [], 0, 0)
-@example([(K, 3)], [(K + 2, 3)], 0, 0)                      # keys two apart: no hit
-@example([(K, 3), (K, 3)], [(K - 1, 0), (K + 1, 0)], 2, 1)  # keys one apart, repeats
-@example([(K, 10)], [(K, 7), (K, 13)], 0, 0)                # +3 and -3 tie
-@example([(K, 10), (K, 10)], [(K, 5), (K, 6), (K, 14), (K, 15)], 0, 0)  # pooled tie +-4.5
-def test_match_equals_reference(a_hashes, b_hashes, a_repeats, b_repeats):
+def match_cases(test):
+    """Run ``test`` on hypothesis draws and on hand-picked edge cases."""
+    cases = [
+        ([], [(K, 3)], 0, 0),
+        ([(K, 3)], [], 0, 0),
+        ([(K, 3)], [(K + 2, 3)], 0, 0),                      # keys two apart: no hit
+        ([(K, 3), (K, 3)], [(K - 1, 0), (K + 1, 0)], 2, 1),  # keys one apart, repeats
+        ([(K, 10)], [(K, 7), (K, 13)], 0, 0),                # +3 and -3 tie
+        ([(K, 10), (K, 10)], [(K, 5), (K, 6), (K, 14), (K, 15)], 0, 0),  # pooled tie +-4.5
+        # probes of the smallest and largest cacheable keys: k - 1 < 0, k + 1 = 2**32
+        ([(0, 0)], [(1, 2), (0, 0)], 0, 0),
+        ([(1, 5)], [(0, 5), (2, 9), (3, 5)], 1, 0),
+        ([(2**32 - 1, 3)], [(2**32 - 2, 3), (2**32 - 1, 4)], 0, 1),
+        ([(0, 1), (2**32 - 1, 1)], [(2**32 - 1, 0), (1, 0), (2**32 - 3, 1)], 1, 1),
+    ]
+    for case in reversed(cases):
+        test = example(*case)(test)
+    return settings(max_examples=400, deadline=None)(
+        given(hash_lists, hash_lists, st.integers(0, 5), st.integers(0, 5))(test))
+
+
+def check_match(a_hashes, b_hashes, a_repeats, b_repeats):
     a = _hashset("a", a_hashes, a_repeats)
     b = _hashset("b", b_hashes, b_repeats)
     assert match(a, b) == reference_match(a, b)
     assert match(b, a) == reference_match(b, a)
+
+
+@match_cases
+def test_match_equals_reference(a_hashes, b_hashes, a_repeats, b_repeats):
+    check_match(a_hashes, b_hashes, a_repeats, b_repeats)
+
+
+@match_cases
+def test_match_equals_reference_with_a_one_bit_probe_table(a_hashes, b_hashes,
+                                                            a_repeats, b_repeats):
+    # two slots: nearly every probe is a false positive, and none may change a score
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fingerprint, "PROBE_BITS", 1)
+        check_match(a_hashes, b_hashes, a_repeats, b_repeats)
+
+
+def test_hashset_takes_pairs_only():
+    assert HashSet(owner="x", hashes=()).hashes.shape == (0, 2)
+    with pytest.raises(ValueError, match="'x'"):
+        HashSet(owner="x", hashes=((1, 2, 3),))
+
+
+def test_probe_table_marks_every_key_and_its_neighbours():
+    keys = np.array([0, 1, K, 2**32 - 1], dtype=np.int64)
+    hs = HashSet(owner="x", hashes=tuple((k, 0) for k in keys.tolist()))
+    marked = np.unpackbits(hs.probe_table, bitorder="little")
+    slots = fingerprint._probe_slots(np.concatenate([keys - 1, keys, keys + 1]))
+    assert marked[slots].all()
+    assert marked.sum() <= 12 and len(marked) == 2**fingerprint.PROBE_BITS
 
 
 def test_match_all_equals_pairwise_reference(clouds):
@@ -288,12 +331,15 @@ def test_write_cache_matches_struct_reference(tmp_path):
         encoded = eid.encode("utf-8")
         expected += struct.pack("<H", len(encoded)) + encoded
         expected += struct.pack("<I", len(HAND_BUILT[eid].hashes))
-        for key, frame in HAND_BUILT[eid].hashes:
+        for key, frame in HAND_BUILT[eid].hashes.tolist():
             expected += struct.pack("<II", key, frame)
     assert path.read_bytes() == expected
     loaded = read_cache(path)
     assert loaded == HAND_BUILT
-    assert all(type(h) is tuple for hs in loaded.values() for h in hs.hashes)
+    for eid, hs in loaded.items():
+        assert hs.hashes.dtype == np.int64
+        assert hs.hashes.shape == (len(HAND_BUILT[eid].hashes), 2)
+        assert not hs.hashes.flags.writeable
 
 
 @pytest.mark.parametrize("cut", [1, 4, 9, 20])
@@ -326,3 +372,78 @@ def test_find_exact_repetitions_groups_supplied_sets_by_key(clouds):
     hashsets = {"x": compute_fingerprint(clouds[1]), "y": compute_fingerprint(copy),
                 "z": compute_fingerprint(clouds[2])}
     assert find_exact_repetitions(None, hashsets=hashsets) == [("x", "y")]
+
+
+@pytest.mark.parametrize("bad", [(2**32, 0), (-1, 0), (0, 2**32), (7, -1)])
+def test_write_cache_rejects_values_outside_u4_and_keeps_the_old_file(tmp_path, bad):
+    path = tmp_path / "prints.bin"
+    write_cache(path, HAND_BUILT)
+    before = path.read_bytes()
+    hashsets = {**HAND_BUILT, "bad.007": HashSet(owner="bad.007", hashes=((1, 2), bad))}
+    with pytest.raises(ValueError, match="excerpt 'bad.007'"):
+        write_cache(path, hashsets)
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError, match="excerpt 'bad.007'"):
+        write_cache(tmp_path / "new.bin", hashsets)
+    assert not (tmp_path / "new.bin").exists()
+
+
+def test_write_cache_accepts_both_u4_bounds(tmp_path):
+    path = tmp_path / "prints.bin"
+    edge = {"e": HashSet(owner="e", hashes=((0, 2**32 - 1), (2**32 - 1, 0)))}
+    write_cache(path, edge)
+    assert read_cache(path) == edge
+
+
+def _valid_cache_bytes(tmp_path):
+    path = tmp_path / "valid.bin"
+    write_cache(path, HAND_BUILT)
+    return path.read_bytes()
+
+
+def _mutate(data, kind, at, blob):
+    at %= len(data) + 1
+    if kind == "truncate":
+        return data[:at]
+    if kind == "extend":
+        return data + blob
+    if kind == "insert":
+        return data[:at] + blob + data[at:]
+    flip = blob[0] if blob and blob[0] else 0xFF
+    at = min(at, len(data) - 1)
+    return data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
+
+
+def _check_read_cache(path, data):
+    """Only ParseError may escape; an accepted cache must be rewritten as ``data``."""
+    path.write_bytes(data)
+    try:
+        loaded = read_cache(path)
+    except ParseError:
+        return
+    out = path.with_suffix(".rewrite")
+    write_cache(out, loaded)
+    assert out.read_bytes() == data
+
+
+# each example rewrites the same two files, so sharing tmp_path is safe
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(st.binary(max_size=200) | st.binary(max_size=200).map(lambda b: b"DFPK1" + b))
+@example(b"DFPK1\x02\x00\x00\x00\x01\x00b\x00\x00\x00\x00\x01\x00a\x00\x00\x00\x00")  # b, a
+@example(b"DFPK1\x02\x00\x00\x00\x01\x00a\x00\x00\x00\x00\x01\x00a\x00\x00\x00\x00")  # a, a
+@example(b"DFPK1\x01\x00\x00\x00\x01\x00\xff\x00\x00\x00\x00")  # id not UTF-8
+@example(b"DFPK1\xff\xff\xff\xff")                                # count far past the end
+def test_read_cache_fuzz_raw_bytes(tmp_path, data):
+    _check_read_cache(tmp_path / "fuzz.bin", data)
+
+
+@FUZZ
+@given(st.sampled_from(["truncate", "extend", "insert", "flip"]), st.integers(0, 200),
+       st.binary(min_size=1, max_size=12))
+def test_read_cache_fuzz_mutated_valid_cache(tmp_path, kind, at, blob):
+    data = _mutate(_valid_cache_bytes(tmp_path), kind, at, blob)
+    _check_read_cache(tmp_path / "fuzz.bin", data)
