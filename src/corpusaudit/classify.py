@@ -41,7 +41,11 @@ class TrainedModel:
 
 def train(kind: str, vectors: np.ndarray, labels, label_order=None,
           seed: int = 0) -> TrainedModel:
-    """Fit a model on training vectors with one label per vector."""
+    """Fit a model on training vectors with one label per vector.
+
+    An NN model keeps ``np.asarray(vectors, dtype=float)`` itself, not a
+    copy: a float array passed in is shared, and changing it changes the model.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
     vectors = np.asarray(vectors, dtype=float)
@@ -55,7 +59,7 @@ def train(kind: str, vectors: np.ndarray, labels, label_order=None,
 
     if kind == "nn":
         return TrainedModel(kind=kind, labels=label_order, seed=seed,
-                            train_x=vectors.copy(), train_y=y)
+                            train_x=vectors, train_y=y)
 
     means = np.empty((len(label_order), vectors.shape[1]))
     for i, label in enumerate(label_order):

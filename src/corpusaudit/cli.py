@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import classify, evaluate, faults, features, fingerprint, tagscore
@@ -40,25 +39,10 @@ def _load_corpus(args) -> Corpus:
     corpus = load_metadata(args.metadata)
     if getattr(args, "audio_dir", None):
         audio_dir = Path(args.audio_dir)
-        corpus = Corpus(
-            labels=corpus.labels,
-            excerpts=tuple(dataclasses.replace(ex, audio_path=audio_dir / f"{ex.id}.wav")
-                           for ex in corpus.excerpts),
-            sample_rate=corpus.sample_rate,
-            excerpt_duration=corpus.excerpt_duration)
+        corpus = dataclasses.replace(corpus, excerpts=tuple(
+            dataclasses.replace(ex, audio_path=audio_dir / f"{ex.id}.wav")
+            for ex in corpus.excerpts))
     return corpus
-
-
-def _fingerprint_corpus(corpus: Corpus, params=fingerprint.DEFAULT_PARAMS):
-    def one(ex):
-        samples = load_audio(ex, corpus.sample_rate)
-        return ex.id, fingerprint.compute_fingerprint(samples, params, owner=ex.id)
-
-    workers = _worker_count()
-    if workers <= 1:
-        return dict(one(ex) for ex in corpus.excerpts)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(one, corpus.excerpts))
 
 
 def _write_text(path, text: str):
@@ -83,7 +67,7 @@ def cmd_audit_dupes(args) -> int:
                              f" ({len(missing)} of {len(corpus.excerpts)} missing);"
                              " delete the cache to rebuild it")
     else:
-        hashsets = _fingerprint_corpus(corpus)
+        hashsets = fingerprint.fingerprint_corpus(corpus, workers=_worker_count())
         if args.cache:
             fingerprint.write_cache(args.cache, hashsets)
     matches = fingerprint.match_all([hashsets[ex.id] for ex in corpus.excerpts],
@@ -99,8 +83,7 @@ def cmd_audit_dupes(args) -> int:
 
 def cmd_audit_labels(args) -> int:
     corpus = load_metadata(args.metadata)
-    matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus),
-                                             args.delta_rule)
+    matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus))
     lines = ["id,label,own_score,diagonal,best_other_label,best_other_score,delta,rule"]
     flagged = 0
     for v in verdicts:
@@ -143,8 +126,7 @@ def cmd_catalog_build(args) -> int:
             faults.check_known_ids(corpus, distortions=distortions)
     verdicts, deltas = [], {}
     if args.tags:
-        matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus),
-                                                 args.delta_rule)
+        matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus))
         verdicts = [v for v in verdicts if v.flagged]
         deltas = {label: float(matrix.deltas[i]) for i, label in enumerate(matrix.labels)}
     catalog = faults.build_catalog(corpus, exact_groups=exact_groups,
@@ -386,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     labels_p = audit_sub.add_parser("labels", help="tag-score mislabeling audit")
     labels_p.add_argument("--metadata", required=True)
     labels_p.add_argument("--tags", required=True)
-    labels_p.add_argument("--delta-rule", choices=tagscore.DELTA_RULES,
-                          default="adjacent-gap")
     labels_p.add_argument("--out")
     labels_p.add_argument("--strict", action="store_true")
     labels_p.set_defaults(func=cmd_audit_labels)
@@ -401,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     cbuild.add_argument("--recordings", help="JSON list of manual recording groups")
     cbuild.add_argument("--distortions", help="JSON list of distortion entries")
     cbuild.add_argument("--threshold", type=float, default=fingerprint.DEFAULT_THRESHOLD)
-    cbuild.add_argument("--delta-rule", choices=tagscore.DELTA_RULES,
-                        default="adjacent-gap")
     cbuild.add_argument("--out", required=True)
     cbuild.set_defaults(func=cmd_catalog_build)
     cshow = catalog_sub.add_parser("show")

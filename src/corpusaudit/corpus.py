@@ -30,7 +30,6 @@ from .errors import (
 )
 
 DEFAULT_SAMPLE_RATE = 22050
-DEFAULT_EXCERPT_DURATION = 30.0
 
 METADATA_HEADER = ["id", "label", "artist", "title"]
 
@@ -81,7 +80,6 @@ class Corpus:
     labels: tuple[str, ...]
     excerpts: tuple[Excerpt, ...]
     sample_rate: int = DEFAULT_SAMPLE_RATE
-    excerpt_duration: float = DEFAULT_EXCERPT_DURATION
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,8 +131,7 @@ def read_json(path, what: str):
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
 
 
-def load_metadata(path, labels=None, sample_rate=DEFAULT_SAMPLE_RATE,
-                  excerpt_duration=DEFAULT_EXCERPT_DURATION) -> Corpus:
+def load_metadata(path, labels=None) -> Corpus:
     """Read a metadata CSV into a Corpus.
 
     ``labels`` fixes the valid label set; when omitted, labels are taken in
@@ -176,8 +173,7 @@ def load_metadata(path, labels=None, sample_rate=DEFAULT_SAMPLE_RATE,
             title=title.strip() or None,
         ))
     label_order = tuple(labels) if labels is not None else tuple(seen_labels)
-    return Corpus(labels=label_order, excerpts=tuple(excerpts),
-                  sample_rate=sample_rate, excerpt_duration=excerpt_duration)
+    return Corpus(labels=label_order, excerpts=tuple(excerpts))
 
 
 def save_metadata(corpus: Corpus, path) -> None:

@@ -1,10 +1,10 @@
 """Partitions, experiment harness, figures of merit, significance tests.
 
-Partition schemes: ``st`` (two uniform random halves), ``st-prime`` (the
-same after removing the catalog's exclusions), ``af`` (whole artist
-groups assigned greedily to two folds, minimizing per-class imbalance),
-``af-prime`` (``af`` minus exclusions), plus a generic stratified
-``kfold`` and a fractional ``split`` mode for harness completeness.
+Partition schemes, each of two folds: ``st`` (two uniform random
+halves), ``st-prime`` (the same after removing the catalog's
+exclusions), ``af`` (whole artist groups assigned greedily to two folds,
+minimizing per-class imbalance) and ``af-prime`` (``af`` minus
+exclusions). ``run_experiment`` accepts any number of folds.
 
 Figures of merit per fold: confusion fractions (count over per-class
 test size), per-class recall and precision, F-score, and normalized
@@ -19,7 +19,9 @@ from math import comb
 
 import numpy as np
 
-# classify_excerpt is unused here but stays importable: perfbench's tracer wraps it
+# classify_excerpt is unused here, but perfbench/test_perfbench.py::
+# test_tracer_rebinds_where_functions_are_looked_up_and_restores_them looks it up
+# in this module; the tracer itself finds the function in classify
 from .classify import classify_excerpt, classify_excerpts, train  # noqa: F401
 from .corpus import Corpus, normalize_text
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
 )
 from .features import apply_normalization, fit_normalization
 
-SCHEMES = ("st", "st-prime", "af", "af-prime", "kfold", "split")
+SCHEMES = ("st", "st-prime", "af", "af-prime")
 
 ALPHA = 0.05
 
@@ -154,8 +156,7 @@ def read_artist_folds(artist_folds) -> dict[str, int]:
 
 
 def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
-                   artist_folds=None, realization: int = 0, k: int = 2,
-                   train_fraction: float = 0.5) -> Partition:
+                   artist_folds=None, realization: int = 0) -> Partition:
     """Build a partition of the corpus under the requested scheme."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -164,17 +165,13 @@ def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
         if catalog is None:
             raise AuditError(f"scheme {scheme!r} needs a fault catalog")
         included -= catalog.exclusions()
-    rng = np.random.default_rng([seed, realization])
 
-    if scheme in ("st", "st-prime", "split"):
+    if scheme in ("st", "st-prime"):
         ids = sorted(included)
-        rng.shuffle(ids)
-        if scheme == "split":
-            cut = int(round(train_fraction * len(ids)))
-        else:
-            cut = (len(ids) + 1) // 2
+        np.random.default_rng([seed, realization]).shuffle(ids)
+        cut = (len(ids) + 1) // 2
         folds = (tuple(ids[:cut]), tuple(ids[cut:]))
-    elif scheme in ("af", "af-prime"):
+    else:  # af, af-prime
         groups = _artist_groups(corpus, included)
         preassigned = None
         if artist_folds is not None:
@@ -186,14 +183,6 @@ def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
         leak = set(folds[0]) & set(folds[1])
         if leak:
             raise ArtistLeakError(f"excerpts in both folds: {sorted(leak)}")
-    else:  # kfold: generic stratified k-fold
-        fold_lists = [[] for _ in range(k)]
-        for label in corpus.labels:
-            ids = sorted(ex.id for ex in corpus.with_label(label) if ex.id in included)
-            rng.shuffle(ids)
-            for i, eid in enumerate(ids):
-                fold_lists[i % k].append(eid)
-        folds = tuple(tuple(sorted(f)) for f in fold_lists)
 
     return Partition(scheme=scheme, folds=folds, seed=seed, realization=realization)
 
@@ -315,20 +304,11 @@ def binomial_significance(n: int, t12: int) -> SignificanceResult:
 def significance_test(predictions_1, predictions_2) -> SignificanceResult:
     """Compare two systems' predictions over the same observations.
 
-    Inputs are iterables of PredictionRecord (or (id, true, predicted)
-    triples). Only observations where exactly one system is correct count.
+    Inputs are iterables of PredictionRecord. Only observations where
+    exactly one system is correct count.
     """
-    def as_map(preds):
-        out = {}
-        for p in preds:
-            if isinstance(p, PredictionRecord):
-                out[p.excerpt_id] = (p.true_label, p.predicted_label)
-            else:
-                eid, true, pred = p[0], p[1], p[2]
-                out[eid] = (true, pred)
-        return out
-
-    m1, m2 = as_map(predictions_1), as_map(predictions_2)
+    m1, m2 = ({p.excerpt_id: (p.true_label, p.predicted_label) for p in preds}
+              for preds in (predictions_1, predictions_2))
     if set(m1) != set(m2):
         raise AuditError("the two systems classified different observation sets")
     n = t12 = 0

@@ -90,15 +90,13 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
     """Assemble the catalog from audit outputs and metadata.
 
     ``exact_groups`` are id groups from fingerprinting; ``recording_groups``
-    come from a manual-evidence source and are never inferred here. Artist
-    groups share a normalized artist string; version groups share a
-    normalized title without already sitting inside one exact/recording
-    group.
+    come from a manual-evidence source and are never inferred here;
+    ``distortions`` are ``Distortion`` entries. Artist groups share a
+    normalized artist string; version groups share a normalized title
+    without already sitting inside one exact/recording group.
     """
     recording_groups = [tuple(g) for g in recording_groups]
-    dist_list = [d if isinstance(d, Distortion)
-                 else Distortion(*d) if isinstance(d, (tuple, list)) else Distortion(**d)
-                 for d in distortions]
+    dist_list = list(distortions)
     check_known_ids(corpus, recording_groups=recording_groups, distortions=dist_list)
     dist_list.sort(key=lambda d: d.excerpt_id)
 
@@ -214,11 +212,9 @@ def apply_relabeling(corpus: Corpus, catalog: FaultCatalog) -> Corpus:
     Excerpts whose scores are zero everywhere keep their original label.
     """
     new_labels = relabel_map(catalog)
-    excerpts = tuple(replace(ex, label=new_labels[ex.id]) if ex.id in new_labels else ex
-                     for ex in corpus.excerpts)
-    return Corpus(labels=corpus.labels, excerpts=excerpts,
-                  sample_rate=corpus.sample_rate,
-                  excerpt_duration=corpus.excerpt_duration)
+    return replace(corpus, excerpts=tuple(
+        replace(ex, label=new_labels[ex.id]) if ex.id in new_labels else ex
+        for ex in corpus.excerpts))
 
 
 def catalog_to_json(catalog: FaultCatalog) -> dict:

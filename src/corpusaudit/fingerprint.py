@@ -17,6 +17,7 @@ positive costs only a search that finds nothing.
 """
 
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter
 
 from .corpus import Corpus, load_audio
-from .errors import IoError, ParseError, reading, writing
+from .errors import ParseError, reading, writing
 from .features import stft_magnitude
 
 DEFAULT_THRESHOLD = 0.25
@@ -174,6 +175,23 @@ def compute_fingerprint(samples: np.ndarray,
     return HashSet(owner=owner, hashes=np.array(flat, dtype=np.int64).reshape(-1, 2))
 
 
+def fingerprint_corpus(corpus: Corpus, params: FingerprintParams = DEFAULT_PARAMS,
+                       workers: int = 1) -> dict[str, HashSet]:
+    """Each excerpt's hash set, keyed by id, from its audio at the corpus rate.
+
+    With ``workers`` above one, excerpts are loaded and hashed on that many
+    threads; the result does not depend on the count.
+    """
+    def one(ex):
+        samples = load_audio(ex, corpus.sample_rate)
+        return ex.id, compute_fingerprint(samples, params, owner=ex.id)
+
+    if workers <= 1:
+        return dict(map(one, corpus.excerpts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return dict(pool.map(one, corpus.excerpts))
+
+
 def match(a: HashSet, b: HashSet) -> MatchScore:
     """Score two hash sets by their modal-offset aligned hash count.
 
@@ -259,12 +277,7 @@ def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
     Groups and their members are sorted lexicographically.
     """
     if hashsets is None:
-        hashsets = {}
-        for ex in corpus.excerpts:
-            if ex.audio_path is None:
-                raise IoError(f"excerpt {ex.id!r} has no audio")
-            samples = load_audio(ex, corpus.sample_rate)
-            hashsets[ex.id] = compute_fingerprint(samples, params, owner=ex.id)
+        hashsets = fingerprint_corpus(corpus, params)
     named = [hs if hs.owner == eid else HashSet(owner=eid, hashes=hs.hashes)
              for eid, hs in sorted(hashsets.items())]
     return connected_groups(ms.pair for ms in match_all(named, threshold))

@@ -19,8 +19,6 @@ import numpy as np
 from .corpus import Corpus, TagCountSet
 from .errors import DegenerateRowError, EmptyTagsError
 
-DELTA_RULES = ("adjacent-gap", "range")
-
 
 @dataclass(frozen=True)
 class TopTags:
@@ -133,28 +131,22 @@ def label_score(excerpt_tags, profile: LabelProfile) -> float:
     return sum(d * weights.get(tag, 0.0) for tag, d in profile.top.pairs)
 
 
-def delta_g(row, rule: str = "adjacent-gap") -> float:
+def delta_g(row) -> float:
     """Significance margin of one row of paired label scores.
 
-    ``adjacent-gap`` (the default) sorts the row ascending, zeros included,
-    and returns one tenth of the largest adjacent gap. ``range`` returns
-    one tenth of (max - min).
+    The row is sorted ascending, zeros included, and the margin is one
+    tenth of the largest gap between adjacent scores.
     """
-    if rule not in DELTA_RULES:
-        raise ValueError(f"unknown delta rule {rule!r}")
     vals = np.sort(np.asarray(list(row), dtype=float))
     if len(vals) < 2:
         raise DegenerateRowError("need at least two scores")
-    if rule == "range":
-        spread = vals[-1] - vals[0]
-    else:
-        spread = float(np.max(np.diff(vals)))
+    spread = float(np.max(np.diff(vals)))
     if spread <= 0:
         raise DegenerateRowError("all scores equal; margin would be zero")
     return spread / 10.0
 
 
-def score_matrix(profiles: list[LabelProfile], delta_rule: str = "adjacent-gap") -> ScoreMatrix:
+def score_matrix(profiles: list[LabelProfile]) -> ScoreMatrix:
     """Score every label's top tags against every profile."""
     labels = tuple(p.label for p in profiles)
     n = len(profiles)
@@ -163,7 +155,7 @@ def score_matrix(profiles: list[LabelProfile], delta_rule: str = "adjacent-gap")
         own = dict(pg.top.pairs)
         for r, pr in enumerate(profiles):
             scores[g, r] = label_score(own, pr)
-    deltas = np.array([delta_g(scores[g], rule=delta_rule) for g in range(n)])
+    deltas = np.array([delta_g(scores[g]) for g in range(n)])
     return ScoreMatrix(labels=labels, scores=scores, deltas=deltas)
 
 
@@ -184,15 +176,14 @@ def flag_rule(own: float, diagonal: float, best_other: float,
 
 def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
                         profiles: list[LabelProfile],
-                        matrix: ScoreMatrix | None = None,
-                        delta_rule: str = "adjacent-gap") -> list[MislabelVerdict]:
+                        matrix: ScoreMatrix | None = None) -> list[MislabelVerdict]:
     """Score every identified, tagged excerpt and flag suspected mislabelings.
 
     Unidentified or untagged excerpts are skipped. The verdict keeps the
     full per-label score vector so downstream consumers can reuse it.
     """
     if matrix is None:
-        matrix = score_matrix(profiles, delta_rule=delta_rule)
+        matrix = score_matrix(profiles)
     by_label = {p.label: p for p in profiles}
     verdicts = []
     for ex in corpus.excerpts:
@@ -229,8 +220,8 @@ def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
     return verdicts
 
 
-def audit_labels(corpus: Corpus, tags: dict[str, TagCountSet],
-                 delta_rule: str = "adjacent-gap") -> tuple[ScoreMatrix, list[MislabelVerdict]]:
+def audit_labels(corpus: Corpus,
+                 tags: dict[str, TagCountSet]) -> tuple[ScoreMatrix, list[MislabelVerdict]]:
     """Profile each label from its identified, tagged excerpts, then score and flag.
 
     Labels without such excerpts get no profile and drop out of the matrix.
@@ -241,5 +232,5 @@ def audit_labels(corpus: Corpus, tags: dict[str, TagCountSet],
                 if ex.identified and ex.id in tags and tags[ex.id].pairs]
         if sets:
             profiles.append(label_profile(label, sets))
-    matrix = score_matrix(profiles, delta_rule=delta_rule)
+    matrix = score_matrix(profiles)
     return matrix, detect_mislabelings(corpus, tags, profiles, matrix)

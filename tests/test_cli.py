@@ -598,6 +598,20 @@ BAD_INPUTS = {
         lambda fx, tmp: "0",
         lambda fx, bad: _eval_run(fx, fx["features"], "--realizations", bad),
         "--realizations"),
+    "removed_scheme_kfold": (
+        lambda fx, tmp: "kfold",
+        lambda fx, bad: _eval_run(fx, fx["features"], "--scheme", bad), "--scheme"),
+    "removed_scheme_split": (
+        lambda fx, tmp: "split",
+        lambda fx, bad: ["partition", "make", "--metadata", fx["metadata"],
+                         "--scheme", bad], "--scheme"),
+    "removed_delta_rule_on_audit_labels": (
+        lambda fx, tmp: "range",
+        lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", fx["tags"],
+                         "--delta-rule", bad], "--delta-rule"),
+    "removed_delta_rule_on_catalog_build": (
+        lambda fx, tmp: "range",
+        lambda fx, bad: _catalog_build(fx, bad, "--delta-rule"), "--delta-rule"),
     "tag_entry_without_tag": (
         _text("tags.json", json.dumps([{"id": "amber.000", "tags": [{"count": 3}]}])),
         lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],

@@ -132,23 +132,6 @@ def test_af_manual_folds_malformed():
         make_partition(grid_corpus(), "af", seed=0, artist_folds={"a": []})
 
 
-def test_kfold_partition():
-    corpus = grid_corpus(n_per_label=9)
-    part = make_partition(corpus, "kfold", seed=3, k=3)
-    assert len(part.folds) == 3
-    for fold in part.folds:
-        assert len(fold) == 6
-        for label in corpus.labels:
-            assert sum(1 for eid in fold if corpus.get(eid).label == label) == 3
-
-
-def test_split_fraction():
-    corpus = grid_corpus()
-    part = make_partition(corpus, "split", seed=4, train_fraction=0.7)
-    assert len(part.folds[0]) == 14
-    assert len(part.folds[1]) == 6
-
-
 def test_unknown_scheme():
     with pytest.raises(ValueError):
         make_partition(grid_corpus(), "loocv", seed=0)
@@ -237,9 +220,12 @@ def test_run_experiment_equals_per_excerpt_loop():
         Excerpt(id=eid, label="l0", artist=f"planted-{eid}") for eid, _ in planted))
     tie_folds = tuple(tuple(sorted(halves[f] + tuple(e for e, g in planted if g == f)))
                       for f in (0, 1))
+    shuffled = sorted(ex.id for ex in corpus.excerpts)
+    np.random.default_rng(23).shuffle(shuffled)
+    thirds = tuple(tuple(sorted(shuffled[f::3])) for f in range(3))
     partitions = [Partition(scheme="st", folds=tie_folds, seed=21, realization=3),
                   make_partition(corpus, "st", seed=22, realization=1),
-                  make_partition(corpus, "kfold", seed=23, k=3)]
+                  Partition(scheme="thirds", folds=thirds, seed=23)]
     for part in partitions:
         for kind in ("nn", "md", "mmd"):
             expected, ties = per_excerpt_predictions(corpus, part, kind, features, seed=9)
@@ -314,8 +300,10 @@ def test_binomial_symmetry_and_edge_cases():
 
 def test_significance_test_counts_disagreements():
     truth = {f"e{i}": "a" for i in range(10)}
-    p1 = [(eid, t, "a" if i < 8 else "b") for i, (eid, t) in enumerate(truth.items())]
-    p2 = [(eid, t, "a" if i >= 2 else "b") for i, (eid, t) in enumerate(truth.items())]
+    p1 = [PredictionRecord(eid, t, "a" if i < 8 else "b", 0)
+          for i, (eid, t) in enumerate(truth.items())]
+    p2 = [PredictionRecord(eid, t, "a" if i >= 2 else "b", 0)
+          for i, (eid, t) in enumerate(truth.items())]
     result = significance_test(p1, p2)
     assert result.n == 4
     assert result.t12 == 2
@@ -331,7 +319,8 @@ def test_significance_test_identical_predictions():
 
 def test_significance_test_mismatched_sets():
     with pytest.raises(AuditError):
-        significance_test([("e1", "a", "a")], [("e2", "a", "a")])
+        significance_test([PredictionRecord("e1", "a", "a", 0)],
+                          [PredictionRecord("e2", "a", "a", 0)])
 
 
 def test_repetition_bias_property():

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 from collections import Counter
 
@@ -17,6 +18,7 @@ from corpusaudit.fingerprint import (
     compute_fingerprint,
     connected_groups,
     find_exact_repetitions,
+    fingerprint_corpus,
     match,
     match_all,
     pack_key,
@@ -182,6 +184,21 @@ def test_threshold_monotonicity(tmp_path):
     assert strict_members <= loose_members
     default = find_exact_repetitions(corpus, threshold=DEFAULT_THRESHOLD)
     assert len(default) == 2
+
+
+def test_fingerprint_corpus_is_the_same_on_two_threads(tmp_path):
+    corpus = planted_corpus(tmp_path, np.random.default_rng(13))
+    serial = fingerprint_corpus(corpus, workers=1)
+    assert list(serial) == [ex.id for ex in corpus.excerpts]
+    assert serial == fingerprint_corpus(corpus, workers=2)
+
+
+def test_find_exact_repetitions_names_an_excerpt_without_audio(tmp_path):
+    corpus = planted_corpus(tmp_path, np.random.default_rng(14))
+    corpus = dataclasses.replace(
+        corpus, excerpts=corpus.excerpts + (Excerpt(id="g.006", label="g"),))
+    with pytest.raises(IoError, match="'g.006'"):
+        find_exact_repetitions(corpus)
 
 
 def test_cache_round_trip(tmp_path, clouds):

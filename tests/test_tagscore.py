@@ -170,10 +170,6 @@ def test_delta_examples():
     assert delta_g(rock) == pytest.approx((0.0249 - 0.0158) / 10, abs=1e-12)
 
 
-def test_delta_range_rule():
-    assert delta_g([0.05, 0.01, 0.0], rule="range") == pytest.approx(0.005)
-
-
 def test_delta_degenerate_row():
     with pytest.raises(DegenerateRowError):
         delta_g([0.3, 0.3, 0.3])
