@@ -199,15 +199,15 @@ def cmd_features_extract(args) -> int:
     return 0
 
 
+def _merit_json(key: str, matrix, fom: evaluate.FiguresOfMerit) -> dict:
+    """``matrix`` under ``key``, rounded, then the four figures of merit."""
+    return {key: [[round(v, 10) for v in row] for row in matrix], "recall": fom.recall,
+            "precision": fom.precision, "fscore": fom.fscore, "accuracy": fom.accuracy}
+
+
 def _fold_json(table: evaluate.ConfusionTable) -> dict:
     fom = evaluate.figures_of_merit(table)
-    return {
-        "confusion": [[round(v, 10) for v in row] for row in fom.confusion],
-        "recall": fom.recall,
-        "precision": fom.precision,
-        "fscore": fom.fscore,
-        "accuracy": fom.accuracy,
-    }
+    return _merit_json("confusion", fom.confusion, fom)
 
 
 def cmd_eval_run(args) -> int:
@@ -298,14 +298,7 @@ def cmd_report_perfect(args) -> int:
     fom = faults.perfect_statistics(pc)
     labels = catalog.labels
     if args.format == "json":
-        _write_json(args.out, {
-            "labels": list(labels),
-            "matrix": [[round(v, 10) for v in row] for row in pc.matrix],
-            "recall": fom.recall,
-            "precision": fom.precision,
-            "fscore": fom.fscore,
-            "accuracy": fom.accuracy,
-        })
+        _write_json(args.out, {"labels": list(labels), **_merit_json("matrix", pc.matrix, fom)})
         return 0
     # values rendered x10^-2 with one decimal, like the matrix itself
     width = max(9, max(len(lb) for lb in labels) + 1)

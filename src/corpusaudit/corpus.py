@@ -5,6 +5,8 @@ File formats:
   - tag snapshot JSON: array of
     ``{"id": str, "source": "song"|"artist", "tags": [{"tag": str, "count": int}]}``.
   - audio: RIFF WAVE, mono, PCM 16-bit or 32-bit float, at the corpus rate.
+  - binary caches (fingerprints, texture vectors): id-keyed row records,
+    see ``write_records``.
 
 All loaded structures are treated as immutable after construction and are
 safe to share across workers.
@@ -12,6 +14,8 @@ safe to share across workers.
 
 import csv
 import json
+import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,14 +67,6 @@ class TagCountSet:
     owner: str
     pairs: tuple[tuple[str, int], ...]
     source: str = "song"
-
-    def total(self) -> int:
-        return sum(c for _, c in self.pairs)
-
-    def normalized(self) -> tuple[tuple[str, float], ...]:
-        """Counts divided by the set's total, so they sum to 1."""
-        total = self.total()
-        return tuple((t, c / total) for t, c in self.pairs)
 
 
 @dataclass
@@ -129,6 +125,76 @@ def read_json(path, what: str):
             return json.load(fh)
         except ValueError as exc:  # bad JSON syntax or bytes that are not UTF-8
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def write_records(path, what: str, header: bytes, arrays: dict[str, np.ndarray],
+                  dtype) -> None:
+    """Write id-keyed row arrays in the binary layout ``read_records`` reads.
+
+    The file is ``header``, a ``<I`` id count, then per id in sorted order
+    a ``<H`` UTF-8 length, the id, a ``<I`` row count and the rows as
+    little-endian ``dtype``. An id too long for its length field raises
+    ValueError, naming it, before the file is opened.
+    """
+    encoded = {eid: eid.encode("utf-8") for eid in arrays}
+    for eid, e in encoded.items():
+        if len(e) > 0xFFFF:
+            raise ValueError(f"excerpt {eid!r}: id is {len(e)} UTF-8 bytes, "
+                             f"a {what} holds at most 65535")
+    path = Path(path)
+    with writing(path, what), path.open("wb") as fh:
+        fh.write(header + struct.pack("<I", len(arrays)))
+        for eid in sorted(arrays):
+            rows = np.asarray(arrays[eid], dtype=dtype)
+            fh.write(struct.pack("<H", len(encoded[eid])) + encoded[eid]
+                     + struct.pack("<I", len(rows)))
+            fh.write(rows.tobytes())
+
+
+def read_records(path, what: str, header: bytes, dtype, width: int) -> dict[str, np.ndarray]:
+    """Read a ``write_records`` file into id -> ``(rows, width)`` arrays.
+
+    The file is read into one buffer, and the arrays are writable views of
+    it. A missing or unreadable file is an ``IoError``. A wrong header, a
+    truncated record, trailing bytes, an id that is not UTF-8 and ids that
+    are not unique and ascending are each a ``ParseError``.
+    """
+    path = Path(path)
+    with reading(path, what), path.open("rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+    if data[:len(header)] != header:
+        raise ParseError(f"{path}: not a {what}")
+    row_size = np.dtype(dtype).itemsize * width
+    pos = len(header)
+
+    def take(size: int) -> int:
+        """Offset of the next ``size`` bytes, which must all be present."""
+        nonlocal pos
+        if pos + size > len(data):
+            raise ParseError(f"{path}: truncated {what} "
+                             f"({len(data)} bytes, record needs {pos + size})")
+        pos += size
+        return pos - size
+
+    (count,) = struct.unpack_from("<I", data, take(4))
+    out = {}
+    for _ in range(count):
+        (id_len,) = struct.unpack_from("<H", data, take(2))
+        start = take(id_len)
+        try:
+            eid = data[start:pos].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: excerpt id at byte {start} is not UTF-8") from None
+        (n,) = struct.unpack_from("<I", data, take(4))
+        rows = np.frombuffer(data, dtype=dtype, count=n * width, offset=take(n * row_size))
+        out[eid] = rows.reshape(n, width)
+    if pos != len(data):
+        raise ParseError(f"{path}: {len(data) - pos} bytes after the last record")
+    if len(out) != count or list(out) != sorted(out):
+        # write_records writes each id once, in sorted order
+        raise ParseError(f"{path}: excerpt ids are not unique and in ascending order")
+    return out
 
 
 def load_metadata(path, labels=None) -> Corpus:

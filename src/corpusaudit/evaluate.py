@@ -51,9 +51,6 @@ class ConfusionTable:
     labels: tuple[str, ...]
     counts: np.ndarray  # [predicted, true]
 
-    def test_sizes(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
-
 
 @dataclass(frozen=True)
 class FiguresOfMerit:

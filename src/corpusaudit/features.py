@@ -14,8 +14,6 @@ type-II DCT, coefficients 0-12.
 
 import csv
 import hashlib
-import os
-import struct
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,8 +23,9 @@ from pathlib import Path
 import numpy as np
 from scipy.fft import dct, rfft
 
-from .corpus import open_text
-from .errors import IncompleteFeaturesError, ParseError, TooShortError, reading, writing
+from .corpus import open_text, read_records, write_records
+from .errors import (IncompleteFeaturesError, IoError, ParseError, TooShortError, reading,
+                     writing)
 
 FRAME_SIZE = 1024
 HOP = 512
@@ -165,7 +164,7 @@ def apply_normalization(nmap: NormalizationMap, vectors: np.ndarray) -> np.ndarr
     return out
 
 
-COMPANION_MAGIC = b"DFTX1"
+COMPANION_MAGIC = b"DFTX2"
 _HASH_CHUNK = 1 << 16
 
 
@@ -188,12 +187,12 @@ def _csv_digest(path) -> bytes:
 def write_feature_cache(path, features: dict[str, np.ndarray]) -> None:
     """Write texture vectors as CSV rows ``id,window_index,f0..f31``, then the companion.
 
-    The companion, ``companion_path(path)``, holds the same values in
-    binary: the magic, the SHA-256 of the CSV's bytes, a ``<I`` id count,
-    per id in sorted order a ``<H`` UTF-8 length, the id and a ``<I``
-    window count, then one ``<f8`` block of every value in id and window
-    order. Every nan is stored as the canonical nan, which is what the CSV
-    gives back. An id with no windows has no CSV rows and no record.
+    The companion, ``companion_path(path)``, holds the same values as
+    ``corpus.write_records`` records of ``<f8`` windows, after a header of
+    ``COMPANION_MAGIC`` and the SHA-256 of the CSV's bytes. Every nan is
+    stored as the canonical nan, which is what the CSV gives back. An id
+    with no windows has no CSV rows and no record; an id too long for a
+    record leaves no companion.
     """
     path = Path(path)
     for eid, vectors in features.items():
@@ -208,64 +207,35 @@ def write_feature_cache(path, features: dict[str, np.ndarray]) -> None:
             # float() on the Python scalars of tolist() is far cheaper than on numpy's
             for w, vec in enumerate(np.asarray(features[eid]).tolist()):
                 writer.writerow([eid, w, *map(repr, map(float, vec))])
-    ids = [eid for eid in sorted(features) if len(features[eid])]
-    encoded = [eid.encode("utf-8") for eid in ids]
-    if any(len(e) > 0xFFFF for e in encoded):
-        return  # too long for the length field; readers parse the CSV
-    header = [COMPANION_MAGIC, _csv_digest(path), struct.pack("<I", len(ids))]
-    for eid, e in zip(ids, encoded):
-        header += [struct.pack("<H", len(e)), e, struct.pack("<I", len(features[eid]))]
-    companion = companion_path(path)
-    with writing(companion, "feature companion"), companion.open("wb") as fh:
-        fh.write(b"".join(header))
-        for eid in ids:
-            values = np.array(features[eid], dtype="<f8")
-            values[np.isnan(values)] = np.nan
-            fh.write(values.tobytes())
-
-
-def _read_companion(path: Path, digest: bytes) -> dict[str, np.ndarray] | None:
-    """The companion's arrays if it is well-formed and holds ``digest``, else None."""
+    windows = {eid: np.asarray(v, dtype=float) for eid, v in features.items() if len(v)}
+    for eid, values in windows.items():
+        if np.isnan(values).any():  # a copy: the caller's arrays keep their nans
+            windows[eid] = np.where(np.isnan(values), np.nan, values)
     try:
-        with path.open("rb") as fh:
-            def take(size: int) -> bytes:
-                data = fh.read(size)
-                if len(data) != size:
-                    raise EOFError
-                return data
-
-            if take(len(COMPANION_MAGIC) + len(digest)) != COMPANION_MAGIC + digest:
-                return None
-            (count,) = struct.unpack("<I", take(4))
-            ids, windows = [], []
-            for _ in range(count):
-                (size,) = struct.unpack("<H", take(2))
-                ids.append(take(size).decode("utf-8"))
-                windows.append(struct.unpack("<I", take(4))[0])
-            total = sum(windows)
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
-            if 0 in windows or len(set(ids)) != count or left != 8 * N_TEXTURE_DIMS * total:
-                return None
-            out = {}
-            for eid, n in zip(ids, windows):
-                out[eid] = np.empty((n, N_TEXTURE_DIMS), dtype="<f8")
-                if fh.readinto(out[eid]) != out[eid].nbytes:
-                    return None
-    except (OSError, EOFError, UnicodeDecodeError):
-        return None
-    return out
+        write_records(companion_path(path), "feature companion",
+                      COMPANION_MAGIC + _csv_digest(path), windows, "<f8")
+    except ValueError:
+        pass  # an id too long for a record; readers parse the CSV
 
 
 def read_feature_cache(path) -> dict[str, np.ndarray]:
     """Read a feature CSV back into id -> (n_windows, n_features) arrays.
 
     When the companion ``write_feature_cache`` left next to the CSV is
-    well-formed and holds the SHA-256 of the CSV's bytes, its arrays are
-    returned and nothing is parsed. Otherwise, the companion missing,
-    stale or damaged, the CSV is parsed.
+    well-formed, holds the SHA-256 of the CSV's bytes and has no empty
+    record, its arrays are returned and nothing is parsed. Otherwise, the
+    companion missing, stale (an older format's, say) or damaged, the CSV
+    is parsed.
     """
-    cached = _read_companion(companion_path(path), _csv_digest(path))
-    return cached if cached is not None else _parse_feature_csv(path)
+    header = COMPANION_MAGIC + _csv_digest(path)
+    try:
+        cached = read_records(companion_path(path), "feature companion", header,
+                              "<f8", N_TEXTURE_DIMS)
+        if all(len(v) for v in cached.values()):
+            return cached
+    except (ParseError, IoError):
+        pass
+    return _parse_feature_csv(path)
 
 
 def _parse_feature_csv(path) -> dict[str, np.ndarray]:

@@ -16,16 +16,13 @@ the three keys marked for ``k``, so its slot is always set, and a false
 positive costs only a search that finds nothing.
 """
 
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.ndimage import maximum_filter
 
-from .corpus import Corpus, load_audio
-from .errors import ParseError, reading, writing
+from .corpus import Corpus, load_audio, read_records, write_records
 from .features import stft_magnitude
 
 DEFAULT_THRESHOLD = 0.25
@@ -284,62 +281,21 @@ def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
 
 
 def write_cache(path, hashsets: dict[str, HashSet]) -> None:
-    """Binary fingerprint cache: magic, count, then per-excerpt records.
+    """Binary fingerprint cache: ``CACHE_MAGIC``, then one record per excerpt.
 
-    A record is the UTF-8 id (``<H`` length first), the hash count
-    (``<I``) and one ``<II`` (key, frame) pair per hash, in hash order.
-    A key or frame outside ``<u4`` raises ValueError, naming the excerpt,
-    before the file is opened.
+    The records are ``corpus.write_records``'s, with one ``<II`` (key,
+    frame) row per hash, in hash order. A key or frame outside ``<u4``
+    or an id too long for the record raises ValueError, naming the
+    excerpt, before the file is opened.
     """
     for eid, hs in hashsets.items():
         if len(hs.hashes) and (hs.hashes.min() < 0 or hs.hashes.max() > 0xFFFFFFFF):
             raise ValueError(f"excerpt {eid!r}: a hash key or frame is outside 0..2**32-1")
-    path = Path(path)
-    with writing(path, "fingerprint cache"), path.open("wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<I", len(hashsets)))
-        for eid in sorted(hashsets):
-            encoded = eid.encode("utf-8")
-            hs = hashsets[eid]
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<I", len(hs.hashes)))
-            fh.write(hs.hashes.astype("<u4").tobytes())
+    write_records(path, "fingerprint cache", CACHE_MAGIC,
+                  {eid: hs.hashes for eid, hs in hashsets.items()}, "<u4")
 
 
 def read_cache(path) -> dict[str, HashSet]:
     """Read a cache written by ``write_cache``; a malformed one raises ParseError."""
-    path = Path(path)
-    with reading(path, "fingerprint cache"):
-        data = path.read_bytes()
-    if data[:5] != CACHE_MAGIC:
-        raise ParseError(f"{path}: not a fingerprint cache")
-    pos = len(CACHE_MAGIC)
-
-    def take(size: int) -> int:
-        """Offset of the next ``size`` bytes, which must all be present."""
-        nonlocal pos
-        if pos + size > len(data):
-            raise ParseError(f"{path}: truncated fingerprint cache "
-                             f"({len(data)} bytes, record needs {pos + size})")
-        pos += size
-        return pos - size
-
-    (count,) = struct.unpack_from("<I", data, take(4))
-    out = {}
-    for _ in range(count):
-        (id_len,) = struct.unpack_from("<H", data, take(2))
-        start = take(id_len)
-        try:
-            eid = data[start:start + id_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: excerpt id at byte {start} is not UTF-8") from None
-        (n,) = struct.unpack_from("<I", data, take(4))
-        pairs = np.frombuffer(data, dtype="<u4", count=2 * n, offset=take(8 * n))
-        out[eid] = HashSet(owner=eid, hashes=pairs.reshape(n, 2))
-    if pos != len(data):
-        raise ParseError(f"{path}: {len(data) - pos} bytes after the last record")
-    if len(out) != count or list(out) != sorted(out):
-        # write_cache writes each id once, in sorted order
-        raise ParseError(f"{path}: excerpt ids are not unique and in ascending order")
-    return out
+    return {eid: HashSet(owner=eid, hashes=pairs) for eid, pairs in
+            read_records(path, "fingerprint cache", CACHE_MAGIC, "<u4", 2).items()}

@@ -118,17 +118,13 @@ def label_profile(label: str, tag_sets) -> LabelProfile:
     return LabelProfile(label=label, top=top_tags(normalized))
 
 
-def label_score(excerpt_tags, profile: LabelProfile) -> float:
+def label_score(excerpt_tags: dict[str, float], profile: LabelProfile) -> float:
     """Weighted tag overlap with a label profile's top tags.
 
-    ``excerpt_tags`` is a mapping or pair sequence of normalized counts.
-    Only the profile's top tags participate; disjoint tags score 0.
+    ``excerpt_tags`` maps tags to normalized counts. Only the profile's
+    top tags participate; disjoint tags score 0.
     """
-    if isinstance(excerpt_tags, dict):
-        weights = excerpt_tags
-    else:
-        weights = dict(_as_pairs(excerpt_tags))
-    return sum(d * weights.get(tag, 0.0) for tag, d in profile.top.pairs)
+    return sum(d * excerpt_tags.get(tag, 0.0) for tag, d in profile.top.pairs)
 
 
 def delta_g(row) -> float:

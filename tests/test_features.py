@@ -277,14 +277,14 @@ def test_companion_bytes_repeat_across_writes(tmp_path):
         write_feature_cache(tmp_path / name, features)
         blobs.append(companion_path(tmp_path / name).read_bytes())
     assert blobs[0] == blobs[1]
-    assert blobs[0][:5] == b"DFTX1"
+    assert blobs[0][:5] == b"DFTX2"
     assert blobs[0][5:37] == hashlib.sha256((tmp_path / "one.csv").read_bytes()).digest()
 
 
 def _plant(path, value):
     """Overwrite the companion's first value, keeping it well-formed."""
     data = bytearray(companion_path(path).read_bytes())
-    block = len(data) - 8 * N_TEXTURE_DIMS * 5  # the fixture's five windows
+    block = 37 + 4 + 2 + len(b"a.000") + 4  # magic, digest and count; id and window count
     data[block:block + 8] = struct.pack("<d", value)
     companion_path(path).write_bytes(bytes(data))
 
@@ -321,7 +321,7 @@ def _count(data, delta, records=b""):
 
 
 @pytest.mark.parametrize("damage", [
-    lambda d: b"DFTX2" + d[5:],
+    lambda d: b"DFTX1" + d[5:],
     lambda d: d[:5] + bytes([d[5] ^ 1]) + d[6:],
     lambda d: d[:-1],
     lambda d: d[:-8],
@@ -334,9 +334,10 @@ def _count(data, delta, records=b""):
     lambda d: d.replace(b"a.000", b"a\xff000"),
     lambda d: d.replace("\u00e9.00".encode(), b"a.000"),
     lambda d: _count(d, 1, b"\x01\x00z" + struct.pack("<I", 0)),
+    lambda d: _count(d, 1, b"\x01\x000" + struct.pack("<I", 0)),
 ], ids=["magic", "digest", "truncated", "short_by_a_value", "truncated_header", "empty",
         "trailing_bytes", "count_plus_one", "count_minus_one", "window_count", "not_utf8",
-        "repeated_id", "zero_window_record"])
+        "repeated_id", "zero_window_record", "zero_window_record_in_order"])
 def test_malformed_companion_gives_the_parse(cached, damage):
     companion = companion_path(cached)
     data = companion.read_bytes()
@@ -345,6 +346,23 @@ def test_malformed_companion_gives_the_parse(cached, damage):
     loaded = read_feature_cache(cached)
     assert loaded["a.000"][0, 0] == 0.0
     companion.unlink()
+    assert _bits(loaded) == _bits(read_feature_cache(cached))
+
+
+def test_companion_in_the_old_layout_gives_the_parse(cached):
+    """A DFTX1 companion (every id's header, then one value block) is stale."""
+    planted = {"a.000": np.arange(64.0).reshape(2, 32),
+               "\u00e9.00": np.arange(96.0).reshape(3, 32) / 7}
+    planted["a.000"][0, 0] = -1.5
+    old = b"DFTX1" + hashlib.sha256(cached.read_bytes()).digest() + struct.pack("<I", 2)
+    for eid in sorted(planted):
+        old += struct.pack("<H", len(eid.encode())) + eid.encode()
+        old += struct.pack("<I", len(planted[eid]))
+    old += b"".join(planted[eid].astype("<f8").tobytes() for eid in sorted(planted))
+    companion_path(cached).write_bytes(old)
+    loaded = read_feature_cache(cached)
+    assert loaded["a.000"][0, 0] == 0.0
+    companion_path(cached).unlink()
     assert _bits(loaded) == _bits(read_feature_cache(cached))
 
 

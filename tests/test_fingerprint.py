@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import re
 import struct
 from collections import Counter
 
@@ -9,7 +11,15 @@ from hypothesis import strategies as st
 
 from corpusaudit import fingerprint
 from corpusaudit.errors import IoError, ParseError
+from corpusaudit.features import (
+    COMPANION_MAGIC,
+    N_TEXTURE_DIMS,
+    companion_path,
+    read_feature_cache,
+    write_feature_cache,
+)
 from corpusaudit.fingerprint import (
+    CACHE_MAGIC,
     DEFAULT_PARAMS,
     DEFAULT_THRESHOLD,
     FingerprintParams,
@@ -25,7 +35,7 @@ from corpusaudit.fingerprint import (
     read_cache,
     write_cache,
 )
-from corpusaudit.corpus import Corpus, Excerpt
+from corpusaudit.corpus import Corpus, Excerpt, read_records, write_records
 from corpusaudit.synth import delayed_copy, tone_cloud
 
 SR = 22050
@@ -391,16 +401,20 @@ def test_find_exact_repetitions_groups_supplied_sets_by_key(clouds):
     assert find_exact_repetitions(None, hashsets=hashsets) == [("x", "y")]
 
 
-@pytest.mark.parametrize("bad", [(2**32, 0), (-1, 0), (0, 2**32), (7, -1)])
+# (id, hashes): a key or frame outside u4, or an id too long for its <H length
+@pytest.mark.parametrize("bad", [("bad.007", ((1, 2), pair))
+                                 for pair in [(2**32, 0), (-1, 0), (0, 2**32), (7, -1)]]
+                         + [("a" * 70000, ((1, 2),))])
 def test_write_cache_rejects_values_outside_u4_and_keeps_the_old_file(tmp_path, bad):
+    eid, hashes = bad
     path = tmp_path / "prints.bin"
     write_cache(path, HAND_BUILT)
     before = path.read_bytes()
-    hashsets = {**HAND_BUILT, "bad.007": HashSet(owner="bad.007", hashes=((1, 2), bad))}
-    with pytest.raises(ValueError, match="excerpt 'bad.007'"):
+    hashsets = {**HAND_BUILT, eid: HashSet(owner=eid, hashes=hashes)}
+    with pytest.raises(ValueError, match=re.escape(f"excerpt {eid!r}")):
         write_cache(path, hashsets)
     assert path.read_bytes() == before
-    with pytest.raises(ValueError, match="excerpt 'bad.007'"):
+    with pytest.raises(ValueError, match=re.escape(f"excerpt {eid!r}")):
         write_cache(tmp_path / "new.bin", hashsets)
     assert not (tmp_path / "new.bin").exists()
 
@@ -412,10 +426,31 @@ def test_write_cache_accepts_both_u4_bounds(tmp_path):
     assert read_cache(path) == edge
 
 
-def _valid_cache_bytes(tmp_path):
+# One fuzz suite for both files in corpus.write_records' layout: the
+# fingerprint cache and the feature companion, read as bare records.
+def _fingerprint_format(tmp_path):
+    """(header, reader, writer, bytes of a valid file) of the fingerprint cache."""
     path = tmp_path / "valid.bin"
     write_cache(path, HAND_BUILT)
-    return path.read_bytes()
+    return CACHE_MAGIC, read_cache, write_cache, path.read_bytes()
+
+
+COMPANION_FEATURES = {"b.01": np.arange(64.0).reshape(2, 32), "\u00e9": np.full((1, 32), -0.0)}
+
+
+def _companion_format(tmp_path):
+    """(header, reader, writer, bytes of a valid file) of a feature companion."""
+    path = tmp_path / "valid.csv"
+    write_feature_cache(path, COMPANION_FEATURES)
+    header = COMPANION_MAGIC + hashlib.sha256(path.read_bytes()).digest()
+    return (header,
+            lambda p: read_records(p, "feature companion", header, "<f8", N_TEXTURE_DIMS),
+            lambda p, arrays: write_records(p, "feature companion", header, arrays, "<f8"),
+            companion_path(path).read_bytes())
+
+
+FORMATS = pytest.mark.parametrize("fmt", [_fingerprint_format, _companion_format],
+                                  ids=["fingerprint", "companion"])
 
 
 def _mutate(data, kind, at, blob):
@@ -431,36 +466,53 @@ def _mutate(data, kind, at, blob):
     return data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
 
 
-def _check_read_cache(path, data):
-    """Only ParseError may escape; an accepted cache must be rewritten as ``data``."""
+def _check_read(path, data, read, write):
+    """Only ParseError may escape ``read``; an accepted file must be rewritten as ``data``."""
     path.write_bytes(data)
     try:
-        loaded = read_cache(path)
+        loaded = read(path)
     except ParseError:
         return
     out = path.with_suffix(".rewrite")
-    write_cache(out, loaded)
+    write(out, loaded)
     assert out.read_bytes() == data
 
 
-# each example rewrites the same two files, so sharing tmp_path is safe
+# each example rewrites the same files, so sharing tmp_path is safe
 FUZZ = settings(max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+mutations = (st.sampled_from(["truncate", "extend", "insert", "flip"]), st.integers(0, 1000),
+             st.binary(min_size=1, max_size=12))
 
 
+@FORMATS
 @FUZZ
-@given(st.binary(max_size=200) | st.binary(max_size=200).map(lambda b: b"DFPK1" + b))
-@example(b"DFPK1\x02\x00\x00\x00\x01\x00b\x00\x00\x00\x00\x01\x00a\x00\x00\x00\x00")  # b, a
-@example(b"DFPK1\x02\x00\x00\x00\x01\x00a\x00\x00\x00\x00\x01\x00a\x00\x00\x00\x00")  # a, a
-@example(b"DFPK1\x01\x00\x00\x00\x01\x00\xff\x00\x00\x00\x00")  # id not UTF-8
-@example(b"DFPK1\xff\xff\xff\xff")                                # count far past the end
-def test_read_cache_fuzz_raw_bytes(tmp_path, data):
-    _check_read_cache(tmp_path / "fuzz.bin", data)
+@given(prefixed=st.booleans(), tail=st.binary(max_size=200))
+@example(prefixed=True, tail=b"\x02\x00\x00\x00\x01\x00b\x00\x00\x00\x00"
+         b"\x01\x00a\x00\x00\x00\x00")                                         # b, a
+@example(prefixed=True, tail=b"\x02\x00\x00\x00\x01\x00a\x00\x00\x00\x00"
+         b"\x01\x00a\x00\x00\x00\x00")                                         # a, a
+@example(prefixed=True, tail=b"\x01\x00\x00\x00\x01\x00\xff\x00\x00\x00\x00")  # id not UTF-8
+@example(prefixed=True, tail=b"\xff\xff\xff\xff")                     # count far past the end
+def test_read_cache_fuzz_raw_bytes(tmp_path, fmt, prefixed, tail):
+    header, read, write, _ = fmt(tmp_path)
+    _check_read(tmp_path / "fuzz.bin", header + tail if prefixed else tail, read, write)
 
 
+@FORMATS
 @FUZZ
-@given(st.sampled_from(["truncate", "extend", "insert", "flip"]), st.integers(0, 200),
-       st.binary(min_size=1, max_size=12))
-def test_read_cache_fuzz_mutated_valid_cache(tmp_path, kind, at, blob):
-    data = _mutate(_valid_cache_bytes(tmp_path), kind, at, blob)
-    _check_read_cache(tmp_path / "fuzz.bin", data)
+@given(*mutations)
+def test_read_cache_fuzz_mutated_valid_cache(tmp_path, fmt, kind, at, blob):
+    _, read, write, valid = fmt(tmp_path)
+    _check_read(tmp_path / "fuzz.bin", _mutate(valid, kind, at, blob), read, write)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(*mutations)
+def test_read_feature_cache_never_raises_on_a_mutated_companion(tmp_path, kind, at, blob):
+    _, _, _, valid = _companion_format(tmp_path)
+    companion_path(tmp_path / "valid.csv").write_bytes(_mutate(valid, kind, at, blob))
+    loaded = read_feature_cache(tmp_path / "valid.csv")
+    assert all(v.dtype == np.float64 and v.ndim == 2 and v.shape[1] == N_TEXTURE_DIMS
+               and len(v) for v in loaded.values())
