@@ -154,43 +154,47 @@ def write_records(path, what: str, header: bytes, arrays: dict[str, np.ndarray],
 def read_records(path, what: str, header: bytes, dtype, width: int) -> dict[str, np.ndarray]:
     """Read a ``write_records`` file into id -> ``(rows, width)`` arrays.
 
-    The file is read into one buffer, and the arrays are writable views of
-    it. A missing or unreadable file is an ``IoError``. A wrong header, a
-    truncated record, trailing bytes, an id that is not UTF-8 and ids that
-    are not unique and ascending are each a ``ParseError``.
+    Each record's rows are read into an array of their own. A missing or
+    unreadable file is an ``IoError``. A wrong header, a truncated record,
+    trailing bytes, an id that is not UTF-8 and ids that are not unique
+    and ascending are each a ``ParseError``.
     """
     path = Path(path)
-    with reading(path, what), path.open("rb") as fh:
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        del data[fh.readinto(data):]
-    if data[:len(header)] != header:
-        raise ParseError(f"{path}: not a {what}")
     row_size = np.dtype(dtype).itemsize * width
-    pos = len(header)
-
-    def take(size: int) -> int:
-        """Offset of the next ``size`` bytes, which must all be present."""
-        nonlocal pos
-        if pos + size > len(data):
-            raise ParseError(f"{path}: truncated {what} "
-                             f"({len(data)} bytes, record needs {pos + size})")
-        pos += size
-        return pos - size
-
-    (count,) = struct.unpack_from("<I", data, take(4))
     out = {}
-    for _ in range(count):
-        (id_len,) = struct.unpack_from("<H", data, take(2))
-        start = take(id_len)
-        try:
-            eid = data[start:pos].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: excerpt id at byte {start} is not UTF-8") from None
-        (n,) = struct.unpack_from("<I", data, take(4))
-        rows = np.frombuffer(data, dtype=dtype, count=n * width, offset=take(n * row_size))
-        out[eid] = rows.reshape(n, width)
-    if pos != len(data):
-        raise ParseError(f"{path}: {len(data) - pos} bytes after the last record")
+    with reading(path, what), path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(header)) != header:
+            raise ParseError(f"{path}: not a {what}")
+        pos = len(header)
+
+        def claim(n: int) -> None:
+            """Step over the next ``n`` bytes, which must all be present."""
+            nonlocal pos
+            if pos + n > size:
+                raise ParseError(f"{path}: truncated {what} "
+                                 f"({size} bytes, record needs {pos + n})")
+            pos += n
+
+        claim(4)
+        (count,) = struct.unpack("<I", fh.read(4))
+        for _ in range(count):
+            claim(2)
+            (id_len,) = struct.unpack("<H", fh.read(2))
+            claim(id_len + 4)
+            id_and_count = fh.read(id_len + 4)  # the id, then its row count
+            try:
+                eid = id_and_count[:id_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: excerpt id at byte {pos - id_len - 4} "
+                                 "is not UTF-8") from None
+            (n,) = struct.unpack_from("<I", id_and_count, id_len)
+            claim(n * row_size)
+            rows = out[eid] = np.empty((n, width), dtype=dtype)
+            if fh.readinto(rows) != rows.nbytes:  # the file shrank while being read
+                raise ParseError(f"{path}: truncated {what} at excerpt {eid!r}")
+        if pos != size:
+            raise ParseError(f"{path}: {size - pos} bytes after the last record")
     if len(out) != count or list(out) != sorted(out):
         # write_records writes each id once, in sorted order
         raise ParseError(f"{path}: excerpt ids are not unique and in ascending order")
@@ -311,7 +315,11 @@ def tag_coverage(corpus: Corpus, tags: dict[str, TagCountSet]) -> dict[str, dict
 
 
 def load_audio(excerpt: Excerpt, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
-    """Load an excerpt's WAV file as float64 samples in [-1, 1]."""
+    """Load an excerpt's WAV file as float64 samples in [-1, 1].
+
+    A float file holding a nan or infinite sample is a ``FormatError``: its
+    spectrogram would have no median, so it could never be fingerprinted.
+    """
     if excerpt.audio_path is None:
         raise IoError(f"excerpt {excerpt.id!r} has no audio path")
     path = Path(excerpt.audio_path)
@@ -327,5 +335,9 @@ def load_audio(excerpt: Excerpt, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.n
     if data.dtype == np.int16:
         return data.astype(np.float64) / 32768.0
     if data.dtype in (np.float32, np.float64):
+        finite = np.isfinite(data)
+        if not finite.all():
+            at = int(np.argmin(finite))
+            raise FormatError(f"{path}: sample {at} is {data[at]}, not a finite number")
         return data.astype(np.float64)
     raise FormatError(f"{path}: unsupported sample format {data.dtype}")

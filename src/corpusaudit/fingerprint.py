@@ -7,6 +7,15 @@ aligned count by the smaller hash count so truncated copies still score
 high. The peak floor is relative (median log-magnitude + 10 dB), making
 peak locations invariant to overall gain.
 
+Peak picking is exact and separable. A bin's neighborhood is a square
+window cut off at the spectrogram's edges; for a maximum that is the
+same as ``scipy.ndimage.maximum_filter``'s default reflected border, and
+an even size reaches one bin further back than forward, as scipy's does.
+The window maximum is taken one axis at a time, with log2(n) maxima of
+shifted views. The median is ``np.median``'s value, found by a selection
+that partitions only a bracket of values around the median rank. A
+spectrogram holding a nan has no median and gives no peaks.
+
 Each ``HashSet`` also carries a probe table: a ``2**PROBE_BITS``-bit
 table in which a multiplicative hash of ``k - 1``, ``k`` and ``k + 1`` is
 marked for every key ``k`` it holds. ``match`` looks up the other set's
@@ -20,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from .corpus import Corpus, load_audio, read_records, write_records
 from .features import stft_magnitude
@@ -124,19 +132,80 @@ def pack_key(anchor_bin: int, target_bin: int, delta: int) -> int:
     return (anchor_bin << 17) | (target_bin << 7) | delta
 
 
+def _window_max(values: np.ndarray, size: int) -> np.ndarray:
+    """Each entry's maximum over the ``size`` x ``size`` window around it.
+
+    The window spans ``[i - size // 2, i + (size - 1) // 2]`` on each axis
+    and is cut off at the edges; the result equals
+    ``scipy.ndimage.maximum_filter(values, size=(size, size))``.
+    """
+    for axis in (0, 1):
+        values = np.swapaxes(_run_max(np.swapaxes(values, 0, axis), size), 0, axis)
+    return values
+
+
+def _run_max(values: np.ndarray, size: int) -> np.ndarray:
+    """The window maximum of ``_window_max`` along axis 0 only."""
+    length = len(values)
+    runs = np.full((length + size - 1,) + values.shape[1:], -np.inf)
+    runs[size // 2:size // 2 + length] = values
+    width = 1  # runs[i] is the maximum of the padded rows i .. i + width - 1
+    while 2 * width <= size:
+        runs = np.maximum(runs[:-width], runs[width:])
+        width *= 2
+    return np.maximum(runs[:length], runs[size - width:size - width + length])
+
+
+# The median's bracket: MEDIAN_MARGIN ranks either side of the median's in a
+# strided sample of MEDIAN_SAMPLE to 2 * MEDIAN_SAMPLE values (all of them in
+# a smaller array). In a random sample of m values the median's rank varies
+# by sqrt(m) / 2 (64 to 91 here), so the bracket rarely misses; a miss costs
+# time, not exactness.
+MEDIAN_SAMPLE = 16384
+MEDIAN_MARGIN = 256
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median(values)`` of a nan-free array, bit for bit.
+
+    The values between two sample quantiles that bracket the median are
+    partitioned, and the median rank is offset by the count of values
+    below the bracket. When the bracket misses the rank, ``np.median``
+    gives the value.
+    """
+    flat = values.ravel()
+    low_rank, high_rank = (flat.size - 1) // 2, flat.size // 2
+    sample = np.sort(flat[::max(1, flat.size // MEDIAN_SAMPLE)])
+    at = len(sample) * low_rank // flat.size
+    low = sample[max(0, at - MEDIAN_MARGIN)]
+    high = sample[min(len(sample) - 1, at + MEDIAN_MARGIN)]
+    below = np.count_nonzero(flat < low)
+    inside = flat[(flat >= low) & (flat <= high)]
+    if below > low_rank or below + len(inside) <= high_rank:
+        return np.median(flat)
+    middle = np.partition(inside, [low_rank - below, high_rank - below])
+    # np.median's own last step: the mean of the one or two middle values
+    return np.mean(middle[low_rank - below:high_rank - below + 1])
+
+
 def find_peaks(samples: np.ndarray, params: FingerprintParams = DEFAULT_PARAMS,
                owner: str = "") -> PeakConstellation:
     """Pick local maxima of the log-magnitude spectrogram.
 
-    A bin qualifies when it is the maximum of its neighborhood and sits
-    at least ``floor_db`` above the median log magnitude; at most
-    ``max_peaks_per_frame`` strongest peaks are kept per frame.
+    A bin qualifies when it is the maximum of its ``neighborhood`` x
+    ``neighborhood`` window, cut off at the spectrogram's edges, and sits
+    more than ``floor_db`` above the exact median log magnitude; at most
+    ``max_peaks_per_frame`` strongest peaks are kept per frame. A
+    spectrogram holding a nan anywhere gives no peaks.
     """
-    mag = stft_magnitude(samples, params.frame_size, params.hop)
-    log_mag = 20.0 * np.log10(mag + 1e-10)
-    local_max = maximum_filter(
-        log_mag, size=(params.neighborhood, params.neighborhood)) == log_mag
-    floor = np.median(log_mag) + params.floor_db
+    log_mag = stft_magnitude(samples, params.frame_size, params.hop)
+    log_mag += 1e-10
+    np.log10(log_mag, out=log_mag)
+    log_mag *= 20.0
+    if np.isnan(log_mag).any():
+        return PeakConstellation(owner=owner, peaks=())
+    floor = _median(log_mag) + params.floor_db
+    local_max = _window_max(log_mag, params.neighborhood) == log_mag
     candidates = np.argwhere(local_max & (log_mag > floor))
 
     by_frame: dict[int, list[tuple[float, int]]] = {}

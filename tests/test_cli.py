@@ -480,6 +480,20 @@ def _eval_run(fx, features, *extra):
             "--scheme", "af", "--classifier", "md", *extra]
 
 
+def _audio_with_sample(value):
+    """A copy of the audio directory in which amber.000 holds ``value`` at sample 100."""
+    def build(fx, tmp):
+        audio = tmp / "audio"
+        audio.mkdir()
+        for wav in fx["audio"].iterdir():
+            (audio / wav.name).write_bytes(wav.read_bytes())
+        rate, data = wavfile.read(audio / "amber.000.wav")
+        data[100] = value
+        wavfile.write(audio / "amber.000.wav", rate, data)
+        return audio
+    return build
+
+
 # (make the bad file, argv for it, text the one stderr line must also hold)
 BAD_INPUTS = {
     "catalog_empty_scores": (
@@ -612,6 +626,14 @@ BAD_INPUTS = {
     "removed_delta_rule_on_catalog_build": (
         lambda fx, tmp: "range",
         lambda fx, bad: _catalog_build(fx, bad, "--delta-rule"), "--delta-rule"),
+    "nan_sample_in_audio": (
+        _audio_with_sample(np.nan),
+        lambda fx, bad: ["audit", "dupes", "--metadata", fx["metadata"], "--audio-dir", bad],
+        "amber.000.wav: sample 100 is nan, not a finite number"),
+    "inf_sample_in_audio": (
+        _audio_with_sample(-np.inf),
+        lambda fx, bad: ["features", "extract", "--metadata", fx["metadata"],
+                         "--audio-dir", bad], "amber.000.wav: sample 100 is -inf"),
     "tag_entry_without_tag": (
         _text("tags.json", json.dumps([{"id": "amber.000", "tags": [{"count": 3}]}])),
         lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],
@@ -626,7 +648,8 @@ def good_inputs(workspace, catalog_path, features_path, tmp_path_factory):
                      "--features", str(features_path), "--scheme", "st",
                      "--classifier", "md", "--out", str(report)]) == 0
     return {"metadata": workspace / "metadata.csv", "tags": workspace / "tags.json",
-            "catalog": catalog_path, "features": features_path, "report": report}
+            "audio": workspace / "audio", "catalog": catalog_path, "features": features_path,
+            "report": report}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))

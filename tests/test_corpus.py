@@ -198,6 +198,16 @@ def test_load_audio_float32_passthrough(tmp_path):
     np.testing.assert_allclose(samples, data, atol=1e-7)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_audio_rejects_a_non_finite_sample(tmp_path, dtype, value):
+    data = np.zeros(100, dtype=dtype)
+    data[[7, 50]] = value
+    path = make_wav(tmp_path, data)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: sample 7 is {value}, not"):
+        load_audio(Excerpt(id="x", label="rock", audio_path=path), 22050)
+
+
 def test_load_audio_stereo_rejected(tmp_path):
     data = np.zeros((100, 2), dtype=np.int16)
     path = make_wav(tmp_path, data)

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import maximum_filter
 
 from corpusaudit import fingerprint
 from corpusaudit.errors import IoError, ParseError
@@ -16,6 +18,7 @@ from corpusaudit.features import (
     N_TEXTURE_DIMS,
     companion_path,
     read_feature_cache,
+    stft_magnitude,
     write_feature_cache,
 )
 from corpusaudit.fingerprint import (
@@ -25,9 +28,11 @@ from corpusaudit.fingerprint import (
     FingerprintParams,
     HashSet,
     MatchScore,
+    PeakConstellation,
     compute_fingerprint,
     connected_groups,
     find_exact_repetitions,
+    find_peaks,
     fingerprint_corpus,
     match,
     match_all,
@@ -63,6 +68,27 @@ def reference_match(a: HashSet, b: HashSet) -> MatchScore:
         key=lambda co: (co[0], -abs(co[1]), co[1]))
     score = min(1.0, aligned / min(len(a.hashes), len(b.hashes)))
     return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
+
+
+def reference_find_peaks(samples: np.ndarray, params: FingerprintParams = DEFAULT_PARAMS,
+                         owner: str = "") -> PeakConstellation:
+    """The ``maximum_filter``/``np.median`` formulation of ``find_peaks``, kept as its oracle."""
+    mag = stft_magnitude(samples, params.frame_size, params.hop)
+    log_mag = 20.0 * np.log10(mag + 1e-10)
+    local_max = maximum_filter(
+        log_mag, size=(params.neighborhood, params.neighborhood)) == log_mag
+    floor = np.median(log_mag) + params.floor_db
+    candidates = np.argwhere(local_max & (log_mag > floor))
+
+    by_frame: dict[int, list[tuple[float, int]]] = {}
+    for frame, fbin in candidates:
+        by_frame.setdefault(int(frame), []).append((float(log_mag[frame, fbin]), int(fbin)))
+    peaks = []
+    for frame in sorted(by_frame):
+        strongest = sorted(by_frame[frame], reverse=True)[:params.max_peaks_per_frame]
+        for magnitude, fbin in sorted(strongest, key=lambda p: p[1]):
+            peaks.append((frame, fbin, magnitude))
+    return PeakConstellation(owner=owner, peaks=tuple(peaks))
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +262,96 @@ def test_empty_fingerprint_matches_nothing(clouds):
     other = compute_fingerprint(clouds[5], owner="o")
     assert match(silent, other).score == 0.0
     assert match(silent, silent).score == 0.0
+
+
+# mostly a few distinct values, so that windows and medians are full of ties;
+# -0.0 becomes 0.0 (the two compare equal, so either may be the one kept)
+tied_values = (st.sampled_from([-np.inf, -3.0, -1.0, 0.0, 0.5, 2.0, np.inf])
+               | st.floats(allow_nan=False).map(lambda v: v + 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=arrays(np.float64, st.tuples(st.integers(1, 16), st.integers(1, 16)),
+                     elements=tied_values),
+       size=st.integers(1, 30))
+@example(values=np.arange(12.0).reshape(1, 12), size=4)                 # one row, even
+@example(values=np.arange(12.0).reshape(12, 1)[::-1].copy(), size=5)    # one column, odd
+@example(values=np.array([[-np.inf, np.inf], [np.inf, -np.inf]]), size=1)
+@example(values=np.arange(12.0).reshape(3, 4), size=31)                # window past both sides
+def test_window_max_equals_maximum_filter(values, size):
+    expected = maximum_filter(values, size=(size, size))
+    got = fingerprint._window_max(values, size)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+# tiny brackets, so that the sample is strided and the bracket often misses
+MEDIAN_SETTINGS = {"default": None, "tiny_bracket": (16, 1)}
+
+
+@pytest.mark.parametrize("bracket", sorted(MEDIAN_SETTINGS))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge values
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pool=st.lists(tied_values, min_size=1, max_size=6), size=st.integers(1, 3000),
+       seed=st.integers(0, 2**32 - 1))
+@example(pool=[-np.inf, np.inf], size=2, seed=0)
+@example(pool=[1.0], size=3001, seed=0)
+def test_median_equals_np_median(monkeypatch, bracket, pool, size, seed):
+    if MEDIAN_SETTINGS[bracket]:
+        sample, margin = MEDIAN_SETTINGS[bracket]
+        monkeypatch.setattr(fingerprint, "MEDIAN_SAMPLE", sample)
+        monkeypatch.setattr(fingerprint, "MEDIAN_MARGIN", margin)
+    # at most six distinct values: every array is full of ties
+    values = np.random.default_rng(seed).choice(np.array(pool), size=size).reshape(-1, 1)
+    expected = np.median(values)
+    got = fingerprint._median(values)
+    assert type(got) is type(expected)
+    assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("size", [40000, 40001])
+def test_median_falls_back_when_the_bracket_misses(monkeypatch, size):
+    # the strided sample (every other value) holds only the large values, so
+    # the bracket lies above the median and np.median gives it
+    values = np.arange(size, dtype=float)
+    values[::2] += 1e6
+    real_median, calls = np.median, []
+    monkeypatch.setattr(fingerprint.np, "median", lambda a: calls.append(a.size) or real_median(a))
+    got = fingerprint._median(values.reshape(-1, 1))
+    assert calls == [size]
+    assert got == real_median(values)
+
+
+def peak_inputs():
+    """(name, samples, params) cases on which find_peaks meets its oracle."""
+    rng = np.random.default_rng(7)
+    clips = [tone_cloud(rng, duration=float(rng.uniform(2.0, 6.0))) for _ in range(4)]
+    cases = [(f"cloud{i}", clip, DEFAULT_PARAMS) for i, clip in enumerate(clips)]
+    cases += [(f"copy{i}", delayed_copy(clip, float(rng.uniform(0.01, 1.0)),
+                                        float(rng.uniform(0.2, 1.0)), SR), DEFAULT_PARAMS)
+              for i, clip in enumerate(clips)]
+    cases += [
+        ("silence", np.zeros(SR * 2), DEFAULT_PARAMS),
+        ("constant", np.full(SR * 2, 0.3), DEFAULT_PARAMS),
+        ("one_frame", clips[0][:DEFAULT_PARAMS.frame_size], DEFAULT_PARAMS),
+        ("even_neighborhood", clips[1], dataclasses.replace(DEFAULT_PARAMS, neighborhood=8)),
+        ("neighborhood_1", clips[2], dataclasses.replace(DEFAULT_PARAMS, neighborhood=1)),
+    ]
+    for name, bad in (("nan", np.nan), ("inf", np.inf)):
+        clip = clips[3].copy()
+        clip[SR] = bad
+        cases.append((f"{name}_sample", clip, DEFAULT_PARAMS))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,samples,params", peak_inputs())
+def test_find_peaks_equals_reference(name, samples, params):
+    got = find_peaks(samples, params, owner=name)
+    assert got == reference_find_peaks(samples, params, owner=name)
+    if name in ("nan_sample", "silence"):
+        assert got.peaks == ()
+    elif name.startswith(("cloud", "copy")):
+        assert len(got.peaks) > 20
 
 
 # keys at the packing edges (delta at min_delta/max_delta, extreme bins) and
