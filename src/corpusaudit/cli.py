@@ -1,26 +1,25 @@
-"""Command-line front end.
+"""Command-line front end; ``COMMANDS`` lists every command and its arguments.
 
-Subcommands: ``audit dupes``, ``audit labels``, ``catalog build|show``,
-``partition make``, ``features extract``, ``eval run|compare|relabel``,
-``report perfect``. Exit codes: 0 success, 1 audit findings under
-``--strict``, 2 errors. Every command is deterministic given its inputs,
-flags and seed; randomized commands print their effective seed in the
-report header. ``AUDIT_THREADS`` caps the fingerprinting worker count
-(0 or unset = auto).
+Exit codes: 0 success, 1 audit findings under ``--strict``, 2 errors, each in one
+``error:`` line (a ``--threshold`` that is not a finite number is one). Commands
+are deterministic given inputs, flags and seed, and randomized ones record their
+seed in the report. Reruns are byte-identical whatever ``AUDIT_THREADS`` (the cap
+on fingerprinting threads; 0 or unset = one per CPU) or the BLAS thread count.
 """
 
 import argparse
 import csv
 import dataclasses
 import functools
-import json
+import math
 import os
 import sys
 from pathlib import Path
 
 from . import classify, evaluate, faults, features, fingerprint, tagscore
-from .corpus import Corpus, load_audio, load_metadata, load_tags, open_text, read_json
-from .errors import AuditError, ParseError, in_file, writing
+from .corpus import (Corpus, load_audio, load_metadata, load_tags, open_text, read_json,
+                     write_json, write_text)
+from .errors import AuditError, ParseError, in_file
 
 # fixed default so reruns without an explicit seed are reproducible
 DEFAULT_SEED = 1234
@@ -37,24 +36,10 @@ def _worker_count() -> int:
 
 def _load_corpus(args) -> Corpus:
     corpus = load_metadata(args.metadata)
-    if getattr(args, "audio_dir", None):
-        audio_dir = Path(args.audio_dir)
-        corpus = dataclasses.replace(corpus, excerpts=tuple(
-            dataclasses.replace(ex, audio_path=audio_dir / f"{ex.id}.wav")
-            for ex in corpus.excerpts))
-    return corpus
-
-
-def _write_text(path, text: str):
-    if path:
-        with writing(path, "output"):
-            Path(path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _write_json(path, obj):
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    audio_dir = Path(args.audio_dir)
+    return dataclasses.replace(corpus, excerpts=tuple(
+        dataclasses.replace(ex, audio_path=audio_dir / f"{ex.id}.wav")
+        for ex in corpus.excerpts))
 
 
 def cmd_audit_dupes(args) -> int:
@@ -77,7 +62,7 @@ def cmd_audit_dupes(args) -> int:
     for m in matches:
         a, b = sorted(m.pair)
         lines.append(f"{a},{b},{m.score:.6f},{m.offset_mode}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     return 1 if args.strict and matches else 0
 
 
@@ -93,7 +78,7 @@ def cmd_audit_labels(args) -> int:
             f"{v.best_other_label or ''},{v.best_other_score:.6f},"
             f"{matrix.deltas[g]:.6f},{v.rule}")
         flagged += v.flagged
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     return 1 if args.strict and flagged else 0
 
 
@@ -115,15 +100,12 @@ def cmd_catalog_build(args) -> int:
     exact_groups = _read_dupe_groups(args.dupes, args.threshold) if args.dupes else []
     recording_groups, distortions = [], []
     if args.recordings:
-        entries = read_json(args.recordings, "recording groups")
-        with in_file(args.recordings):
-            recording_groups = faults.recording_groups_from_json(entries)
-            faults.check_known_ids(corpus, recording_groups=recording_groups)
+        recording_groups = read_json(
+            args.recordings, "recording groups",
+            lambda entries: faults.recording_groups_from_json(entries, corpus))
     if args.distortions:
-        entries = read_json(args.distortions, "distortion list")
-        with in_file(args.distortions):
-            distortions = faults.distortions_from_json(entries)
-            faults.check_known_ids(corpus, distortions=distortions)
+        distortions = read_json(args.distortions, "distortion list",
+                                lambda entries: faults.distortions_from_json(entries, corpus))
     verdicts, deltas = [], {}
     if args.tags:
         matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus))
@@ -159,18 +141,16 @@ def cmd_catalog_show(args) -> int:
         suffix = "" if d.usable_prefix_seconds is None else \
             f" (usable prefix {d.usable_prefix_seconds:g} s)"
         lines.append(f"    {d.excerpt_id}: {d.note}{suffix}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def _read_artist_folds(path):
     """The ``--artist-folds`` mapping, checked on reading so errors name the file."""
-    if not path:
-        return None
-    artist_folds = read_json(path, "artist folds")
-    with in_file(path):
+    def check(artist_folds):
         evaluate.read_artist_folds(artist_folds)
-    return artist_folds
+        return artist_folds
+    return read_json(path, "artist folds", check) if path else None
 
 
 def cmd_partition_make(args) -> int:
@@ -180,7 +160,7 @@ def cmd_partition_make(args) -> int:
     partition = evaluate.make_partition(corpus, args.scheme, seed=args.seed,
                                         catalog=catalog, artist_folds=artist_folds,
                                         realization=args.realization)
-    _write_json(args.out, {
+    write_json(args.out, {
         "scheme": partition.scheme,
         "seed": partition.seed,
         "realization": partition.realization,
@@ -223,7 +203,7 @@ def cmd_eval_run(args) -> int:
         results.append(evaluate.run_experiment(corpus, partition, args.classifier,
                                                feats, seed=args.seed))
     mean, std = evaluate.accuracy_summary(results)
-    _write_json(args.out, {
+    write_json(args.out, {
         "scheme": args.scheme,
         "classifier": args.classifier,
         "seed": args.seed,
@@ -256,7 +236,7 @@ def cmd_eval_compare(args) -> int:
     preds_a, preds_b = ([p for preds in _read_predictions(path) for p in preds]
                         for path in (args.report_a, args.report_b))
     res = evaluate.significance_test(preds_a, preds_b)
-    _write_json(args.out, {
+    write_json(args.out, {
         "n_disagreements": res.n,
         "t12": res.t12,
         "t21": res.n - res.t12,
@@ -283,7 +263,7 @@ def cmd_eval_relabel(args) -> int:
         predictions=tuple(preds)) for preds in realizations]
     with in_file(args.predictions):
         mean, std = evaluate.accuracy_summary(results)
-    _write_json(args.out, {
+    write_json(args.out, {
         "relabeled": sorted(new_labels),
         "accuracy_mean": mean,
         "accuracy_std": std,
@@ -298,7 +278,7 @@ def cmd_report_perfect(args) -> int:
     fom = faults.perfect_statistics(pc)
     labels = catalog.labels
     if args.format == "json":
-        _write_json(args.out, {"labels": list(labels), **_merit_json("matrix", pc.matrix, fom)})
+        write_json(args.out, {"labels": list(labels), **_merit_json("matrix", pc.matrix, fom)})
         return 0
     # values rendered x10^-2 with one decimal, like the matrix itself
     width = max(9, max(len(lb) for lb in labels) + 1)
@@ -314,7 +294,7 @@ def cmd_report_perfect(args) -> int:
         for lb in labels)
     lines.append(f"{'F-score':<{width}}" + frow + f"{'':>9}")
     lines.append(f"accuracy: {100 * fom.accuracy:.1f}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -338,102 +318,88 @@ def _at_least(minimum: int):
     return parse
 
 
+def _finite(text: str) -> float:
+    """Argument type: a float that is neither nan nor infinite; for text that is no
+    number at all, the message ``type=float`` gives."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+# Arguments that two or more commands share, each a (flag, add_argument keywords) pair.
+METADATA = ("--metadata", {"required": True})
+AUDIO_DIR = ("--audio-dir", {"required": True})
+OUT = ("--out", {})
+OUT_REQUIRED = ("--out", {"required": True})
+CATALOG = ("--catalog", {})
+CATALOG_REQUIRED = ("--catalog", {"required": True})
+THRESHOLD = ("--threshold", {"type": _finite, "default": fingerprint.DEFAULT_THRESHOLD})
+SCHEME = ("--scheme", {"choices": evaluate.SCHEMES, "required": True})
+SEED = ("--seed", {"type": _at_least(0), "default": DEFAULT_SEED})
+
+# (command, help, [(subcommand, help or None, handler, arguments in --help order)])
+COMMANDS = [
+    ("audit", "run integrity audits", [
+        ("dupes", "fingerprint-based duplicate audit", cmd_audit_dupes, [
+            METADATA, AUDIO_DIR,
+            ("--cache", {"help": "binary fingerprint cache to reuse or create"}),
+            THRESHOLD, OUT,
+            ("--strict", {"action": "store_true",
+                          "help": "exit 1 when any duplicate is found"})]),
+        ("labels", "tag-score mislabeling audit", cmd_audit_labels, [
+            METADATA, ("--tags", {"required": True}), OUT,
+            ("--strict", {"action": "store_true"})])]),
+    ("catalog", "fault catalog assembly", [
+        ("build", None, cmd_catalog_build, [
+            METADATA, ("--tags", {}), ("--dupes", {"help": "CSV from 'audit dupes'"}),
+            ("--recordings", {"help": "JSON list of manual recording groups"}),
+            ("--distortions", {"help": "JSON list of distortion entries"}),
+            THRESHOLD, OUT_REQUIRED]),
+        ("show", None, cmd_catalog_show, [CATALOG_REQUIRED, OUT])]),
+    ("partition", "fold construction", [
+        ("make", None, cmd_partition_make, [
+            METADATA, SCHEME, SEED, ("--realization", {"type": _at_least(0), "default": 0}),
+            CATALOG, ("--artist-folds", {"help": "JSON {fold1: [...], fold2: [...]}"}),
+            OUT])]),
+    ("features", "feature extraction", [
+        ("extract", None, cmd_features_extract, [METADATA, AUDIO_DIR, OUT_REQUIRED])]),
+    ("eval", "classification experiments", [
+        ("run", None, cmd_eval_run, [
+            METADATA, ("--features", {"required": True}), SCHEME,
+            ("--classifier", {"choices": classify.KINDS, "required": True}), SEED,
+            ("--realizations", {"type": _at_least(1), "default": 1}),
+            CATALOG, ("--artist-folds", {}), OUT]),
+        ("compare", None, cmd_eval_compare, [("report_a", {}), ("report_b", {}), OUT]),
+        ("relabel", None, cmd_eval_relabel, [
+            CATALOG_REQUIRED,
+            ("--predictions", {"required": True, "help": "report JSON from 'eval run'"}),
+            OUT])]),
+    ("report", "summary reports", [
+        ("perfect", None, cmd_report_perfect, [
+            CATALOG_REQUIRED, ("--format", {"choices": ("text", "json"), "default": "text"}),
+            OUT])]),
+]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="corpusaudit",
         description="Corpus-integrity auditing and fault-aware evaluation "
                     "for labeled audio datasets.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    audit = sub.add_parser("audit", help="run integrity audits")
-    audit_sub = audit.add_subparsers(dest="subcommand", required=True)
-
-    dupes = audit_sub.add_parser("dupes", help="fingerprint-based duplicate audit")
-    dupes.add_argument("--metadata", required=True)
-    dupes.add_argument("--audio-dir", required=True)
-    dupes.add_argument("--cache", help="binary fingerprint cache to reuse or create")
-    dupes.add_argument("--threshold", type=float, default=fingerprint.DEFAULT_THRESHOLD)
-    dupes.add_argument("--out")
-    dupes.add_argument("--strict", action="store_true",
-                       help="exit 1 when any duplicate is found")
-    dupes.set_defaults(func=cmd_audit_dupes)
-
-    labels_p = audit_sub.add_parser("labels", help="tag-score mislabeling audit")
-    labels_p.add_argument("--metadata", required=True)
-    labels_p.add_argument("--tags", required=True)
-    labels_p.add_argument("--out")
-    labels_p.add_argument("--strict", action="store_true")
-    labels_p.set_defaults(func=cmd_audit_labels)
-
-    catalog = sub.add_parser("catalog", help="fault catalog assembly")
-    catalog_sub = catalog.add_subparsers(dest="subcommand", required=True)
-    cbuild = catalog_sub.add_parser("build")
-    cbuild.add_argument("--metadata", required=True)
-    cbuild.add_argument("--tags")
-    cbuild.add_argument("--dupes", help="CSV from 'audit dupes'")
-    cbuild.add_argument("--recordings", help="JSON list of manual recording groups")
-    cbuild.add_argument("--distortions", help="JSON list of distortion entries")
-    cbuild.add_argument("--threshold", type=float, default=fingerprint.DEFAULT_THRESHOLD)
-    cbuild.add_argument("--out", required=True)
-    cbuild.set_defaults(func=cmd_catalog_build)
-    cshow = catalog_sub.add_parser("show")
-    cshow.add_argument("--catalog", required=True)
-    cshow.add_argument("--out")
-    cshow.set_defaults(func=cmd_catalog_show)
-
-    partition = sub.add_parser("partition", help="fold construction")
-    partition_sub = partition.add_subparsers(dest="subcommand", required=True)
-    pmake = partition_sub.add_parser("make")
-    pmake.add_argument("--metadata", required=True)
-    pmake.add_argument("--scheme", choices=evaluate.SCHEMES, required=True)
-    pmake.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
-    pmake.add_argument("--realization", type=_at_least(0), default=0)
-    pmake.add_argument("--catalog")
-    pmake.add_argument("--artist-folds", help="JSON {fold1: [...], fold2: [...]}")
-    pmake.add_argument("--out")
-    pmake.set_defaults(func=cmd_partition_make)
-
-    feats = sub.add_parser("features", help="feature extraction")
-    feats_sub = feats.add_subparsers(dest="subcommand", required=True)
-    fextract = feats_sub.add_parser("extract")
-    fextract.add_argument("--metadata", required=True)
-    fextract.add_argument("--audio-dir", required=True)
-    fextract.add_argument("--out", required=True)
-    fextract.set_defaults(func=cmd_features_extract)
-
-    evalp = sub.add_parser("eval", help="classification experiments")
-    eval_sub = evalp.add_subparsers(dest="subcommand", required=True)
-    erun = eval_sub.add_parser("run")
-    erun.add_argument("--metadata", required=True)
-    erun.add_argument("--features", required=True)
-    erun.add_argument("--scheme", choices=evaluate.SCHEMES, required=True)
-    erun.add_argument("--classifier", choices=classify.KINDS, required=True)
-    erun.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
-    erun.add_argument("--realizations", type=_at_least(1), default=1)
-    erun.add_argument("--catalog")
-    erun.add_argument("--artist-folds")
-    erun.add_argument("--out")
-    erun.set_defaults(func=cmd_eval_run)
-    ecompare = eval_sub.add_parser("compare")
-    ecompare.add_argument("report_a")
-    ecompare.add_argument("report_b")
-    ecompare.add_argument("--out")
-    ecompare.set_defaults(func=cmd_eval_compare)
-    erelabel = eval_sub.add_parser("relabel")
-    erelabel.add_argument("--catalog", required=True)
-    erelabel.add_argument("--predictions", required=True,
-                          help="report JSON from 'eval run'")
-    erelabel.add_argument("--out")
-    erelabel.set_defaults(func=cmd_eval_relabel)
-
-    report = sub.add_parser("report", help="summary reports")
-    report_sub = report.add_subparsers(dest="subcommand", required=True)
-    rperfect = report_sub.add_parser("perfect")
-    rperfect.add_argument("--catalog", required=True)
-    rperfect.add_argument("--format", choices=("text", "json"), default="text")
-    rperfect.add_argument("--out")
-    rperfect.set_defaults(func=cmd_report_perfect)
-
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, command_help, subcommands in COMMANDS:
+        group = commands.add_parser(command, help=command_help)
+        group_sub = group.add_subparsers(dest="subcommand", required=True)
+        for name, sub_help, handler, arguments in subcommands:
+            # a help of None would still list the subcommand in its group's --help
+            sub = group_sub.add_parser(name, **({"help": sub_help} if sub_help else {}))
+            for flag, keywords in arguments:
+                sub.add_argument(flag, **keywords)
+            sub.set_defaults(func=handler)
     return parser
 
 

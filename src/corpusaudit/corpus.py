@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .errors import (
     LabelError,
     ParseError,
     UnknownExcerptError,
+    in_file,
     reading,
     writing,
 )
@@ -118,13 +120,30 @@ def open_text(path, what: str):
         return Path(path).open(newline="", encoding="utf-8")
 
 
-def read_json(path, what: str):
-    """Parse a JSON file; ``IoError`` if missing, ``ParseError`` if invalid."""
+def read_json(path, what: str, parse=lambda data: data):
+    """``parse`` of a JSON file's value. A missing file is an ``IoError`` and invalid
+    JSON a ``ParseError``; a toolkit error from ``parse`` gets ``path`` prefixed."""
     with open_text(path, what) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except ValueError as exc:  # bad JSON syntax or bytes that are not UTF-8
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
+    with in_file(path):
+        return parse(data)
+
+
+def write_text(path, text: str, what: str = "output") -> None:
+    """Write ``text`` to ``path`` as UTF-8, or to standard output if ``path`` is empty."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with writing(path, what):
+        Path(path).write_text(text, encoding="utf-8")
+
+
+def write_json(path, obj, what: str = "output") -> None:
+    """Write ``obj`` as every JSON output is written: indent 2, sorted keys, final newline."""
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", what)
 
 
 def write_records(path, what: str, header: bytes, arrays: dict[str, np.ndarray],

@@ -11,20 +11,16 @@ The perfect-classifier confusion distributes one unit of weight per
 excerpt across predicted labels according to its mislabel verdict.
 """
 
-import json
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, normalize_text, read_json
+from .corpus import Corpus, normalize_text, read_json, write_json
 from .errors import (
     DegenerateClassError,
     IncompleteVerdictError,
     ParseError,
     UnknownExcerptError,
-    in_file,
-    writing,
 )
 from .tagscore import MislabelVerdict
 
@@ -250,16 +246,19 @@ def check_known_ids(corpus: Corpus, recording_groups=(), distortions=()) -> None
             raise UnknownExcerptError(f"distortion names unknown excerpt {d.excerpt_id!r}")
 
 
-def recording_groups_from_json(entries) -> list[tuple[str, ...]]:
-    """Manual recording groups: arrays of excerpt ids."""
+def recording_groups_from_json(entries, corpus: Corpus) -> list[tuple[str, ...]]:
+    """Manual recording groups: arrays of excerpt ids, all in ``corpus``."""
     if not (isinstance(entries, list) and all(
             isinstance(g, list) and all(isinstance(eid, str) for eid in g) for g in entries)):
         raise ParseError("expected a JSON array of recording groups (arrays of excerpt ids)")
-    return [tuple(g) for g in entries]
+    groups = [tuple(g) for g in entries]
+    check_known_ids(corpus, recording_groups=groups)
+    return groups
 
 
-def distortions_from_json(entries) -> list[Distortion]:
-    """Distortion entries ``{"id", "note"?, "usable_prefix_seconds"?}``."""
+def distortions_from_json(entries, corpus=None) -> list[Distortion]:
+    """Distortion entries ``{"id", "note"?, "usable_prefix_seconds"?}``; with a
+    ``corpus``, every id must be in it."""
     if not isinstance(entries, list):
         raise ParseError("expected a JSON array of distortion entries")
     out = []
@@ -273,6 +272,8 @@ def distortions_from_json(entries) -> list[Distortion]:
                              f"number, got {prefix!r}")
         out.append(Distortion(excerpt_id=d["id"], note=d.get("note", ""),
                               usable_prefix_seconds=prefix))
+    if corpus is not None:
+        check_known_ids(corpus, distortions=out)
     return out
 
 
@@ -318,12 +319,8 @@ def catalog_from_json(data: dict) -> FaultCatalog:
 
 
 def save_catalog(catalog: FaultCatalog, path) -> None:
-    text = json.dumps(catalog_to_json(catalog), indent=2, sort_keys=True) + "\n"
-    with writing(path, "catalog"):
-        Path(path).write_text(text, encoding="utf-8")
+    write_json(path, catalog_to_json(catalog), "catalog")
 
 
 def load_catalog(path) -> FaultCatalog:
-    data = read_json(path, "catalog")
-    with in_file(path):
-        return catalog_from_json(data)
+    return read_json(path, "catalog", catalog_from_json)

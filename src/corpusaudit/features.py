@@ -82,6 +82,21 @@ def mel_filterbank(sample_rate: int, n_fft: int = FRAME_SIZE,
     return fb
 
 
+def mel_energies(mag: np.ndarray, sample_rate: int) -> np.ndarray:
+    """``mag @ mel_filterbank(sample_rate).T`` as fixed-order sums over each filter's
+    nonzero weights. OpenBLAS splits a product by its thread count, so the product's
+    last digits depend on that count; these sums do not."""
+    fb = mel_filterbank(sample_rate)
+    keep = fb != 0
+    # a filter above the Nyquist frequency has no weight; give it one zero weight,
+    # since reduceat cannot sum an empty run
+    keep[~keep.any(axis=1), 0] = True
+    rows, bins = np.nonzero(keep)
+    weighted = np.take(mag, bins, axis=1)
+    weighted *= fb[rows, bins]
+    return np.add.reduceat(weighted, np.searchsorted(rows, np.arange(len(fb))), axis=1)
+
+
 def frame_features(samples: np.ndarray, sample_rate: int = 22050) -> np.ndarray:
     """Per-frame feature matrix, shape (n_frames, 16).
 
@@ -91,7 +106,7 @@ def frame_features(samples: np.ndarray, sample_rate: int = 22050) -> np.ndarray:
     frames = frame_signal(samples)
     mag = stft_magnitude(samples)
 
-    energies = mag @ mel_filterbank(sample_rate).T
+    energies = mel_energies(mag, sample_rate)
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     mfcc = dct(log_energies, type=2, norm="ortho", axis=1)[:, :13]
 
@@ -100,7 +115,8 @@ def frame_features(samples: np.ndarray, sample_rate: int = 22050) -> np.ndarray:
     bin_freqs = np.arange(mag.shape[1]) * sample_rate / FRAME_SIZE
     mag_sums = np.sum(mag, axis=1)
     safe = np.where(mag_sums > 0, mag_sums, 1.0)
-    centroid = np.where(mag_sums > 0, (mag @ bin_freqs) / safe, 0.0)
+    # a fixed-order sum, as in mel_energies, not a BLAS product
+    centroid = np.where(mag_sums > 0, np.sum(mag * bin_freqs, axis=1) / safe, 0.0)
 
     cum = np.cumsum(mag, axis=1)
     target = ROLLOFF_FRACTION * mag_sums[:, None]

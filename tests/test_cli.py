@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from scipy.io import wavfile
 from corpusaudit import cli
 from corpusaudit.cli import dispatch
 from corpusaudit.faults import load_catalog, perfect_confusion, perfect_statistics
+from corpusaudit.features import companion_path
 from corpusaudit.fingerprint import read_cache, write_cache
 from corpusaudit.synth import delayed_copy, tone_cloud
 
@@ -61,8 +66,24 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-def test_help_exits_zero():
-    assert dispatch(["--help"]) == 0
+# (argv to the parser, the flags its --help must name): the root, each group, each command
+PARSER_PATHS = [([], [])] + [
+    path for command, _, subcommands in cli.COMMANDS
+    for path in [([command], [])] + [([command, name], [flag for flag, _ in arguments])
+                                     for name, _, _, arguments in subcommands]]
+
+
+def test_parser_paths_cover_every_command():
+    assert len(PARSER_PATHS) == 17
+
+
+@pytest.mark.parametrize("path, flags", [
+    pytest.param(path, flags, id=" ".join(path) or "root") for path, flags in PARSER_PATHS])
+def test_help_exits_zero(path, flags, capsys):
+    assert dispatch(path + ["--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['corpusaudit', *path])} ")
+    assert all(flag in out for flag in flags)
 
 
 def test_missing_required_argument_exits_two():
@@ -264,6 +285,26 @@ def test_features_extract_shape(features_path):
     # 8 s clips: 343 frames -> 2 texture windows per excerpt
     assert len(rows) == 10 * 2
     assert all(f"f{i}" in rows[0] for i in range(32))
+
+
+def test_features_and_mmd_report_same_bytes_for_any_blas_thread_count(workspace, tmp_path):
+    # OpenBLAS splits a product by its thread count, so a BLAS call in the features
+    # or in the MMD scoring can make the last digits depend on it
+    src = Path(cli.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(src))
+        feats, report = tmp_path / f"features{threads}.csv", tmp_path / f"report{threads}.json"
+        for argv in (["features", "extract", "--audio-dir", workspace / "audio",
+                      "--out", feats],
+                     ["eval", "run", "--features", feats, "--scheme", "st",
+                      "--classifier", "mmd", "--realizations", "2", "--out", report]):
+            subprocess.run([sys.executable, "-m", "corpusaudit.cli", *map(str, argv),
+                            "--metadata", str(workspace / "metadata.csv")],
+                           env=env, check=True, timeout=120)
+        outputs.append([path.read_bytes() for path in (feats, companion_path(feats), report)])
+    assert outputs[0] == outputs[1]
 
 
 def test_eval_run_and_rerun_identical(workspace, features_path, tmp_path):
@@ -612,6 +653,13 @@ BAD_INPUTS = {
         lambda fx, tmp: "0",
         lambda fx, bad: _eval_run(fx, fx["features"], "--realizations", bad),
         "--realizations"),
+    "nan_threshold": (
+        lambda fx, tmp: "nan",
+        lambda fx, bad: ["audit", "dupes", "--metadata", fx["metadata"],
+                         "--audio-dir", fx["audio"], "--threshold", bad], "--threshold"),
+    "inf_threshold": (
+        lambda fx, tmp: "inf",
+        lambda fx, bad: _catalog_build(fx, bad, "--threshold"), "--threshold"),
     "removed_scheme_kfold": (
         lambda fx, tmp: "kfold",
         lambda fx, bad: _eval_run(fx, fx["features"], "--scheme", bad), "--scheme"),

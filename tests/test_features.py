@@ -19,6 +19,7 @@ from corpusaudit.features import (
     fit_normalization,
     frame_features,
     frame_signal,
+    mel_energies,
     mel_filterbank,
     read_feature_cache,
     stft_magnitude,
@@ -118,6 +119,17 @@ def test_mel_filterbank_band_edges():
     active = fb.sum(axis=0) > 0
     assert bin_freqs[active].min() > 100.0
     assert bin_freqs[active].max() < 7000.0
+
+
+@pytest.mark.parametrize("sample_rate", [SR, 8000])
+def test_mel_energies_equal_the_matrix_product(sample_rate):
+    fb = mel_filterbank(sample_rate)
+    # at 8 kHz the top filters lie above the Nyquist frequency and have no weight
+    assert (fb == 0).all(axis=1).any() == (sample_rate == 8000)
+    mag = stft_magnitude(np.random.default_rng(5).normal(size=sample_rate))
+    # each energy sums at most 41 nonnegative terms in another order than the
+    # product does, so the two differ by at most about 2 * 41 epsilons (1.8e-14)
+    np.testing.assert_allclose(mel_energies(mag, sample_rate), mag @ fb.T, rtol=1e-13, atol=0)
 
 
 def test_texture_vectors_shapes():
