@@ -8,6 +8,14 @@ windows and take the argmax, breaking ties by label order. MD uses an
 identity covariance (negative squared Euclidean distance); MMD uses the
 total covariance of the training set, regularized by lambda*I with
 lambda = 1e-6 * trace / dim.
+
+MMD is MD on whitened vectors. With P = inv(cov + lambda*I) = L L^T, L
+its lower Cholesky factor, the Mahalanobis distance (x - mu)^T P (x - mu)
+equals ||x L - mu L||^2, so windows and class means are multiplied by L
+once and then scored as MD scores them. The covariance and those
+products are fixed-order ``einsum`` sums, not BLAS products, whose last
+digits can vary with the BLAS thread count and with the number of rows
+in one call.
 """
 
 from dataclasses import dataclass
@@ -36,7 +44,7 @@ class TrainedModel:
     train_x: np.ndarray | None = None       # NN
     train_y: np.ndarray | None = None       # NN, label indices
     means: np.ndarray | None = None         # MD/MMD, (n_labels, dim)
-    cov_inv: np.ndarray | None = None       # MMD
+    whiten: np.ndarray | None = None        # MMD, lower L with L L^T = precision
 
 
 def train(kind: str, vectors: np.ndarray, labels, label_order=None,
@@ -72,32 +80,36 @@ def train(kind: str, vectors: np.ndarray, labels, label_order=None,
 
     centered = vectors - vectors.mean(axis=0)
     denom = max(vectors.shape[0] - 1, 1)
-    cov = centered.T @ centered / denom
+    cov = np.einsum("ni,nj->ij", centered, centered) / denom
     lam = COV_REG_SCALE * np.trace(cov) / cov.shape[0]
     cov_reg = cov + lam * np.eye(cov.shape[0])
     return TrainedModel(kind=kind, labels=label_order, seed=seed, means=means,
-                        cov_inv=np.linalg.inv(cov_reg))
+                        whiten=np.linalg.cholesky(np.linalg.inv(cov_reg)))
 
 
 def window_distances(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     """Squared distance of each window to each class mean (MD/MMD only).
 
     Shape (n_windows, n_labels): Euclidean for MD, Mahalanobis under the
-    regularized total covariance for MMD. Windows are scored ``BLOCK`` at
-    a time; each value depends on its own window only, so the blocking
-    does not change a bit of the result.
+    regularized total covariance for MMD, which is the Euclidean distance
+    between the window and the mean after both are multiplied by
+    ``model.whiten``. That product is a two-operand ``einsum``, whose sum
+    for a row does not depend on the other rows in the call. Windows are
+    then scored ``BLOCK`` at a time. Each value depends on its own window
+    only, so how windows are grouped into calls and blocks changes no bit
+    of the result.
     """
     if model.kind not in ("md", "mmd"):
         raise ValueError("window distances are defined for MD/MMD only")
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
+    means = model.means
+    if model.kind == "mmd":
+        vectors = np.einsum("nd,de->ne", vectors, model.whiten)
+        means = np.einsum("nd,de->ne", means, model.whiten)
     out = np.empty((vectors.shape[0], len(model.labels)))
     for start in range(0, vectors.shape[0], BLOCK):
-        diffs = vectors[start:start + BLOCK, None, :] - model.means[None, :, :]
-        if model.kind == "md":
-            out[start:start + BLOCK] = np.sum(diffs * diffs, axis=2)
-        else:
-            out[start:start + BLOCK] = np.einsum("vld,de,vle->vl", diffs,
-                                                 model.cov_inv, diffs)
+        diffs = vectors[start:start + BLOCK, None, :] - means[None, :, :]
+        out[start:start + BLOCK] = np.sum(diffs * diffs, axis=2)
     return out
 
 

@@ -11,6 +11,7 @@ The perfect-classifier confusion distributes one unit of weight per
 excerpt across predicted labels according to its mislabel verdict.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -252,6 +253,13 @@ def recording_groups_from_json(entries, corpus: Corpus) -> list[tuple[str, ...]]
             isinstance(g, list) and all(isinstance(eid, str) for eid in g) for g in entries)):
         raise ParseError("expected a JSON array of recording groups (arrays of excerpt ids)")
     groups = [tuple(g) for g in entries]
+    for i, group in enumerate(groups):
+        if len(group) < 2:
+            raise ParseError(f"recording group {i} holds fewer than two excerpt ids: "
+                             f"{list(group)}")
+        if len(set(group)) < len(group):
+            repeated = next(eid for k, eid in enumerate(group) if eid in group[:k])
+            raise ParseError(f"recording group {i} repeats excerpt {repeated!r}")
     check_known_ids(corpus, recording_groups=groups)
     return groups
 
@@ -261,15 +269,21 @@ def distortions_from_json(entries, corpus=None) -> list[Distortion]:
     ``corpus``, every id must be in it."""
     if not isinstance(entries, list):
         raise ParseError("expected a JSON array of distortion entries")
-    out = []
+    out, seen = [], set()
     for i, d in enumerate(entries):
         if not isinstance(d, dict) or "id" not in d:
             raise ParseError(f"distortion entry {i} is not an object with an 'id'")
+        if not isinstance(d["id"], str):
+            raise ParseError(f"distortion entry {i}: id must be a string, got {d['id']!r}")
+        if d["id"] in seen:
+            raise ParseError(f"distortion entry {i} repeats id {d['id']!r}")
+        seen.add(d["id"])
         prefix = d.get("usable_prefix_seconds")
         if prefix is not None and (isinstance(prefix, bool)
-                                   or not isinstance(prefix, (int, float))):
+                                   or not isinstance(prefix, (int, float))
+                                   or not 0 <= prefix < math.inf):  # False for nan
             raise ParseError(f"distortion entry {i}: usable_prefix_seconds must be a "
-                             f"number, got {prefix!r}")
+                             f"finite number >= 0, got {prefix!r}")
         out.append(Distortion(excerpt_id=d["id"], note=d.get("note", ""),
                               usable_prefix_seconds=prefix))
     if corpus is not None:

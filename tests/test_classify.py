@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from corpusaudit import classify
 from corpusaudit.classify import (
     BLOCK,
     COV_REG_SCALE,
@@ -15,6 +21,7 @@ from corpusaudit.classify import (
     nearest_labels,
     train,
     vote,
+    window_distances,
 )
 from corpusaudit.errors import EmptyClassError
 
@@ -65,7 +72,7 @@ def test_mmd_covariance_oracle():
     cov = centered.T @ centered / (len(x) - 1)
     lam = COV_REG_SCALE * np.trace(cov) / cov.shape[0]
     expected = np.linalg.inv(cov + lam * np.eye(5))
-    assert np.allclose(model.cov_inv, expected, rtol=1e-9)
+    assert np.allclose(model.whiten @ model.whiten.T, expected, rtol=1e-9)
 
 
 def test_mmd_covariance_spd_even_when_singular():
@@ -73,7 +80,7 @@ def test_mmd_covariance_spd_even_when_singular():
     x = np.zeros((10, 4))
     x[:, 0] = np.arange(10.0)
     model = train("mmd", x, ["a"] * 5 + ["b"] * 5)
-    eigvals = np.linalg.eigvalsh(np.linalg.inv(model.cov_inv))
+    eigvals = np.linalg.eigvalsh(np.linalg.inv(model.whiten @ model.whiten.T))
     assert np.all(eigvals > 0)
 
 
@@ -88,7 +95,7 @@ def test_md_equals_mmd_under_identity_covariance():
     x, y = toy_training(seed=3)
     md = train("md", x, y)
     mmd = TrainedModel(kind="mmd", labels=md.labels, means=md.means,
-                       cov_inv=np.eye(x.shape[1]))
+                       whiten=np.eye(x.shape[1]))
     for _ in range(50):
         vecs = rng.normal(1.5, 2.0, size=(9, x.shape[1]))
         assert classify_excerpt(md, vecs) == classify_excerpt(mmd, vecs)
@@ -214,14 +221,21 @@ def test_nearest_labels_without_prefilter_equals_reference(special, where):
     assert np.array_equal(nearest_labels(model, test_x), reference_nearest(model, test_x))
 
 
-@pytest.mark.parametrize("kind", ["nn", "md", "mmd"])
-def test_classify_excerpts_equals_one_excerpt_at_a_time(kind):
-    """Excerpts of 0 to 40 windows, stacked across block edges, with NN ties."""
+@pytest.mark.parametrize("kind, dim", [
+    pytest.param(kind, dim, id=kind if dim == 3 else f"{kind}-{dim}d")
+    for dim in (3, 32) for kind in ("nn", "md", "mmd")])
+def test_classify_excerpts_equals_one_excerpt_at_a_time(kind, dim):
+    """Excerpts of 0 to 40 windows, stacked across block edges, with NN ties.
+
+    The window distances are also compared bit for bit: a product whose
+    rounding depends on how many rows it is given (BLAS ``@``, say) would
+    make one excerpt's distances differ from the stacked run's.
+    """
     rng = np.random.default_rng(13)
-    x, y = toy_training(seed=14, dim=3, sep=1.0)
+    x, y = toy_training(seed=14, dim=dim, sep=1.0)
     model = train(kind, x, y)
     sizes = [0, 1, 2, 9, 9, 40, 4, 9, 31, 2, 0, 9]
-    vectors = [x[rng.integers(0, len(x), size=n)] + rng.normal(0, 0.2, size=(n, 3))
+    vectors = [x[rng.integers(0, len(x), size=n)] + rng.normal(0, 0.2, size=(n, dim))
                if j % 2 else x[rng.integers(0, len(x), size=n)]  # exact copies
                for j, n in enumerate(sizes)]
     vectors[2] = x[[0, -1]]  # one window of each label: an NN vote tie
@@ -230,16 +244,26 @@ def test_classify_excerpts_equals_one_excerpt_at_a_time(kind):
     expected = [classify_excerpt(model, v, np.random.default_rng([3, j]))
                 for j, v in enumerate(vectors)]
     assert got == expected
+    if kind != "nn":
+        assert np.array_equal(window_distances(model, np.concatenate(vectors)),
+                              np.concatenate([window_distances(model, v) for v in vectors]))
 
 
 def reference_log_posteriors(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     """``log_posteriors`` without blocking, kept as its oracle."""
-    diffs = vectors[:, None, :] - model.means[None, :, :]
-    if model.kind == "md":
-        sq = np.sum(diffs * diffs, axis=2)
-    else:
-        sq = np.einsum("vld,de,vle->vl", diffs, model.cov_inv, diffs)
-    return -0.5 * np.sum(sq, axis=0)
+    means = model.means
+    if model.kind == "mmd":
+        vectors = np.einsum("nd,de->ne", vectors, model.whiten)
+        means = np.einsum("nd,de->ne", means, model.whiten)
+    diffs = vectors[:, None, :] - means[None, :, :]
+    return -0.5 * np.sum(np.sum(diffs * diffs, axis=2), axis=0)
+
+
+def einsum_log_posteriors(means: np.ndarray, precision: np.ndarray,
+                          vectors: np.ndarray) -> np.ndarray:
+    """The Mahalanobis formula (x - mu)^T P (x - mu), kept as the MMD model's oracle."""
+    diffs = vectors[:, None, :] - means[None, :, :]
+    return -0.5 * np.sum(np.einsum("vld,de,vle->vl", diffs, precision, diffs), axis=0)
 
 
 @pytest.mark.parametrize("kind", ["md", "mmd"])
@@ -250,3 +274,55 @@ def test_log_posteriors_blocking_changes_no_bit(kind, n_windows):
     vectors = np.random.default_rng(16).normal(1.0, 2.0, size=(n_windows, 32))
     assert np.array_equal(log_posteriors(model, vectors),
                           reference_log_posteriors(model, vectors))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 32), st.integers(1, 103),
+       st.integers(2, 10))
+def test_mmd_log_posteriors_equal_einsum_oracle(seed, dim, n_windows, n_labels):
+    """Whitened MD gives the Mahalanobis formula's values and, where its
+    two best labels are not near a tie, its label."""
+    rng = np.random.default_rng(seed)
+    # correlated features whose scales spread over e**-2 to e**2
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    mix = basis * np.exp(rng.uniform(-2.0, 2.0, size=dim))
+    centers = rng.normal(0.0, 1.0, size=(n_labels, dim))
+    per_label = dim + 3
+    x = np.concatenate([c + rng.normal(size=(per_label, dim)) @ mix for c in centers])
+    y = np.repeat(np.arange(n_labels), per_label)
+    vectors = (centers[rng.integers(0, n_labels, size=n_windows)]
+               + rng.normal(0.0, 1.5, size=(n_windows, dim)) @ mix)
+    model = train("mmd", x, [f"l{k}" for k in y], label_order=[f"l{k}" for k in range(n_labels)])
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (len(x) - 1)
+    lam = COV_REG_SCALE * np.trace(cov) / dim
+    expected = einsum_log_posteriors(model.means, np.linalg.inv(cov + lam * np.eye(dim)),
+                                     vectors)
+    got = log_posteriors(model, vectors)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+    best, second = np.sort(expected)[::-1][:2]
+    if best - second > 1e-9 * abs(best):
+        assert np.argmax(got) == np.argmax(expected)
+
+
+def test_mmd_whiten_same_bytes_for_any_blas_thread_count():
+    # inv and cholesky are LAPACK calls; their 32 x 32 results, the einsum
+    # covariance and the whitened distances must not follow the thread count
+    script = (
+        "import hashlib, numpy as np\n"
+        "from corpusaudit.classify import train, window_distances\n"
+        "rng = np.random.default_rng(17)\n"
+        "z = rng.normal(size=(4500, 32))\n"
+        "x = z + 0.5 * np.roll(z, 1, axis=1)\n"  # correlated, without a BLAS product
+        "model = train('mmd', x, [f'l{k % 10}' for k in range(4500)])\n"
+        "dists = window_distances(model, x[:999])\n"
+        "print(hashlib.sha256(model.whiten.tobytes()).hexdigest(),\n"
+        "      hashlib.sha256(dists.tobytes()).hexdigest())\n")
+    src = Path(classify.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=str(src))
+        outputs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                      capture_output=True, text=True, timeout=120).stdout)
+    assert outputs[0] == outputs[1]

@@ -632,6 +632,42 @@ BAD_INPUTS = {
         _text("distortions.json", json.dumps([{"id": "amber.000",
                                                "usable_prefix_seconds": "three"}])),
         lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "entry 0"),
+    "negative_distortion_prefix": (
+        _text("distortions.json", json.dumps([{"id": "amber.000",
+                                               "usable_prefix_seconds": -3}])),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "entry 0"),
+    "nan_distortion_prefix": (
+        _text("distortions.json", '[{"id": "amber.000", "usable_prefix_seconds": NaN}]'),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "entry 0"),
+    "infinite_distortion_prefix": (
+        _text("distortions.json", '[{"id": "amber.000", "usable_prefix_seconds": Infinity}]'),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "entry 0"),
+    "repeated_distortion_id": (
+        _text("distortions.json", json.dumps([{"id": "amber.000"},
+                                              {"id": "amber.000", "note": "again"}])),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"),
+        "entry 1 repeats id 'amber.000'"),
+    "distortion_id_not_a_string": (
+        _text("distortions.json", json.dumps([{"id": ["amber.000"]}])),
+        lambda fx, bad: _catalog_build(fx, bad, "--distortions"), "entry 0"),
+    "catalog_negative_distortion_prefix": (
+        _damaged_catalog(lambda d: d["distortions"].append(
+            {"id": "amber.000", "note": "", "usable_prefix_seconds": -3})),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad], "usable_prefix_seconds"),
+    "catalog_repeated_distortion_id": (
+        _damaged_catalog(lambda d: d["distortions"].extend(
+            [{"id": "amber.000", "note": "hum", "usable_prefix_seconds": None}] * 2)),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad], "repeats id 'amber.000'"),
+    "empty_recording_group": (
+        _text("recordings.json", json.dumps([["amber.000", "amber.001"], []])),
+        lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "group 1 holds fewer than two"),
+    "one_member_recording_group": (
+        _text("recordings.json", json.dumps([["amber.000"]])),
+        lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "group 0 holds fewer than two"),
+    "recording_group_repeating_an_id": (
+        _text("recordings.json", json.dumps([["amber.001", "amber.001"]])),
+        lambda fx, bad: _catalog_build(fx, bad, "--recordings"),
+        "group 0 repeats excerpt 'amber.001'"),
     "features_is_a_directory": (
         lambda fx, tmp: tmp,
         lambda fx, bad: _eval_run(fx, bad), "cannot read"),

@@ -73,7 +73,8 @@ def test_distortion_exclusion_rule():
     assert not Distortion("x", "static").excluded
 
 
-@pytest.mark.parametrize("prefix", ["three", True, [4.0], {"s": 4}])
+@pytest.mark.parametrize("prefix", ["three", True, [4.0], {"s": 4}, -3, -0.5,
+                                    float("nan"), float("inf"), float("-inf")])
 def test_distortion_prefix_must_be_a_number(prefix):
     entries = [{"id": "a.000", "usable_prefix_seconds": 3},
                {"id": "a.001", "usable_prefix_seconds": prefix}]
@@ -83,8 +84,9 @@ def test_distortion_prefix_must_be_a_number(prefix):
 
 def test_distortion_prefix_numbers_and_null_are_kept():
     entries = [{"id": "a.000", "usable_prefix_seconds": 3}, {"id": "a.001",
-               "usable_prefix_seconds": 4.5}, {"id": "a.002", "usable_prefix_seconds": None}]
-    assert [d.usable_prefix_seconds for d in distortions_from_json(entries)] == [3, 4.5, None]
+               "usable_prefix_seconds": 4.5}, {"id": "a.002", "usable_prefix_seconds": None},
+               {"id": "a.003", "usable_prefix_seconds": 0}]
+    assert [d.usable_prefix_seconds for d in distortions_from_json(entries)] == [3, 4.5, None, 0]
 
 
 def test_unknown_distortion_id(small_corpus):
