@@ -16,6 +16,11 @@ once and then scored as MD scores them. The covariance and those
 products are fixed-order ``einsum`` sums, not BLAS products, whose last
 digits can vary with the BLAS thread count and with the number of rows
 in one call.
+
+The one BLAS product left is NN's single-precision prefilter. It only
+narrows which training rows ``cdist`` scores in double precision, with a
+bound that keeps every nearest neighbor whatever the product's rounding,
+so NN labels do not depend on it either.
 """
 
 from dataclasses import dataclass
@@ -32,8 +37,11 @@ COV_REG_SCALE = 1e-6
 # windows scored at once: a distance block against ~4500 training rows is ~1 MB
 BLOCK = 32
 
-# beyond this magnitude squared norms might overflow; the NN prefilter keeps every row
-PREFILTER_MAX_ABS = 1e100
+# The NN prefilter's float32 bounds hold up to this magnitude (squares and
+# their d-term sums stay far below float32's 3.4e38) and this dimension;
+# beyond either, it keeps every row.
+PREFILTER_MAX_ABS = 1e15
+PREFILTER_MAX_DIM = 2**20
 
 
 @dataclass(frozen=True)
@@ -124,57 +132,83 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     The neighbor is ``argmin(cdist(vectors, train_x), axis=1)``, bit for
     bit: the smallest Euclidean distance as ``cdist`` rounds it, ties to
     the earliest training index. Windows go ``BLOCK`` at a time through
-    a BLAS prefilter, and only the training rows it keeps are scored
-    with ``cdist``.
+    a single-precision BLAS prefilter, and only the training rows it
+    keeps are scored with ``cdist`` in double precision.
 
-    Prefilter. For window a and training row x, BLAS gives
-    p = ||x||^2 - 2 a.x, which is ||a - x||^2 minus ||a||^2, a constant
-    per window. Every row whose p lies within 2B of the window's
-    smallest p is kept, with B = 4(d + 5) eps (||a||^2 + max ||x||^2)
-    plus 8(d + 5) times the smallest subnormal; eps = 2u = 2**-52 and d
-    is the dimension. The kept rows of a block are scored against the
-    whole block, in index order, and each window takes the argmin of
-    its row.
+    Prefilter. The windows and training rows are rounded to float32 once
+    per call. For window a and training row x, an sgemm and one float32
+    addition give p = ||x||^2 - 2 a.x, which is ||a - x||^2 minus ||a||^2,
+    a constant per window. Every row whose p lies within 2B of the
+    window's smallest p is kept, with B = 4(d + 5) eps (||a||^2 + max
+    ||x||^2) + 4(d + 5) t, where eps = 2u = 2**-23 is float32's epsilon,
+    t = 2**-126 its smallest normal number and d the dimension; the
+    norms and B are computed in float64. The limit, smallest p plus 2B,
+    is rounded to float32 and then moved up one float32 step, so it is
+    never below its float64 value. The kept rows of a block are scored
+    against the whole block, in index order, and each window takes the
+    argmin of its row.
 
-    Why every cdist minimizer is kept. Let s = ||a||^2 + ||x||^2 and
-    D = ||a - x||^2 in exact arithmetic. A sum of d products, formed in
-    any order with or without FMA, is within gamma_d = du/(1 - du) of
-    the sum of their absolute values, and |a.x| <= s/2; so the computed
-    p is within (2 gamma_d + 2u) s of D - ||a||^2. cdist rounds each
-    difference, square and partial sum and then the square root, so its
-    value c has |c^2 - D| <= gamma_{d+5} D <= 2 gamma_{d+5} s. If row j
-    minimizes c, then c_j^2 <= c_k^2 for every row k, and chaining the
-    four bounds gives p_j <= p_k + 4 gamma_{d+5} (s_j + s_k)
-    <= p_k + 8 gamma_{d+5} (||a||^2 + max ||x||^2), about half of 2B.
-    The other half absorbs the rounding of the norms, of B itself and
-    of the threshold sum. Underflow adds at most half the smallest
-    subnormal per operation, which the subnormal term covers. So row j
-    is kept, and since every kept set holds all minimizers of its
-    window in index order, the argmin over it is the earliest minimizer.
-    The bounds need finite values whose squares cannot overflow: if any
-    value is not finite or exceeds ``PREFILTER_MAX_ABS`` in magnitude,
-    every row is kept and the kernel is plain blocked cdist.
+    Why every cdist minimizer is kept. Let s = ||a||^2 + ||x||^2,
+    D = ||a - x||^2 and q = D - ||a||^2 in exact arithmetic.
+    - Rounding a value v to float32 changes it by at most u|v| + t: u in
+      the normal range, below t when it lands among the subnormals or
+      is flushed to zero, and reading such an input as zero (DAZ) stays
+      within t as well. A term t|v| is at most u v^2 + u t. So using the
+      rounded a and x moves 2 a.x by at most 4u s + 4d u t < 4u s + t.
+    - A float32 sum of d products, in any order, blocked or threaded,
+      with or without FMA, is within gamma_d = du/(1 - du) of the sum of
+      their absolute values, which is s or less up to the rounding
+      above (2|a.x| <= s). Each product and each addition that
+      underflows adds at most t more, with or without flush-to-zero:
+      2d t in all.
+    - ||x||^2, summed in float64 and rounded to float32, is within
+      1.01u ||x||^2 + t; adding it to the product costs u |p| + t,
+      with |p| <= 2s.
+    So the computed p is within gamma_{d+8} s + (2d + 3) t of q. cdist
+    rounds each difference, square and partial sum in float64 and then
+    takes the square root, so its value c has |c^2 - D| <= gamma'_{d+5} D
+    <= 2 gamma'_{d+5} s, with gamma' float64's gamma; its underflow is
+    far below t. If row j minimizes c, then c_j^2 <= c_k^2 for every row
+    k, and chaining these bounds gives p_j <= p_k + (gamma_{d+8} +
+    2 gamma'_{d+5}) (s_j + s_k) + (4d + 7) t, which is at most
+    4(d + 8) u (||a||^2 + max ||x||^2) + (4d + 7) t while (d + 8) u <= 1/2.
+    2B is twice that or more. The rest absorbs the float64 rounding of
+    the norms, of B and of the limit, and a flush to zero of the limit
+    or of a p, which moves it by less than t. So row j is kept, and
+    since every kept set holds all minimizers of its window in index
+    order, the argmin over it is the earliest minimizer.
+
+    The bounds need finite values whose float32 squares and d-term sums
+    cannot overflow, and (d + 8) u <= 1/2: if any value is not finite or
+    exceeds ``PREFILTER_MAX_ABS`` in magnitude, or d exceeds
+    ``PREFILTER_MAX_DIM``, every row is kept and the kernel is plain
+    blocked cdist. Labels therefore depend neither on the BLAS thread
+    count nor on how windows are blocked; only the kept sets may.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     train_x = model.train_x
     dim = train_x.shape[1]
-    train_sq = np.einsum("ij,ij->i", train_x, train_x)
-    scale = 4 * (dim + 5) * np.finfo(float).eps
-    floor = 8 * (dim + 5) * np.finfo(float).smallest_subnormal
     # Each comparison is False when its array holds a nan.
-    prefilter = (np.abs(train_x).max(initial=0.0) <= PREFILTER_MAX_ABS
+    prefilter = (dim <= PREFILTER_MAX_DIM
+                 and np.abs(train_x).max(initial=0.0) <= PREFILTER_MAX_ABS
                  and np.abs(vectors).max(initial=0.0) <= PREFILTER_MAX_ABS)
-    reach = train_sq.max()
-    minus_2xt = -2.0 * train_x.T
     kept = np.arange(train_x.shape[0])  # every row, unless the prefilter narrows it
+    if prefilter:
+        eps, tiny = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).tiny)
+        train_sq = np.einsum("ij,ij->i", train_x, train_x)
+        bound = 4 * (dim + 5) * (eps * (np.einsum("ij,ij->i", vectors, vectors)
+                                        + train_sq.max()) + tiny)
+        train_sq32 = train_sq.astype(np.float32)
+        minus_2xt = np.multiply(train_x.T, -2.0, dtype=np.float32, order="C")
+        vectors32 = vectors.astype(np.float32)
     out = np.empty(vectors.shape[0], dtype=np.intp)
     for start in range(0, vectors.shape[0], BLOCK):
         block = vectors[start:start + BLOCK]
         if prefilter:
-            partial = block @ minus_2xt
-            partial += train_sq
-            bound = scale * (np.einsum("ij,ij->i", block, block) + reach) + floor
-            limit = partial.min(axis=1) + 2 * bound
+            partial = vectors32[start:start + BLOCK] @ minus_2xt
+            partial += train_sq32
+            limit = partial.min(axis=1) + 2 * bound[start:start + BLOCK]
+            limit = np.nextafter(limit.astype(np.float32), np.float32(np.inf))
             kept = np.flatnonzero((partial <= limit[:, None]).any(axis=0))
         out[start:start + BLOCK] = kept[np.argmin(cdist(block, train_x[kept]), axis=1)]
     return model.train_y[out]

@@ -254,14 +254,19 @@ def recording_groups_from_json(entries, corpus: Corpus) -> list[tuple[str, ...]]
         raise ParseError("expected a JSON array of recording groups (arrays of excerpt ids)")
     groups = [tuple(g) for g in entries]
     for i, group in enumerate(groups):
-        if len(group) < 2:
-            raise ParseError(f"recording group {i} holds fewer than two excerpt ids: "
-                             f"{list(group)}")
-        if len(set(group)) < len(group):
-            repeated = next(eid for k, eid in enumerate(group) if eid in group[:k])
-            raise ParseError(f"recording group {i} repeats excerpt {repeated!r}")
+        _check_members(f"recording group {i}", group)
     check_known_ids(corpus, recording_groups=groups)
     return groups
+
+
+def _check_members(what: str, members: tuple[str, ...]) -> None:
+    """Reject a group of fewer than two ids or with a repeated id; a repeated
+    id would put an excerpt that repeats nothing into ``exclusions()``."""
+    if len(members) < 2:
+        raise ParseError(f"{what} holds fewer than two excerpt ids: {list(members)}")
+    if len(set(members)) < len(members):
+        repeated = next(eid for k, eid in enumerate(members) if eid in members[:k])
+        raise ParseError(f"{what} repeats excerpt {repeated!r}")
 
 
 def distortions_from_json(entries, corpus=None) -> list[Distortion]:
@@ -292,7 +297,13 @@ def distortions_from_json(entries, corpus=None) -> list[Distortion]:
 
 
 def _check_catalog(catalog: FaultCatalog) -> FaultCatalog:
-    """Reject verdicts that the perfect-confusion and relabeling rules cannot use."""
+    """Reject repetition groups that ``build_catalog`` cannot produce, and
+    verdicts that the perfect-confusion and relabeling rules cannot use."""
+    for i, group in enumerate(catalog.repetitions):
+        if group.kind not in REPETITION_KINDS:
+            raise ParseError(f"repetition group {i}: kind must be one of "
+                             f"{', '.join(REPETITION_KINDS)}, got {group.kind!r}")
+        _check_members(f"repetition group {i}", group.members)
     labels = set(catalog.labels)
     if set(catalog.label_counts) != labels:
         raise ParseError("label_counts must name exactly the catalog labels")
@@ -309,15 +320,23 @@ def _check_catalog(catalog: FaultCatalog) -> FaultCatalog:
     return catalog
 
 
+def _excerpt_ids(i: int, members) -> tuple[str, ...]:
+    # checked here: tuple() would turn one string into a group of its characters
+    if not (isinstance(members, list) and all(isinstance(eid, str) for eid in members)):
+        raise ParseError(f"repetition group {i}: members must be an array of excerpt "
+                         f"ids, got {members!r}")
+    return tuple(members)
+
+
 def catalog_from_json(data: dict) -> FaultCatalog:
     try:
         return _check_catalog(FaultCatalog(
             labels=tuple(data["labels"]),
             label_counts={k: int(v) for k, v in data["label_counts"].items()},
             repetitions=[RepetitionGroup(kind=g["kind"],
-                                         members=tuple(g["members"]),
+                                         members=_excerpt_ids(i, g["members"]),
                                          evidence=g["evidence"])
-                         for g in data["repetitions"]],
+                         for i, g in enumerate(data["repetitions"])],
             mislabelings=[MislabelVerdict(
                 excerpt_id=v["id"], label=v["label"], own_score=v["own_score"],
                 scores=dict(v["scores"]),

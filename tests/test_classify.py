@@ -198,6 +198,13 @@ def _nn_case(seed, dim, n_train, n_test, offset, step):
 @example(0, 32, 50, 70, 0.0, 0.0)      # every distance ties at zero
 @example(1, 32, 60, 70, 1e6, 1e-3)     # large common offset, small spread
 @example(2, 1, 2, 1, 5e-324, 5e-324)   # subnormal values
+@example(3, 32, 60, 70, 1e12, 1.0)     # float32 spacing 2**16 at the offset
+@example(4, 32, 60, 70, 1e14, 1e3)
+@example(5, 32, 60, 70, PREFILTER_MAX_ABS, 1e9)   # the largest prefiltered magnitude
+@example(6, 32, 60, 70, 1e-40, 1e-40)  # float32 subnormals, distinct in float64
+@example(7, 32, 60, 70, 1e-50, 1e-50)  # zero in float32, distinct in float64
+@example(8, 5, 60, 70, 0.0, 1e-40)
+@example(9, 5, 60, 70, 1e-50, 1e-50)
 def test_nearest_labels_equals_reference(seed, dim, n_train, n_test, offset, step):
     train_x, test_x, y = _nn_case(seed, dim, n_train, n_test, offset, step)
     model = train("nn", train_x, [f"l{k}" for k in y], label_order=("l0", "l1", "l2"))
@@ -205,7 +212,9 @@ def test_nearest_labels_equals_reference(seed, dim, n_train, n_test, offset, ste
 
 
 @pytest.mark.parametrize("where", ["both", "train", "test", "test_block"])
-@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, 10 * PREFILTER_MAX_ABS])
+# 1e101 overflows float32; the last value is just above the prefilter's limit
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf, 1e101,
+                                     np.nextafter(PREFILTER_MAX_ABS, np.inf)])
 def test_nearest_labels_without_prefilter_equals_reference(special, where):
     rng = np.random.default_rng(12)
     train_x = rng.integers(0, 3, size=(40, 4)).astype(float)
@@ -219,6 +228,43 @@ def test_nearest_labels_without_prefilter_equals_reference(special, where):
         test_x[:BLOCK] = special
     model = train("nn", train_x, [f"r{i:02d}" for i in range(40)])  # one label per row
     assert np.array_equal(nearest_labels(model, test_x), reference_nearest(model, test_x))
+
+
+@pytest.mark.parametrize("radius", [1.0, 1e-22])
+def test_nearest_labels_separates_what_float32_cannot(radius):
+    """200 rows on a sphere around each window, radii 1e-6 apart in relative
+    terms, far below the float32 prefilter's rounding. At radius 1e-22 the
+    float32 products are subnormal. A bound without its eps or its
+    subnormal term would keep a wrong row."""
+    rng = np.random.default_rng(20)
+    windows = rng.normal(0.0, 3 * radius, size=(3, 32))
+    units = rng.normal(size=(3, 200, 32))
+    units /= np.linalg.norm(units, axis=2, keepdims=True)
+    radii = radius * (1 + 1e-6 * rng.permuted(np.tile(np.arange(200.0), (3, 1)), axis=1))
+    train_x = (windows[:, None, :] + radii[:, :, None] * units).reshape(600, 32)
+    model = train("nn", train_x, [f"r{i:03d}" for i in range(600)])  # one label per row
+    expected = np.argmin(radii, axis=1) + [0, 200, 400]
+    assert np.array_equal(reference_nearest(model, windows), expected)
+    assert np.array_equal(nearest_labels(model, windows), expected)
+
+
+def test_nearest_labels_prefilter_prunes(monkeypatch):
+    """Exact with any kept set, the kernel is fast only if the bound keeps few rows."""
+    x, y = toy_training(seed=18, n=2250, dim=32)
+    model = train("nn", x, y)
+    rng = np.random.default_rng(19)
+    windows = x[rng.integers(0, len(x), size=500)] + rng.normal(0.0, 0.5, size=(500, 32))
+    scored = []
+
+    def counting_cdist(a, b):
+        scored.append(len(b))
+        return cdist(a, b)
+
+    monkeypatch.setattr(classify, "cdist", counting_cdist)
+    got = nearest_labels(model, windows)
+    assert len(scored) == -(-len(windows) // BLOCK)
+    assert max(scored) <= 2 * BLOCK
+    assert np.array_equal(got, reference_nearest(model, windows))
 
 
 @pytest.mark.parametrize("kind, dim", [

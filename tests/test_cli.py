@@ -289,21 +289,24 @@ def test_features_extract_shape(features_path):
 
 def test_features_and_mmd_report_same_bytes_for_any_blas_thread_count(workspace, tmp_path):
     # OpenBLAS splits a product by its thread count, so a BLAS call in the features
-    # or in the MMD scoring can make the last digits depend on it
+    # or in the MMD scoring can make the last digits depend on it; the NN prefilter's
+    # sgemm may change which rows it keeps, but never the report
     src = Path(cli.__file__).resolve().parents[1]
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=str(src))
-        feats, report = tmp_path / f"features{threads}.csv", tmp_path / f"report{threads}.json"
-        for argv in (["features", "extract", "--audio-dir", workspace / "audio",
-                      "--out", feats],
-                     ["eval", "run", "--features", feats, "--scheme", "st",
-                      "--classifier", "mmd", "--realizations", "2", "--out", report]):
+        feats = tmp_path / f"features{threads}.csv"
+        reports = [tmp_path / f"{kind}{threads}.json" for kind in ("mmd", "nn")]
+        runs = [["features", "extract", "--audio-dir", workspace / "audio", "--out", feats]]
+        runs += [["eval", "run", "--features", feats, "--scheme", "st", "--classifier", kind,
+                  "--realizations", "2", "--out", report]
+                 for kind, report in zip(("mmd", "nn"), reports)]
+        for argv in runs:
             subprocess.run([sys.executable, "-m", "corpusaudit.cli", *map(str, argv),
                             "--metadata", str(workspace / "metadata.csv")],
                            env=env, check=True, timeout=120)
-        outputs.append([path.read_bytes() for path in (feats, companion_path(feats), report)])
+        outputs.append([path.read_bytes() for path in (feats, companion_path(feats), *reports)])
     assert outputs[0] == outputs[1]
 
 
@@ -668,6 +671,25 @@ BAD_INPUTS = {
         _text("recordings.json", json.dumps([["amber.001", "amber.001"]])),
         lambda fx, bad: _catalog_build(fx, bad, "--recordings"),
         "group 0 repeats excerpt 'amber.001'"),
+    "catalog_repetition_kind_unknown": (
+        _damaged_catalog(lambda d: d["repetitions"].insert(0, {
+            "kind": "bogus", "members": ["amber.000", "amber.001"], "evidence": "manual"})),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad], "group 0: kind must be"),
+    "catalog_one_member_repetition_group": (
+        _damaged_catalog(lambda d: d["repetitions"].insert(1, {
+            "kind": "exact", "members": ["amber.001"], "evidence": "fingerprint"})),
+        lambda fx, bad: _eval_run(fx, fx["features"], "--scheme", "st-prime",
+                                  "--catalog", bad), "group 1 holds fewer than two"),
+    "catalog_self_repeating_group": (
+        _damaged_catalog(lambda d: d["repetitions"].insert(0, {
+            "kind": "recording", "members": ["amber.001", "amber.001"],
+            "evidence": "manual"})),
+        lambda fx, bad: _eval_run(fx, fx["features"], "--scheme", "af-prime",
+                                  "--catalog", bad), "group 0 repeats excerpt 'amber.001'"),
+    "catalog_repetition_members_a_string": (
+        _damaged_catalog(lambda d: d["repetitions"].insert(0, {
+            "kind": "exact", "members": "amber.001", "evidence": "fingerprint"})),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad], "group 0: members must be"),
     "features_is_a_directory": (
         lambda fx, tmp: tmp,
         lambda fx, bad: _eval_run(fx, bad), "cannot read"),
