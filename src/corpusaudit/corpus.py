@@ -352,7 +352,8 @@ def load_audio(excerpt: Excerpt, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.n
     if rate != sample_rate:
         raise FormatError(f"{path}: sample rate {rate}, expected {sample_rate}")
     if data.dtype == np.int16:
-        return data.astype(np.float64) / 32768.0
+        # one pass, no int-to-float temporary; scaling by 2**-15 is exact
+        return np.multiply(data, 2.0**-15, dtype=np.float64)
     if data.dtype in (np.float32, np.float64):
         finite = np.isfinite(data)
         if not finite.all():

@@ -54,12 +54,28 @@ def frame_signal(samples: np.ndarray, frame_size: int = FRAME_SIZE,
     return view[::hop]
 
 
+STFT_BLOCK = 16  # frames windowed and transformed per rfft call
+
+
 def stft_magnitude(samples: np.ndarray, frame_size: int = FRAME_SIZE,
                    hop: int = HOP) -> np.ndarray:
-    """Hann-windowed magnitude spectrogram, shape (n_frames, frame_size//2+1)."""
+    """Hann-windowed magnitude spectrogram, shape (n_frames, frame_size//2+1).
+
+    Frames are windowed, transformed and rectified ``STFT_BLOCK`` at a time
+    in one reused buffer, so no windowed copy or complex spectrum of the
+    whole clip is built. The FFT transforms each row on its own, so the
+    result is the one-call ``np.abs(rfft(frames * window, axis=1))``, bit
+    for bit.
+    """
     frames = frame_signal(samples, frame_size, hop)
     window = np.hanning(frame_size)
-    return np.abs(rfft(frames * window, axis=1))
+    out = np.empty((len(frames), frame_size // 2 + 1))
+    block = np.empty((min(STFT_BLOCK, len(frames)), frame_size))
+    for start in range(0, len(frames), STFT_BLOCK):
+        chunk = frames[start:start + STFT_BLOCK]
+        windowed = np.multiply(chunk, window, out=block[:len(chunk)])
+        np.abs(rfft(windowed, axis=1), out=out[start:start + len(chunk)])
+    return out
 
 
 @lru_cache(maxsize=8)

@@ -7,12 +7,20 @@ aligned count by the smaller hash count so truncated copies still score
 high. The peak floor is relative (median log-magnitude + 10 dB), making
 peak locations invariant to overall gain.
 
-Peak picking is exact and separable. A bin's neighborhood is a square
-window cut off at the spectrogram's edges; for a maximum that is the
-same as ``scipy.ndimage.maximum_filter``'s default reflected border, and
-an even size reaches one bin further back than forward, as scipy's does.
-The window maximum is taken one axis at a time, with log2(n) maxima of
-shifted views. The median is ``np.median``'s value, found by a selection
+Peak picking is exact. A bin's neighborhood is a square window cut off
+at the spectrogram's edges; for a maximum that is the same as
+``scipy.ndimage.maximum_filter``'s default reflected border, and an even
+size reaches one bin further back than forward, as scipy's does. The
+local maxima are found without a dense window maximum. The spectrogram
+is cut into square tiles of side ``T``, about a quarter of the window,
+and each tile's maximum is taken. Only bins above the floor are
+candidates. Each candidate is bounded by two blocks of tiles: an inner
+block that lies inside its window, and an outer block that covers it. A
+candidate below its inner block's maximum is not a local maximum; one at
+or above its outer block's maximum is. The few left between the two are
+checked against their window directly. The block maxima are window
+maxima over the tile grid, which is ``T**2`` times smaller than the
+spectrogram. The median is ``np.median``'s value, found by a selection
 that partitions only a bracket of values around the median rank. A
 spectrogram holding a nan has no median and gives no peaks.
 
@@ -156,6 +164,58 @@ def _run_max(values: np.ndarray, size: int) -> np.ndarray:
     return np.maximum(runs[:length], runs[size - width:size - width + length])
 
 
+def _tile_max(values: np.ndarray, side: int) -> np.ndarray:
+    """The maximum of each ``side`` x ``side`` tile; edge tiles may be cut short."""
+    for axis in (0, 1):
+        values = np.swapaxes(values, 0, axis)
+        tiles = values[::side].copy()
+        for k in range(1, side):
+            rest = values[k::side]
+            np.maximum(tiles[:len(rest)], rest, out=tiles[:len(rest)])
+        values = np.swapaxes(tiles, 0, axis)
+    return values
+
+
+def _local_maxima(values: np.ndarray, size: int, floor: float) -> np.ndarray:
+    """Flat indices, ascending, of the entries above ``floor`` that are the
+    maximum of their ``_window_max`` window, for a nan-free 2-D array.
+
+    The window reaches ``back = size // 2`` entries back and ``fwd =
+    (size - 1) // 2`` forward on each axis. With tiles of side ``T = (fwd +
+    1) // 2`` (at least 1), the 3 x 3 tiles around an entry's own tile lie
+    inside its window when ``2T - 1 <= fwd``, and the ``2R + 1`` square of
+    tiles with ``R = ceil(back / T)`` covers it. An entry below the first
+    block's maximum is dropped, one at or above the second's is kept, and
+    the rest are compared with their window directly.
+    """
+    if size < 1:
+        raise ValueError(f"window size {size} is not positive")
+    seeds = np.flatnonzero(values > floor)
+    if not len(seeds):
+        return seeds
+    back, fwd = size // 2, (size - 1) // 2
+    side = max(1, (fwd + 1) // 2)
+    rows, cols = np.divmod(seeds, values.shape[1])
+    seed_values = values[rows, cols]
+    tiles = _tile_max(values, side)
+    inner = _window_max(tiles, 3) if 2 * side - 1 <= fwd else tiles
+    below = seed_values < inner[rows // side, cols // side]
+    seeds, rows, cols, seed_values = (a[~below] for a in (seeds, rows, cols, seed_values))
+    reach = -(-back // side)
+    keep = seed_values >= _window_max(tiles, 2 * reach + 1)[rows // side, cols // side]
+    # the rest: the maximum of each one's window, a row of the window at a
+    # time; offsets clipped to the edge stay inside the cut-off window
+    rest = np.flatnonzero(~keep)
+    window_cols = np.clip(cols[rest, None] + np.arange(-back, fwd + 1), 0, values.shape[1] - 1)
+    window_max = np.full(len(rest), -np.inf)
+    for offset in range(-back, fwd + 1):
+        window_rows = np.clip(rows[rest] + offset, 0, values.shape[0] - 1)
+        np.maximum(window_max, values[window_rows[:, None], window_cols].max(axis=1),
+                   out=window_max)
+    keep[rest] = seed_values[rest] >= window_max
+    return seeds[keep]
+
+
 # The median's bracket: MEDIAN_MARGIN ranks either side of the median's in a
 # strided sample of MEDIAN_SAMPLE to 2 * MEDIAN_SAMPLE values (all of them in
 # a smaller array). In a random sample of m values the median's rank varies
@@ -205,17 +265,15 @@ def find_peaks(samples: np.ndarray, params: FingerprintParams = DEFAULT_PARAMS,
     if np.isnan(log_mag).any():
         return PeakConstellation(owner=owner, peaks=())
     floor = _median(log_mag) + params.floor_db
-    local_max = _window_max(log_mag, params.neighborhood) == log_mag
-    candidates = np.argwhere(local_max & (log_mag > floor))
-
-    by_frame: dict[int, list[tuple[float, int]]] = {}
-    for frame, fbin in candidates:
-        by_frame.setdefault(int(frame), []).append((float(log_mag[frame, fbin]), int(fbin)))
-    peaks = []
-    for frame in sorted(by_frame):
-        strongest = sorted(by_frame[frame], reverse=True)[:params.max_peaks_per_frame]
-        for magnitude, fbin in sorted(strongest, key=lambda p: p[1]):
-            peaks.append((frame, fbin, magnitude))
+    frames, bins = np.divmod(_local_maxima(log_mag, params.neighborhood, floor),
+                             log_mag.shape[1])
+    magnitudes = log_mag[frames, bins]
+    # per frame, strongest first (ties: the higher bin first); keep the first
+    # max_peaks_per_frame of each frame, then restore frame-then-bin order
+    order = np.lexsort((-bins, -magnitudes, frames))
+    rank = np.arange(len(order)) - np.searchsorted(frames, frames[order])
+    kept = np.sort(order[rank < params.max_peaks_per_frame])
+    peaks = zip(frames[kept].tolist(), bins[kept].tolist(), magnitudes[kept].tolist())
     return PeakConstellation(owner=owner, peaks=tuple(peaks))
 
 

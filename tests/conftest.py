@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from corpusaudit.corpus import Corpus, Excerpt
+
+# "ci" draws the same examples on every run and keeps no example database, so
+# a CI run's verdict does not depend on the run; local runs keep exploring at
+# random. Select it with HYPOTHESIS_PROFILE=ci.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

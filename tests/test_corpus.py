@@ -191,6 +191,14 @@ def test_load_audio_duration_and_scaling(tmp_path):
     assert abs(samples[1] - 32767 / 32768) < 1e-12
 
 
+def test_load_audio_scales_every_int16_value_exactly(tmp_path):
+    data = np.arange(-32768, 32768, dtype=np.int16)
+    path = make_wav(tmp_path, data)
+    samples = load_audio(Excerpt(id="x", label="rock", audio_path=path), 22050)
+    assert samples.dtype == np.float64
+    assert samples.tobytes() == (data.astype(np.float64) / 32768.0).tobytes()
+
+
 def test_load_audio_float32_passthrough(tmp_path):
     data = np.linspace(-0.5, 0.5, 100, dtype=np.float32)
     path = make_wav(tmp_path, data)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.fft import rfft
 
 from corpusaudit.errors import IncompleteFeaturesError, IoError, ParseError, TooShortError
 from corpusaudit.features import (
@@ -40,6 +41,22 @@ def test_frame_count_formula():
 def test_frame_signal_too_short():
     with pytest.raises(TooShortError):
         frame_signal(np.zeros(FRAME_SIZE - 1))
+
+
+def one_shot_stft_magnitude(samples, frame_size=FRAME_SIZE, hop=HOP):
+    """``stft_magnitude`` in one call over all frames, kept as its oracle."""
+    frames = frame_signal(samples, frame_size, hop)
+    return np.abs(rfft(frames * np.hanning(frame_size), axis=1))
+
+
+@pytest.mark.parametrize("frame_size,hop", [(FRAME_SIZE, HOP), (1000, 333), (2048, 512)])
+@pytest.mark.parametrize("n_frames", [1, 15, 16, 17, 33])  # around the 16-frame block
+def test_stft_magnitude_equals_the_one_shot_transform(frame_size, hop, n_frames):
+    rng = np.random.default_rng(n_frames * frame_size)
+    samples = rng.normal(size=frame_size + (n_frames - 1) * hop + hop // 2)
+    got = stft_magnitude(samples, frame_size, hop)
+    assert got.shape == (n_frames, frame_size // 2 + 1)
+    assert got.tobytes() == one_shot_stft_magnitude(samples, frame_size, hop).tobytes()
 
 
 def test_frame_features_shape_and_determinism():

@@ -284,6 +284,53 @@ def test_window_max_equals_maximum_filter(values, size):
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+# at size 15 the tiles are 4 x 4 and a window reaches 7 either way
+PLATEAU = np.zeros((9, 10))
+PLATEAU[3:5, 2:7] = 5.0                   # rows 3 and 4 straddle a tile border
+HIDDEN = np.zeros((2, 12))
+HIDDEN[0, 0], HIDDEN[0, 8] = 1.0, 2.0     # 2.0 is in 1.0's outer block, not its window
+
+
+@st.composite
+def tied_arrays(draw):
+    """Up to 40 x 40 arrays of a few ``tied_values``, drawn from a seeded generator:
+    drawing each of 1600 elements through hypothesis would take seconds per array."""
+    shape = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    pool = np.array(draw(st.lists(tied_values, min_size=1, max_size=8)))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, size=shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=tied_arrays(), size=st.integers(1, 30),
+       floor=st.sampled_from([-np.inf, -1.0, 0.0, 1.0]) | tied_values)
+@example(values=PLATEAU, size=15, floor=1.0)
+@example(values=HIDDEN, size=15, floor=0.5)
+@example(values=np.array([[3.0, -1.0], [2.0, 3.0], [np.inf, 0.0]]), size=15,
+         floor=-np.inf)                   # smaller than one tile
+@example(values=np.array([[1.0]]), size=30, floor=0.0)
+def test_local_maxima_equal_maximum_filter(values, size, floor):
+    expected = np.flatnonzero((maximum_filter(values, size=(size, size)) == values)
+                              & (values > floor))
+    got = fingerprint._local_maxima(values, size, floor)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("neighborhood", [0, -1])
+def test_find_peaks_rejects_a_window_of_no_bins(neighborhood):
+    params = dataclasses.replace(DEFAULT_PARAMS, neighborhood=neighborhood)
+    with pytest.raises(ValueError, match="window size"):
+        find_peaks(np.random.default_rng(0).normal(size=SR), params)
+
+
+def test_local_maxima_checks_a_window_its_tile_bounds_cannot_decide():
+    # 1.0 tops its inner block, so it is not dropped, but not its outer
+    # block, so it is not kept: only the direct comparison keeps it
+    tiles = fingerprint._tile_max(HIDDEN, 4)
+    assert fingerprint._window_max(tiles, 3)[0, 0] == 1.0
+    assert fingerprint._window_max(tiles, 5)[0, 0] == 2.0
+    assert fingerprint._local_maxima(HIDDEN, 15, 0.5).tolist() == [0, 8]
+
+
 # tiny brackets, so that the sample is strided and the bracket often misses
 MEDIAN_SETTINGS = {"default": None, "tiny_bracket": (16, 1)}
 
