@@ -18,12 +18,8 @@ REALIZATIONS = 10
 
 
 def mean_accuracy(corpus, features, scheme, kind, catalog=None):
-    results = []
-    for r in range(REALIZATIONS):
-        part = evaluate.make_partition(corpus, scheme, seed=SEED,
-                                       catalog=catalog, realization=r)
-        results.append(evaluate.run_experiment(corpus, part, kind, features,
-                                               seed=SEED))
+    results = evaluate.run_realizations(corpus, scheme, kind, features, seed=SEED,
+                                        realizations=REALIZATIONS, catalog=catalog)
     mean, sd = evaluate.accuracy_summary(results)
     return mean, sd, results
 

@@ -8,7 +8,6 @@ on fingerprinting threads; 0 or unset = one per CPU) or the BLAS thread count.
 """
 
 import argparse
-import csv
 import dataclasses
 import functools
 import math
@@ -17,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import classify, evaluate, faults, features, fingerprint, tagscore
-from .corpus import (Corpus, load_audio, load_metadata, load_tags, open_text, read_json,
-                     write_json, write_text)
+from .corpus import (Corpus, load_audio, load_metadata, load_tags, read_json, write_json,
+                     write_text)
 from .errors import AuditError, ParseError, in_file
 
 # fixed default so reruns without an explicit seed are reproducible
@@ -44,17 +43,7 @@ def _load_corpus(args) -> Corpus:
 
 def cmd_audit_dupes(args) -> int:
     corpus = _load_corpus(args)
-    if args.cache and Path(args.cache).exists():
-        hashsets = fingerprint.read_cache(args.cache)
-        missing = [ex.id for ex in corpus.excerpts if ex.id not in hashsets]
-        if missing:
-            raise ParseError(f"{args.cache}: no fingerprints for excerpt {missing[0]!r}"
-                             f" ({len(missing)} of {len(corpus.excerpts)} missing);"
-                             " delete the cache to rebuild it")
-    else:
-        hashsets = fingerprint.fingerprint_corpus(corpus, workers=_worker_count())
-        if args.cache:
-            fingerprint.write_cache(args.cache, hashsets)
+    hashsets = fingerprint.cached_fingerprints(corpus, args.cache, workers=_worker_count())
     matches = fingerprint.match_all([hashsets[ex.id] for ex in corpus.excerpts],
                                     threshold=args.threshold)
     matches.sort(key=lambda m: tuple(sorted(m.pair)))
@@ -82,35 +71,16 @@ def cmd_audit_labels(args) -> int:
     return 1 if args.strict and flagged else 0
 
 
-def _read_dupe_groups(path, threshold):
-    """Exact-repetition groups from an ``audit dupes`` CSV."""
-    edges = []
-    with open_text(path, "dupes CSV") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                if float(row["score"]) >= threshold:
-                    edges.append((row["id_a"], row["id_b"]))
-            except (KeyError, TypeError, ValueError):
-                raise ParseError(f"{path}:{lineno}: expected id_a,id_b,score") from None
-    return fingerprint.connected_groups(edges)
-
-
 def cmd_catalog_build(args) -> int:
     corpus = load_metadata(args.metadata)
-    exact_groups = _read_dupe_groups(args.dupes, args.threshold) if args.dupes else []
-    recording_groups, distortions = [], []
-    if args.recordings:
-        recording_groups = read_json(
-            args.recordings, "recording groups",
-            lambda entries: faults.recording_groups_from_json(entries, corpus))
-    if args.distortions:
-        distortions = read_json(args.distortions, "distortion list",
-                                lambda entries: faults.distortions_from_json(entries, corpus))
-    verdicts, deltas = [], {}
-    if args.tags:
-        matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus))
-        verdicts = [v for v in verdicts if v.flagged]
-        deltas = {label: float(matrix.deltas[i]) for i, label in enumerate(matrix.labels)}
+    exact_groups = (faults.exact_groups_from_csv(args.dupes, args.threshold, corpus)
+                    if args.dupes else [])
+    recording_groups = read_json(args.recordings, "recording groups", functools.partial(
+        faults.recording_groups_from_json, corpus=corpus)) if args.recordings else []
+    distortions = read_json(args.distortions, "distortion list", functools.partial(
+        faults.distortions_from_json, corpus=corpus)) if args.distortions else []
+    verdicts, deltas = (tagscore.catalog_inputs(corpus, load_tags(args.tags, corpus))
+                        if args.tags else ([], {}))
     catalog = faults.build_catalog(corpus, exact_groups=exact_groups,
                                    verdicts=verdicts, distortions=distortions,
                                    recording_groups=recording_groups, deltas=deltas)
@@ -195,13 +165,9 @@ def cmd_eval_run(args) -> int:
     feats = features.read_feature_cache(args.features)
     catalog = faults.load_catalog(args.catalog) if args.catalog else None
     artist_folds = _read_artist_folds(args.artist_folds)
-    results = []
-    for realization in range(args.realizations):
-        partition = evaluate.make_partition(
-            corpus, args.scheme, seed=args.seed, catalog=catalog,
-            artist_folds=artist_folds, realization=realization)
-        results.append(evaluate.run_experiment(corpus, partition, args.classifier,
-                                               feats, seed=args.seed))
+    results = evaluate.run_realizations(
+        corpus, args.scheme, args.classifier, feats, seed=args.seed,
+        realizations=args.realizations, catalog=catalog, artist_folds=artist_folds)
     mean, std = evaluate.accuracy_summary(results)
     write_json(args.out, {
         "scheme": args.scheme,
@@ -251,20 +217,11 @@ def cmd_eval_compare(args) -> int:
 def cmd_eval_relabel(args) -> int:
     catalog = faults.load_catalog(args.catalog)
     realizations = _read_predictions(args.predictions)
-    known = set(catalog.labels)
-    stray = [p.excerpt_id for preds in realizations for p in preds
-             if not {p.true_label, p.predicted_label} <= known]
-    if stray:
-        raise ParseError(f"{args.predictions}: prediction for {stray[0]!r} names a label "
-                         "outside the catalog labels")
-    new_labels = faults.relabel_map(catalog)
-    results = [evaluate.ExperimentResult(
-        tables=evaluate.confusion_tables(catalog.labels, preds, true_labels=new_labels),
-        predictions=tuple(preds)) for preds in realizations]
     with in_file(args.predictions):
+        results = [faults.relabeled_result(catalog, preds) for preds in realizations]
         mean, std = evaluate.accuracy_summary(results)
     write_json(args.out, {
-        "relabeled": sorted(new_labels),
+        "relabeled": sorted(faults.relabel_map(catalog)),
         "accuracy_mean": mean,
         "accuracy_std": std,
         "realizations": [{"folds": [_fold_json(t) for t in res.tables]} for res in results],

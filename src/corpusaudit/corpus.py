@@ -61,6 +61,11 @@ class Excerpt:
     def identified(self) -> bool:
         return self.artist is not None or self.title is not None
 
+    @property
+    def artist_key(self) -> str | None:
+        """The normalized artist, None if unknown or blank; one artist's excerpts share it."""
+        return normalize_text(self.artist or "") or None
+
 
 @dataclass(frozen=True)
 class TagCountSet:

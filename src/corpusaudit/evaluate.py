@@ -85,15 +85,12 @@ class SignificanceResult:
 
 
 def _artist_groups(corpus: Corpus, included: set[str]) -> dict[str, list[str]]:
-    """Whole-artist atoms; unidentified excerpts become singleton groups."""
+    """Whole-artist atoms by ``artist_key``; an excerpt without one is a singleton."""
     groups: dict[str, list[str]] = {}
     for ex in corpus.excerpts:
         if ex.id not in included:
             continue
-        if ex.identified and ex.artist:
-            groups.setdefault(normalize_text(ex.artist), []).append(ex.id)
-        else:
-            groups.setdefault(f"\x00singleton:{ex.id}", []).append(ex.id)
+        groups.setdefault(ex.artist_key or f"\x00singleton:{ex.id}", []).append(ex.id)
     return groups
 
 
@@ -226,18 +223,26 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
                             predictions=tuple(predictions))
 
 
-def confusion_tables(labels, predictions, true_labels=None) -> tuple[ConfusionTable, ...]:
-    """One confusion table per fold that has predictions, in fold order.
+def run_realizations(corpus: Corpus, scheme: str, kind: str, features, seed: int = 0,
+                     realizations: int = 1, catalog=None, artist_folds=None) -> list:
+    """``run_experiment`` on realizations 0 .. ``realizations`` - 1 of ``scheme``; ``af``
+    and ``af-prime`` ignore the seed and realization, so they take one."""
+    if realizations > 1 and scheme in ("af", "af-prime"):
+        raise AuditError(f"scheme {scheme!r} makes the same partition for every "
+                         f"realization, so it takes 1 realization, not {realizations}")
+    return [run_experiment(corpus, make_partition(corpus, scheme, seed=seed, catalog=catalog,
+                                                  artist_folds=artist_folds, realization=r),
+                           kind, features, seed=seed)
+            for r in range(realizations)]
 
-    ``true_labels`` maps excerpt ids to corrected true labels (as
-    ``faults.relabel_map`` gives); other predictions keep their own.
-    """
+
+def confusion_tables(labels, predictions) -> tuple[ConfusionTable, ...]:
+    """One confusion table per fold that has predictions, in fold order."""
     index = {label: i for i, label in enumerate(labels)}
-    true_labels = true_labels or {}
     counts: dict[int, np.ndarray] = {}
     for p in predictions:
         fold = counts.setdefault(p.fold, np.zeros((len(labels), len(labels))))
-        fold[index[p.predicted_label], index[true_labels.get(p.excerpt_id, p.true_label)]] += 1
+        fold[index[p.predicted_label], index[p.true_label]] += 1
     return tuple(ConfusionTable(labels=tuple(labels), counts=counts[f]) for f in sorted(counts))
 
 

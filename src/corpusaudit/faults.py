@@ -11,18 +11,21 @@ The perfect-classifier confusion distributes one unit of weight per
 excerpt across predicted labels according to its mislabel verdict.
 """
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corpus import Corpus, normalize_text, read_json, write_json
+from .corpus import Corpus, normalize_text, open_text, read_json, write_json
 from .errors import (
     DegenerateClassError,
     IncompleteVerdictError,
     ParseError,
     UnknownExcerptError,
 )
+from .evaluate import ConfusionTable, ExperimentResult, confusion_tables, figures_of_merit
+from .fingerprint import connected_groups
 from .tagscore import MislabelVerdict
 
 REPETITION_KINDS = ("exact", "recording", "artist", "version")
@@ -73,8 +76,6 @@ class FaultCatalog:
 def _metadata_groups(corpus: Corpus, key_fn, kind: str) -> list[RepetitionGroup]:
     groups: dict[str, list[str]] = {}
     for ex in corpus.excerpts:
-        if not ex.identified:
-            continue
         key = key_fn(ex)
         if key:
             groups.setdefault(key, []).append(ex.id)
@@ -92,21 +93,18 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
     normalized artist string; version groups share a normalized title
     without already sitting inside one exact/recording group.
     """
-    recording_groups = [tuple(g) for g in recording_groups]
+    given = {"exact": [tuple(g) for g in exact_groups],
+             "recording": [tuple(g) for g in recording_groups]}
     dist_list = list(distortions)
-    check_known_ids(corpus, recording_groups=recording_groups, distortions=dist_list)
+    check_known_ids(corpus, given, dist_list)
     dist_list.sort(key=lambda d: d.excerpt_id)
 
-    repetitions = [RepetitionGroup(kind="exact", members=tuple(sorted(g)),
-                                   evidence="fingerprint")
-                   for g in sorted(tuple(sorted(g)) for g in exact_groups)]
-    repetitions += [RepetitionGroup(kind="recording", members=tuple(sorted(g)),
-                                    evidence="manual")
-                    for g in sorted(tuple(sorted(g)) for g in recording_groups)]
+    repetitions = [RepetitionGroup(kind=kind, members=members, evidence=evidence)
+                   for kind, evidence in (("exact", "fingerprint"), ("recording", "manual"))
+                   for members in sorted(tuple(sorted(g)) for g in given[kind])]
 
     same_recording = [set(g.members) for g in repetitions]
-    repetitions += _metadata_groups(
-        corpus, lambda ex: normalize_text(ex.artist) if ex.artist else None, "artist")
+    repetitions += _metadata_groups(corpus, lambda ex: ex.artist_key, "artist")
     for group in _metadata_groups(
             corpus, lambda ex: normalize_text(ex.title) if ex.title else None, "version"):
         if not any(set(group.members) <= members for members in same_recording):
@@ -129,8 +127,7 @@ def artist_bounds(corpus: Corpus) -> tuple[int, int]:
     The minimum assumes every unidentified excerpt is by an already-known
     artist; the maximum assumes each is by a new one.
     """
-    artists = {normalize_text(ex.artist) for ex in corpus.excerpts
-               if ex.artist is not None}
+    artists = {ex.artist_key for ex in corpus.excerpts} - {None}
     unidentified = sum(1 for ex in corpus.excerpts if not ex.identified)
     return len(artists), len(artists) + unidentified
 
@@ -184,8 +181,6 @@ def perfect_confusion(catalog: FaultCatalog) -> PerfectConfusion:
 
 def perfect_statistics(pc: PerfectConfusion):
     """Figures of merit of the perfect confusion; delegates to the eval module."""
-    from .evaluate import ConfusionTable, figures_of_merit
-
     if np.any(pc.matrix.sum(axis=0) == 0):
         raise DegenerateClassError("a label column has zero total weight")
     return figures_of_merit(ConfusionTable(labels=pc.labels, counts=pc.matrix))
@@ -201,6 +196,19 @@ def relabel_map(catalog: FaultCatalog) -> dict[str, str]:
             if best > 0.0:
                 new_labels[v.excerpt_id] = best_label
     return new_labels
+
+
+def relabeled_result(catalog: FaultCatalog, predictions) -> ExperimentResult:
+    """``predictions`` scored against ``relabel_map``'s labels; all must name catalog labels."""
+    new_labels, known = relabel_map(catalog), set(catalog.labels)
+    for p in predictions:
+        if not {p.true_label, p.predicted_label} <= known:
+            raise ParseError(f"prediction for {p.excerpt_id!r} names a label outside the "
+                             "catalog labels")
+    relabeled = tuple(replace(p, true_label=new_labels.get(p.excerpt_id, p.true_label))
+                      for p in predictions)
+    return ExperimentResult(tables=confusion_tables(catalog.labels, relabeled),
+                            predictions=relabeled)
 
 
 def apply_relabeling(corpus: Corpus, catalog: FaultCatalog) -> Corpus:
@@ -235,13 +243,14 @@ def catalog_to_json(catalog: FaultCatalog) -> dict:
     }
 
 
-def check_known_ids(corpus: Corpus, recording_groups=(), distortions=()) -> None:
-    """Reject a recording-group member or distortion id absent from the corpus."""
-    for i, group in enumerate(recording_groups):
-        unknown = [eid for eid in group if eid not in corpus]
-        if unknown:
-            raise UnknownExcerptError(f"recording group {i} names unknown excerpt "
-                                      f"{unknown[0]!r}")
+def check_known_ids(corpus: Corpus, groups=None, distortions=()) -> None:
+    """Reject an id absent from the corpus; ``groups`` maps a kind to its id groups."""
+    for kind, kind_groups in (groups or {}).items():
+        for i, group in enumerate(kind_groups):
+            unknown = [eid for eid in group if eid not in corpus]
+            if unknown:
+                raise UnknownExcerptError(f"{kind} group {i} names unknown excerpt "
+                                          f"{unknown[0]!r}")
     for d in distortions:
         if d.excerpt_id not in corpus:
             raise UnknownExcerptError(f"distortion names unknown excerpt {d.excerpt_id!r}")
@@ -255,8 +264,26 @@ def recording_groups_from_json(entries, corpus: Corpus) -> list[tuple[str, ...]]
     groups = [tuple(g) for g in entries]
     for i, group in enumerate(groups):
         _check_members(f"recording group {i}", group)
-    check_known_ids(corpus, recording_groups=groups)
+    check_known_ids(corpus, {"recording": groups})
     return groups
+
+
+def exact_groups_from_csv(path, threshold: float, corpus: Corpus) -> list[tuple[str, ...]]:
+    """Exact-repetition groups of an ``audit dupes`` CSV: the connected pairs
+    scoring at least ``threshold``. Every id must be in ``corpus``."""
+    edges = []
+    with open_text(path, "dupes CSV") as fh:
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                pair, score = (row["id_a"], row["id_b"]), float(row["score"])
+            except (KeyError, TypeError, ValueError):
+                raise ParseError(f"{path}:{lineno}: expected id_a,id_b,score") from None
+            unknown = [eid for eid in pair if eid not in corpus]
+            if unknown:
+                raise UnknownExcerptError(f"{path}:{lineno}: unknown excerpt {unknown[0]!r}")
+            if score >= threshold:
+                edges.append(pair)
+    return connected_groups(edges)
 
 
 def _check_members(what: str, members: tuple[str, ...]) -> None:

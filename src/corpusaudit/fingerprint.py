@@ -35,10 +35,12 @@ positive costs only a search that finds nothing.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, load_audio, read_records, write_records
+from .errors import ParseError
 from .features import stft_magnitude
 
 DEFAULT_THRESHOLD = 0.25
@@ -426,3 +428,20 @@ def read_cache(path) -> dict[str, HashSet]:
     """Read a cache written by ``write_cache``; a malformed one raises ParseError."""
     return {eid: HashSet(owner=eid, hashes=pairs) for eid, pairs in
             read_records(path, "fingerprint cache", CACHE_MAGIC, "<u4", 2).items()}
+
+
+def cached_fingerprints(corpus: Corpus, cache=None, workers: int = 1) -> dict[str, HashSet]:
+    """Hash sets read from ``cache`` if it exists and covers the corpus (else
+    ParseError), or fingerprinted on ``workers`` threads and written to ``cache``."""
+    if cache and Path(cache).exists():
+        hashsets = read_cache(cache)
+        missing = [ex.id for ex in corpus.excerpts if ex.id not in hashsets]
+        if missing:
+            raise ParseError(f"{cache}: no fingerprints for excerpt {missing[0]!r}"
+                             f" ({len(missing)} of {len(corpus.excerpts)} missing);"
+                             " delete the cache to rebuild it")
+        return hashsets
+    hashsets = fingerprint_corpus(corpus, workers=workers)
+    if cache:
+        write_cache(cache, hashsets)
+    return hashsets

@@ -230,3 +230,10 @@ def audit_labels(corpus: Corpus,
             profiles.append(label_profile(label, sets))
     matrix = score_matrix(profiles)
     return matrix, detect_mislabelings(corpus, tags, profiles, matrix)
+
+
+def catalog_inputs(corpus: Corpus, tags: dict[str, TagCountSet]) -> tuple[list, dict]:
+    """``audit_labels``' flagged verdicts and label deltas, as ``build_catalog`` takes them."""
+    matrix, verdicts = audit_labels(corpus, tags)
+    return ([v for v in verdicts if v.flagged],
+            {label: float(matrix.deltas[i]) for i, label in enumerate(matrix.labels)})

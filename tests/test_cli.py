@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from corpusaudit import cli
+from corpusaudit import cli, fingerprint
 from corpusaudit.cli import dispatch
 from corpusaudit.faults import load_catalog, perfect_confusion, perfect_statistics
 from corpusaudit.features import companion_path
@@ -90,7 +90,7 @@ def test_missing_required_argument_exits_two():
     assert dispatch(["audit", "dupes"]) == 2
 
 
-def test_audit_dupes_finds_planted_pair(workspace, tmp_path):
+def test_audit_dupes_finds_planted_pair(workspace, tmp_path, monkeypatch):
     out = tmp_path / "dupes.csv"
     cache = tmp_path / "prints.bin"
     code = dispatch(["audit", "dupes",
@@ -104,14 +104,18 @@ def test_audit_dupes_finds_planted_pair(workspace, tmp_path):
     assert float(rows[0]["score"]) > 0.25
     assert cache.exists()
 
-    # rerun from the cache: byte-identical output
+    # rerun from the cache, which fingerprints nothing: byte-identical output
     first = out.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm audit fingerprinted a clip")
+    monkeypatch.setattr(fingerprint, "compute_fingerprint", refuse)
     out2 = tmp_path / "dupes2.csv"
-    dispatch(["audit", "dupes",
-              "--metadata", str(workspace / "metadata.csv"),
-              "--audio-dir", str(workspace / "audio"),
-              "--cache", str(cache),
-              "--out", str(out2)])
+    assert dispatch(["audit", "dupes",
+                     "--metadata", str(workspace / "metadata.csv"),
+                     "--audio-dir", str(workspace / "audio"),
+                     "--cache", str(cache),
+                     "--out", str(out2)]) == 0
     assert out2.read_bytes() == first
 
 
@@ -576,6 +580,9 @@ BAD_INPUTS = {
     "missing_dupes": (
         _absent("dupes.csv"),
         lambda fx, bad: _catalog_build(fx, bad, "--dupes"), "not found"),
+    "dupes_id_outside_metadata": (
+        _text("dupes.csv", "id_a,id_b,score,offset_frames\namber.000,zzz.9,0.900000,0\n"),
+        lambda fx, bad: _catalog_build(fx, bad, "--dupes"), ":2: unknown excerpt 'zzz.9'"),
     "missing_artist_folds": (
         _absent("folds.json"),
         lambda fx, bad: ["partition", "make", "--metadata", fx["metadata"],
@@ -711,6 +718,14 @@ BAD_INPUTS = {
         lambda fx, tmp: "0",
         lambda fx, bad: _eval_run(fx, fx["features"], "--realizations", bad),
         "--realizations"),
+    "af_realizations_above_one": (
+        lambda fx, tmp: "2",
+        lambda fx, bad: _eval_run(fx, fx["features"], "--realizations", bad),
+        "scheme 'af' makes the same partition for every realization"),
+    "af_prime_realizations_above_one": (
+        lambda fx, tmp: "3",
+        lambda fx, bad: _eval_run(fx, fx["features"], "--scheme", "af-prime", "--catalog",
+                                  fx["catalog"], "--realizations", bad), "not 3"),
     "nan_threshold": (
         lambda fx, tmp: "nan",
         lambda fx, bad: ["audit", "dupes", "--metadata", fx["metadata"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from corpusaudit.corpus import Corpus, Excerpt
+from corpusaudit.evaluate import _artist_groups, make_partition
 from corpusaudit.errors import (
     DegenerateClassError,
     IncompleteVerdictError,
@@ -99,6 +100,12 @@ def test_unknown_recording_group_id(small_corpus):
         build_catalog(small_corpus, recording_groups=[("alpha.000", "nope.999")])
 
 
+def test_unknown_exact_group_id(small_corpus):
+    with pytest.raises(UnknownExcerptError, match="exact group 1 names unknown excerpt 'nope.9'"):
+        build_catalog(small_corpus, exact_groups=[("alpha.000", "alpha.001"),
+                                                  ("nope.9", "beta.000")])
+
+
 def test_artist_bounds(small_corpus):
     # four distinct artists, one unidentified excerpt
     assert artist_bounds(small_corpus) == (4, 5)
@@ -110,6 +117,28 @@ def test_artist_bounds_normalizes_names():
         Excerpt(id="x.1", label="x", artist="  some   ARTIST "),
     ))
     assert artist_bounds(corpus) == (1, 1)
+
+
+def test_catalog_partition_and_bounds_share_one_artist_key():
+    # names that differ only in case and whitespace are one artist; a blank name is none
+    corpus = Corpus(labels=("x", "y"), excerpts=(
+        Excerpt(id="x.0", label="x", artist="The Band"),
+        Excerpt(id="x.1", label="x", artist="  the   BAND "),
+        Excerpt(id="y.0", label="y", artist="THE band"),
+        Excerpt(id="x.2", label="x", artist="Other"),
+        Excerpt(id="y.1", label="y", artist=" other"),
+        Excerpt(id="x.3", label="x", artist="\t"),
+        Excerpt(id="y.2", label="y", artist="   "),
+        Excerpt(id="y.3", label="y", title="Song"),
+        Excerpt(id="x.4", label="x"),
+    ))
+    groups = [g.members for g in build_catalog(corpus).repetitions if g.kind == "artist"]
+    assert groups == [("x.2", "y.1"), ("x.0", "x.1", "y.0")]
+    atoms = _artist_groups(corpus, {ex.id for ex in corpus.excerpts})
+    assert sorted(tuple(sorted(a)) for a in atoms.values() if len(a) > 1) == sorted(groups)
+    folds = [set(f) for f in make_partition(corpus, "af").folds]
+    assert all(set(g) <= folds[0] or set(g) <= folds[1] for g in groups)
+    assert artist_bounds(corpus) == (len(groups), len(groups) + 1)  # x.4 unidentified
 
 
 def two_label_corpus():
