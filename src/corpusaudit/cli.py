@@ -125,7 +125,7 @@ def _read_artist_folds(path):
 
 def cmd_partition_make(args) -> int:
     corpus = load_metadata(args.metadata)
-    catalog = faults.load_catalog(args.catalog) if args.catalog else None
+    catalog = faults.load_catalog(args.catalog, corpus) if args.catalog else None
     artist_folds = _read_artist_folds(args.artist_folds)
     partition = evaluate.make_partition(corpus, args.scheme, seed=args.seed,
                                         catalog=catalog, artist_folds=artist_folds,
@@ -163,7 +163,7 @@ def _fold_json(table: evaluate.ConfusionTable) -> dict:
 def cmd_eval_run(args) -> int:
     corpus = load_metadata(args.metadata)
     feats = features.read_feature_cache(args.features)
-    catalog = faults.load_catalog(args.catalog) if args.catalog else None
+    catalog = faults.load_catalog(args.catalog, corpus) if args.catalog else None
     artist_folds = _read_artist_folds(args.artist_folds)
     results = evaluate.run_realizations(
         corpus, args.scheme, args.classifier, feats, seed=args.seed,

@@ -9,10 +9,13 @@ smallest, plus distortions whose usable prefix falls below 5 seconds.
 
 The perfect-classifier confusion distributes one unit of weight per
 excerpt across predicted labels according to its mislabel verdict.
+
+``check_catalog`` is the only home of the catalog invariant: every catalog built
+or read passes it, and against the corpus in use when a command has one.
 """
 
 import csv
-import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -93,15 +96,10 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
     normalized artist string; version groups share a normalized title
     without already sitting inside one exact/recording group.
     """
-    given = {"exact": [tuple(g) for g in exact_groups],
-             "recording": [tuple(g) for g in recording_groups]}
-    dist_list = list(distortions)
-    check_known_ids(corpus, given, dist_list)
-    dist_list.sort(key=lambda d: d.excerpt_id)
-
     repetitions = [RepetitionGroup(kind=kind, members=members, evidence=evidence)
-                   for kind, evidence in (("exact", "fingerprint"), ("recording", "manual"))
-                   for members in sorted(tuple(sorted(g)) for g in given[kind])]
+                   for kind, evidence, given in (("exact", "fingerprint", exact_groups),
+                                                 ("recording", "manual", recording_groups))
+                   for members in sorted(tuple(sorted(g)) for g in given)]
 
     same_recording = [set(g.members) for g in repetitions]
     repetitions += _metadata_groups(corpus, lambda ex: ex.artist_key, "artist")
@@ -110,15 +108,12 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
         if not any(set(group.members) <= members for members in same_recording):
             repetitions.append(group)
 
-    counts = {label: len(corpus.with_label(label)) for label in corpus.labels}
-    return FaultCatalog(
+    return check_catalog(FaultCatalog(
         labels=corpus.labels,
-        label_counts=counts,
-        repetitions=repetitions,
-        mislabelings=sorted(verdicts, key=lambda v: v.excerpt_id),
-        distortions=dist_list,
-        deltas=dict(deltas) if deltas else {},
-    )
+        label_counts={label: len(corpus.with_label(label)) for label in corpus.labels},
+        repetitions=repetitions, mislabelings=sorted(verdicts, key=lambda v: v.excerpt_id),
+        distortions=sorted(distortions, key=lambda d: d.excerpt_id),
+        deltas=dict(deltas) if deltas else {}), corpus)
 
 
 def artist_bounds(corpus: Corpus) -> tuple[int, int]:
@@ -243,28 +238,87 @@ def catalog_to_json(catalog: FaultCatalog) -> dict:
     }
 
 
-def check_known_ids(corpus: Corpus, groups=None, distortions=()) -> None:
-    """Reject an id absent from the corpus; ``groups`` maps a kind to its id groups."""
-    for kind, kind_groups in (groups or {}).items():
-        for i, group in enumerate(kind_groups):
-            unknown = [eid for eid in group if eid not in corpus]
-            if unknown:
-                raise UnknownExcerptError(f"{kind} group {i} names unknown excerpt "
-                                          f"{unknown[0]!r}")
-    for d in distortions:
-        if d.excerpt_id not in corpus:
-            raise UnknownExcerptError(f"distortion names unknown excerpt {d.excerpt_id!r}")
+def _number(x, low: float = -sys.float_info.max) -> bool:
+    """``x`` is an int or float, not a bool, from ``low`` to the largest finite float."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and low <= x <= sys.float_info.max)  # False for nan
+
+
+def check_catalog(catalog: FaultCatalog, corpus: Corpus | None = None) -> FaultCatalog:
+    """``catalog`` if it holds the catalog invariant, and with ``corpus`` has its label
+    set and only its ids; else the first breach, naming a group by kind and index."""
+    labels = set(catalog.labels)
+    if set(catalog.label_counts) != labels or not all(
+            _number(n, 0) for n in catalog.label_counts.values()):
+        raise ParseError("label_counts must map exactly the catalog labels to counts >= 0")
+    if corpus is not None and labels != set(corpus.labels):
+        raise ParseError(f"catalog labels {', '.join(catalog.labels)} differ from the "
+                         f"metadata labels {', '.join(corpus.labels)}")
+
+    def check_known(what: str, ids) -> None:
+        unknown = [eid for eid in ids if corpus is not None and eid not in corpus]
+        if unknown:
+            raise UnknownExcerptError(f"{what} names unknown excerpt {unknown[0]!r}")
+
+    for i, group in enumerate(catalog.repetitions):
+        if group.kind not in REPETITION_KINDS:
+            raise ParseError(f"repetition group {i}: kind must be one of "
+                             f"{', '.join(REPETITION_KINDS)}, got {group.kind!r}")
+        what, members = f"{group.kind} group {i}", group.members
+        if len(members) < 2:
+            raise ParseError(f"{what} holds fewer than two excerpt ids: {list(members)}")
+        if len(set(members)) < len(members):
+            repeated = next(eid for k, eid in enumerate(members) if eid in members[:k])
+            raise ParseError(f"{what} repeats excerpt {repeated!r}")
+        check_known(what, members)
+    seen = set()
+    for i, d in enumerate(catalog.distortions):
+        if d.excerpt_id in seen:
+            raise ParseError(f"distortion entry {i} repeats id {d.excerpt_id!r}")
+        seen.add(d.excerpt_id)
+        if not (d.usable_prefix_seconds is None or _number(d.usable_prefix_seconds, 0)):
+            raise ParseError(f"distortion entry {i}: usable_prefix_seconds must be a "
+                             f"finite number >= 0, got {d.usable_prefix_seconds!r}")
+        check_known("distortion", [d.excerpt_id])
+    for v in catalog.mislabelings:
+        if v.label not in labels or not set(v.scores) <= labels:
+            raise ParseError(f"mislabeling {v.excerpt_id!r} names a label outside "
+                             "the catalog labels")
+        if not (isinstance(v.excerpt_id, str) and isinstance(v.flagged, bool) and all(
+                map(_number, [v.own_score, v.best_other_score, *v.scores.values()]))):
+            raise ParseError(f"mislabeling {v.excerpt_id!r} must have a string id, finite "
+                             "scores and a true or false 'flagged'")
+        if v.flagged and not v.scores:
+            raise IncompleteVerdictError(f"flagged mislabeling {v.excerpt_id!r} "
+                                         "carries no score vector")
+        if v.flagged and v.label not in catalog.deltas:
+            raise ParseError(f"flagged mislabeling {v.excerpt_id!r}: no delta for "
+                             f"label {v.label!r}")
+        check_known("mislabeling", [v.excerpt_id])
+    return catalog
+
+
+def _excerpt_ids(kind: str, i: int, members) -> tuple[str, ...]:
+    # checked here: tuple() would turn one string into a group of its characters
+    if not (isinstance(members, list) and all(isinstance(eid, str) for eid in members)):
+        raise ParseError(f"{kind} group {i}: members must be an array of excerpt ids, "
+                         f"got {members!r}")
+    return tuple(members)
+
+
+def _check_read(corpus: Corpus | None, repetitions=(), distortions=()) -> None:
+    """``check_catalog`` on what one reader read, so its errors name that file."""
+    labels = corpus.labels if corpus is not None else ()
+    check_catalog(FaultCatalog(labels, dict.fromkeys(labels, 0), list(repetitions), [],
+                               list(distortions)), corpus)
 
 
 def recording_groups_from_json(entries, corpus: Corpus) -> list[tuple[str, ...]]:
     """Manual recording groups: arrays of excerpt ids, all in ``corpus``."""
-    if not (isinstance(entries, list) and all(
-            isinstance(g, list) and all(isinstance(eid, str) for eid in g) for g in entries)):
+    if not isinstance(entries, list):
         raise ParseError("expected a JSON array of recording groups (arrays of excerpt ids)")
-    groups = [tuple(g) for g in entries]
-    for i, group in enumerate(groups):
-        _check_members(f"recording group {i}", group)
-    check_known_ids(corpus, {"recording": groups})
+    groups = [_excerpt_ids("recording", i, g) for i, g in enumerate(entries)]
+    _check_read(corpus, repetitions=[RepetitionGroup("recording", g, "manual") for g in groups])
     return groups
 
 
@@ -286,82 +340,29 @@ def exact_groups_from_csv(path, threshold: float, corpus: Corpus) -> list[tuple[
     return connected_groups(edges)
 
 
-def _check_members(what: str, members: tuple[str, ...]) -> None:
-    """Reject a group of fewer than two ids or with a repeated id; a repeated
-    id would put an excerpt that repeats nothing into ``exclusions()``."""
-    if len(members) < 2:
-        raise ParseError(f"{what} holds fewer than two excerpt ids: {list(members)}")
-    if len(set(members)) < len(members):
-        repeated = next(eid for k, eid in enumerate(members) if eid in members[:k])
-        raise ParseError(f"{what} repeats excerpt {repeated!r}")
-
-
 def distortions_from_json(entries, corpus=None) -> list[Distortion]:
     """Distortion entries ``{"id", "note"?, "usable_prefix_seconds"?}``; with a
     ``corpus``, every id must be in it."""
     if not isinstance(entries, list):
         raise ParseError("expected a JSON array of distortion entries")
-    out, seen = [], set()
+    out = []
     for i, d in enumerate(entries):
-        if not isinstance(d, dict) or "id" not in d:
-            raise ParseError(f"distortion entry {i} is not an object with an 'id'")
-        if not isinstance(d["id"], str):
-            raise ParseError(f"distortion entry {i}: id must be a string, got {d['id']!r}")
-        if d["id"] in seen:
-            raise ParseError(f"distortion entry {i} repeats id {d['id']!r}")
-        seen.add(d["id"])
-        prefix = d.get("usable_prefix_seconds")
-        if prefix is not None and (isinstance(prefix, bool)
-                                   or not isinstance(prefix, (int, float))
-                                   or not 0 <= prefix < math.inf):  # False for nan
-            raise ParseError(f"distortion entry {i}: usable_prefix_seconds must be a "
-                             f"finite number >= 0, got {prefix!r}")
+        if not (isinstance(d, dict) and isinstance(d.get("id"), str)):
+            raise ParseError(f"distortion entry {i} must be an object with a string 'id', "
+                             f"got {d!r}")
         out.append(Distortion(excerpt_id=d["id"], note=d.get("note", ""),
-                              usable_prefix_seconds=prefix))
-    if corpus is not None:
-        check_known_ids(corpus, distortions=out)
+                              usable_prefix_seconds=d.get("usable_prefix_seconds")))
+    _check_read(corpus, distortions=out)
     return out
 
 
-def _check_catalog(catalog: FaultCatalog) -> FaultCatalog:
-    """Reject repetition groups that ``build_catalog`` cannot produce, and
-    verdicts that the perfect-confusion and relabeling rules cannot use."""
-    for i, group in enumerate(catalog.repetitions):
-        if group.kind not in REPETITION_KINDS:
-            raise ParseError(f"repetition group {i}: kind must be one of "
-                             f"{', '.join(REPETITION_KINDS)}, got {group.kind!r}")
-        _check_members(f"repetition group {i}", group.members)
-    labels = set(catalog.labels)
-    if set(catalog.label_counts) != labels:
-        raise ParseError("label_counts must name exactly the catalog labels")
-    for v in catalog.mislabelings:
-        if v.label not in labels or not set(v.scores) <= labels:
-            raise ParseError(f"mislabeling {v.excerpt_id!r} names a label outside "
-                             "the catalog labels")
-        if v.flagged and not v.scores:
-            raise IncompleteVerdictError(f"flagged mislabeling {v.excerpt_id!r} "
-                                         "carries no score vector")
-        if v.flagged and v.label not in catalog.deltas:
-            raise ParseError(f"flagged mislabeling {v.excerpt_id!r}: no delta for "
-                             f"label {v.label!r}")
-    return catalog
-
-
-def _excerpt_ids(i: int, members) -> tuple[str, ...]:
-    # checked here: tuple() would turn one string into a group of its characters
-    if not (isinstance(members, list) and all(isinstance(eid, str) for eid in members)):
-        raise ParseError(f"repetition group {i}: members must be an array of excerpt "
-                         f"ids, got {members!r}")
-    return tuple(members)
-
-
-def catalog_from_json(data: dict) -> FaultCatalog:
+def catalog_from_json(data: dict, corpus: Corpus | None = None) -> FaultCatalog:
     try:
-        return _check_catalog(FaultCatalog(
+        return check_catalog(FaultCatalog(
             labels=tuple(data["labels"]),
             label_counts={k: int(v) for k, v in data["label_counts"].items()},
             repetitions=[RepetitionGroup(kind=g["kind"],
-                                         members=_excerpt_ids(i, g["members"]),
+                                         members=_excerpt_ids("repetition", i, g["members"]),
                                          evidence=g["evidence"])
                          for i, g in enumerate(data["repetitions"])],
             mislabelings=[MislabelVerdict(
@@ -373,8 +374,8 @@ def catalog_from_json(data: dict) -> FaultCatalog:
                 for v in data["mislabelings"]],
             distortions=distortions_from_json(data["distortions"]),
             deltas={k: float(v) for k, v in data.get("deltas", {}).items()},
-        ))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        ), corpus)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed catalog JSON: {exc}") from None
 
 
@@ -382,5 +383,5 @@ def save_catalog(catalog: FaultCatalog, path) -> None:
     write_json(path, catalog_to_json(catalog), "catalog")
 
 
-def load_catalog(path) -> FaultCatalog:
-    return read_json(path, "catalog", catalog_from_json)
+def load_catalog(path, corpus: Corpus | None = None) -> FaultCatalog:
+    return read_json(path, "catalog", lambda data: catalog_from_json(data, corpus))

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from corpusaudit import cli, fingerprint
@@ -697,6 +701,25 @@ BAD_INPUTS = {
         _damaged_catalog(lambda d: d["repetitions"].insert(0, {
             "kind": "exact", "members": "amber.001", "evidence": "fingerprint"})),
         lambda fx, bad: ["catalog", "show", "--catalog", bad], "group 0: members must be"),
+    "catalog_own_score_not_a_number": (
+        _damaged_catalog(lambda d: _slate_003(d).update(own_score="high")),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad],
+        "'slate.003' must have a string id, finite scores"),
+    "catalog_flagged_score_a_string": (
+        _damaged_catalog(lambda d: _slate_003(d)["scores"].update(amber="0.5")),
+        lambda fx, bad: ["report", "perfect", "--catalog", bad],
+        "'slate.003' must have a string id, finite scores"),
+    "catalog_id_outside_metadata": (
+        _damaged_catalog(lambda d: d["distortions"].append(
+            {"id": "amber.999", "note": "hum", "usable_prefix_seconds": None})),
+        lambda fx, bad: _eval_run(fx, fx["features"], "--scheme", "st-prime",
+                                  "--catalog", bad), "unknown excerpt 'amber.999'"),
+    "catalog_labels_differ_from_metadata": (
+        _damaged_catalog(lambda d: (d["labels"].append("violet"),
+                                    d["label_counts"].update(violet=0))),
+        lambda fx, bad: ["partition", "make", "--metadata", fx["metadata"],
+                         "--scheme", "af-prime", "--catalog", bad],
+        "catalog labels amber, slate, violet differ from the metadata labels amber, slate"),
     "features_is_a_directory": (
         lambda fx, tmp: tmp,
         lambda fx, bad: _eval_run(fx, bad), "cannot read"),
@@ -787,3 +810,55 @@ def test_bad_input_exits_two(good_inputs, tmp_path, capsys, case):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(bad) in err and needle in err
     assert not out.exists()
+
+
+def _field_paths(value, path=()):
+    """Paths to every field below ``value``; in an array, only to its first element."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list) and value:
+        items = [(0, value[0])]
+    else:
+        return []
+    return [p for key, child in items
+            for p in [(*path, key), *_field_paths(child, (*path, key))]]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers()
+    | st.integers(-10**400, 10**400),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["amber", "slate", "violet", "id"]) | st.text(max_size=4), children,
+        max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def fuzz_catalog(good_inputs, tmp_path_factory):
+    """The good catalog JSON, its field paths, a file to write damaged copies to and
+    an ``eval run`` report to relabel."""
+    data = json.loads(good_inputs["catalog"].read_text())
+    return (data, _field_paths(data), tmp_path_factory.mktemp("fuzz") / "catalog.json",
+            good_inputs["report"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), JSON_VALUES)
+def test_catalog_commands_exit_0_or_2_on_any_field_value(fuzz_catalog, data, value):
+    good, paths, path, report = fuzz_catalog
+    out = path.with_name("relabeled.json")
+    field = data.draw(st.sampled_from(paths))
+    damaged = json.loads(json.dumps(good))
+    parent = damaged
+    for key in field[:-1]:
+        parent = parent[key]
+    parent[field[-1]] = value
+    path.write_text(json.dumps(damaged))
+    for argv in (["catalog", "show"], ["report", "perfect"],
+                 ["eval", "relabel", "--predictions", str(report), "--out", str(out)]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = dispatch([*argv, "--catalog", str(path)])
+        assert code in (0, 2)
+        assert code == 0 or (err.getvalue().startswith("error: ")
+                             and err.getvalue().count("\n") == 1)

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corpusaudit.corpus import Corpus, Excerpt
 from corpusaudit.evaluate import _artist_groups, make_partition
 from corpusaudit.errors import (
+    AuditError,
     DegenerateClassError,
     IncompleteVerdictError,
     IoError,
@@ -210,7 +215,8 @@ def test_relabel_map_takes_the_first_tied_label():
     catalog = build_catalog(corpus, verdicts=[
         verdict("two.0", "two", {"two": 0.2, "one": 0.2}, True, "high_other"),
         verdict("two.1", "two", {"two": 0.0, "one": 0.0}, True, "low_own"),
-        verdict("one.0", "one", {"one": 0.1, "two": 0.4}, False)])
+        verdict("one.0", "one", {"one": 0.1, "two": 0.4}, False)],
+        deltas={"one": 0.01, "two": 0.01})
     assert relabel_map(catalog) == {"two.0": "one"}
 
 
@@ -268,7 +274,8 @@ def test_apply_relabeling():
         corpus,
         verdicts=[verdict("one.0", "one", {"one": 0.001, "two": 0.06}, True, "low_own"),
                   verdict("one.1", "one", {"one": 0.0, "two": 0.0}, True, "low_own"),
-                  verdict("two.0", "two", {"one": 0.2, "two": 0.3}, False)])
+                  verdict("two.0", "two", {"one": 0.2, "two": 0.3}, False)],
+        deltas={"one": 0.01, "two": 0.01})
     relabeled = apply_relabeling(corpus, catalog)
     assert relabeled.get("one.0").label == "two"
     assert relabeled.get("one.1").label == "one"  # zero scores keep the label
@@ -309,3 +316,86 @@ def test_catalog_json_malformed(tmp_path):
 def test_label_counts_recorded(small_corpus):
     catalog = build_catalog(small_corpus)
     assert catalog.label_counts == {"alpha": 3, "beta": 2, "gamma": 1}
+
+
+# library inputs a saved catalog could not hold; each one once built a catalog
+BUILD_REFUSALS = {
+    "one_member_exact_group": ({"exact_groups": [("alpha.000",)]},
+                               "exact group 0 holds fewer than two excerpt ids"),
+    "self_repeating_recording_group": ({"recording_groups": [("alpha.001", "alpha.001")]},
+                                       "recording group 0 repeats excerpt 'alpha.001'"),
+    "repeated_distortion_id": ({"distortions": [Distortion("alpha.000"),
+                                                Distortion("alpha.000", "again")]},
+                               "entry 1 repeats id 'alpha.000'"),
+    "negative_usable_prefix": ({"distortions": [Distortion("alpha.000", "", -1.0)]},
+                               "usable_prefix_seconds must be a finite number >= 0"),
+    "flagged_verdict_without_delta": (
+        {"verdicts": [verdict("alpha.000", "alpha", {"alpha": 0.0, "beta": 0.1}, True,
+                              "low_own")]},
+        "no delta for label 'alpha'"),
+    "verdict_label_outside_labels": (
+        {"verdicts": [verdict("alpha.000", "violet", {"alpha": 0.1}, False, "none")]},
+        "'alpha.000' names a label outside the catalog labels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_REFUSALS))
+def test_build_catalog_refuses_what_load_catalog_refuses(small_corpus, case):
+    inputs, message = BUILD_REFUSALS[case]
+    with pytest.raises(AuditError, match=message):
+        build_catalog(small_corpus, **inputs)
+
+
+LABELS = ("a", "b", "c")
+
+
+def rarely(bad, good):
+    """``bad`` in about one draw of sixteen, else ``good``."""
+    return st.integers(0, 15).flatmap(lambda k: good if k else bad)
+
+
+@st.composite
+def catalog_inputs(draw):
+    """A small corpus and build_catalog arguments drawn around it, a few of them bad."""
+    labels = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True))
+    names = st.none() | st.sampled_from(["x", "X ", "y"])
+    sizes = [draw(st.integers(2 if k == 0 else 0, 3)) for k in range(len(labels))]
+    excerpts = [Excerpt(id=f"{label}.{i}", label=label, artist=draw(names), title=draw(names))
+                for label, size in zip(labels, sizes) for i in range(size)]
+    unknown = draw(st.sampled_from([[], ["zz.0"]]))  # an id outside the corpus, or none
+    ids = st.sampled_from([ex.id for ex in excerpts] + unknown)
+    groups = st.lists(rarely(st.lists(ids, max_size=2),
+                             st.lists(ids, min_size=2, max_size=3, unique=True)).map(tuple),
+                      max_size=2)
+    score = st.sampled_from([0.0, 0.01, 0.25, 1.0])
+    scores = rarely(st.dictionaries(st.sampled_from(labels), score | st.just(math.nan)),
+                    st.fixed_dictionaries({label: score for label in labels}))
+    verdicts = [verdict(draw(ids), draw(rarely(st.just("d"), st.sampled_from(labels))),
+                        draw(scores), flagged, "low_own" if flagged else "none")
+                for flagged in draw(st.lists(st.booleans(), max_size=2))]
+    prefix = rarely(st.just(-1.0), st.sampled_from([None, 0, 3.5, 7.0]))
+    distortions = [Distortion(eid, "hum", draw(prefix))
+                   for eid in draw(st.lists(ids, max_size=2))]
+    delta = st.sampled_from([0.0, 0.01])
+    deltas = draw(rarely(st.dictionaries(st.sampled_from(labels), delta),
+                         st.fixed_dictionaries({label: delta for label in labels})))
+    return Corpus(labels=tuple(labels), excerpts=tuple(excerpts)), {
+        "exact_groups": draw(groups), "recording_groups": draw(groups),
+        "verdicts": verdicts, "distortions": distortions, "deltas": deltas}
+
+
+@settings(max_examples=200, deadline=None)
+@given(catalog_inputs())
+def test_every_built_catalog_loads_back(tmp_path_factory, drawn):
+    corpus, inputs = drawn
+    try:
+        catalog = build_catalog(corpus, **inputs)
+    except AuditError:
+        return
+    path = tmp_path_factory.getbasetemp() / "built-catalog.json"
+    save_catalog(catalog, path)
+    first = path.read_bytes()
+    loaded = load_catalog(path, corpus)
+    assert loaded == catalog and catalog_to_json(loaded) == catalog_to_json(catalog)
+    save_catalog(loaded, path)
+    assert path.read_bytes() == first
