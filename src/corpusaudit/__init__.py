@@ -47,7 +47,6 @@ from .features import (
     texture_vectors,
 )
 from .fingerprint import (
-    FingerprintParams,
     HashSet,
     MatchScore,
     compute_fingerprint,

@@ -143,8 +143,8 @@ def cmd_features_extract(args) -> int:
     corpus = _load_corpus(args)
     feats = {}
     for ex in corpus.excerpts:
-        samples = load_audio(ex, corpus.sample_rate)
-        feats[ex.id] = features.excerpt_features(samples, corpus.sample_rate)
+        samples = load_audio(ex)
+        feats[ex.id] = features.excerpt_features(samples)
     features.write_feature_cache(args.out, feats)
     return 0
 
@@ -232,7 +232,8 @@ def cmd_eval_relabel(args) -> int:
 def cmd_report_perfect(args) -> int:
     catalog = faults.load_catalog(args.catalog)
     pc = faults.perfect_confusion(catalog)
-    fom = faults.perfect_statistics(pc)
+    with in_file(args.catalog):
+        fom = faults.perfect_statistics(pc)
     labels = catalog.labels
     if args.format == "json":
         write_json(args.out, {"labels": list(labels), **_merit_json("matrix", pc.matrix, fom)})

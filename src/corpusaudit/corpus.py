@@ -4,7 +4,7 @@ File formats:
   - metadata CSV: header ``id,label,artist,title``, UTF-8, RFC-4180 quoting.
   - tag snapshot JSON: array of
     ``{"id": str, "source": "song"|"artist", "tags": [{"tag": str, "count": int}]}``.
-  - audio: RIFF WAVE, mono, PCM 16-bit or 32-bit float, at the corpus rate.
+  - audio: RIFF WAVE, mono, PCM 16-bit or 32-bit float, at ``SAMPLE_RATE``.
   - binary caches (fingerprints, texture vectors): id-keyed row records,
     see ``write_records``.
 
@@ -35,7 +35,7 @@ from .errors import (
     writing,
 )
 
-DEFAULT_SAMPLE_RATE = 22050
+SAMPLE_RATE = 22050  # Hz; every excerpt, as in GTZAN
 
 METADATA_HEADER = ["id", "label", "artist", "title"]
 
@@ -82,7 +82,6 @@ class Corpus:
 
     labels: tuple[str, ...]
     excerpts: tuple[Excerpt, ...]
-    sample_rate: int = DEFAULT_SAMPLE_RATE
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -338,8 +337,8 @@ def tag_coverage(corpus: Corpus, tags: dict[str, TagCountSet]) -> dict[str, dict
     return report
 
 
-def load_audio(excerpt: Excerpt, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.ndarray:
-    """Load an excerpt's WAV file as float64 samples in [-1, 1].
+def load_audio(excerpt: Excerpt) -> np.ndarray:
+    """Load an excerpt's ``SAMPLE_RATE`` WAV file as float64 samples in [-1, 1].
 
     A float file holding a nan or infinite sample is a ``FormatError``: its
     spectrogram would have no median, so it could never be fingerprinted.
@@ -354,8 +353,8 @@ def load_audio(excerpt: Excerpt, sample_rate: int = DEFAULT_SAMPLE_RATE) -> np.n
         raise FormatError(f"{path}: {exc}") from None
     if data.ndim != 1:
         raise FormatError(f"{path}: expected mono, got {data.shape[1]} channels")
-    if rate != sample_rate:
-        raise FormatError(f"{path}: sample rate {rate}, expected {sample_rate}")
+    if rate != SAMPLE_RATE:
+        raise FormatError(f"{path}: sample rate {rate}, expected {SAMPLE_RATE}")
     if data.dtype == np.int16:
         # one pass, no int-to-float temporary; scaling by 2**-15 is exact
         return np.multiply(data, 2.0**-15, dtype=np.float64)

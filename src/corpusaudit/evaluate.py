@@ -250,8 +250,11 @@ def figures_of_merit(table: ConfusionTable) -> FiguresOfMerit:
     """Confusion fractions, recall, precision, F-score, normalized accuracy.
 
     Precision is undefined (None) for labels never predicted, and such
-    labels carry no F-score either.
+    labels carry no F-score either. A table with no labels, or a label
+    with no test observations, is a ``DegenerateClassError``.
     """
+    if not table.labels:
+        raise DegenerateClassError("no labels to score")
     counts = np.asarray(table.counts, dtype=float)
     col_sums = counts.sum(axis=0)
     if np.any(col_sums == 0):

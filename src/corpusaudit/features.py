@@ -16,19 +16,19 @@ import csv
 import hashlib
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from scipy.fft import dct, rfft
 
-from .corpus import open_text, read_records, write_records
+from .corpus import SAMPLE_RATE, open_text, read_records, write_records
 from .errors import (IncompleteFeaturesError, IoError, ParseError, TooShortError, reading,
                      writing)
 
-FRAME_SIZE = 1024
+FRAME_SIZE = 1024  # samples per frame, for the features and the fingerprints
 HOP = 512
+BIN_FREQS = np.arange(FRAME_SIZE // 2 + 1) * SAMPLE_RATE / FRAME_SIZE  # Hz of each STFT bin
 TEXTURE_FRAMES = 130
 N_FRAME_FEATURES = 16
 N_TEXTURE_DIMS = 32
@@ -43,23 +43,21 @@ ROLLOFF_FRACTION = 0.85
 LOG_FLOOR = 1e-10
 
 
-def frame_signal(samples: np.ndarray, frame_size: int = FRAME_SIZE,
-                 hop: int = HOP) -> np.ndarray:
-    """View of the signal as (n_frames, frame_size); no copy."""
+def frame_signal(samples: np.ndarray) -> np.ndarray:
+    """View of the signal as (n_frames, FRAME_SIZE), one frame every HOP samples; no copy."""
     samples = np.asarray(samples)
-    if samples.size < frame_size:
+    if samples.size < FRAME_SIZE:
         raise TooShortError(
-            f"need at least {frame_size} samples, got {samples.size}")
-    view = np.lib.stride_tricks.sliding_window_view(samples, frame_size)
-    return view[::hop]
+            f"need at least {FRAME_SIZE} samples, got {samples.size}")
+    view = np.lib.stride_tricks.sliding_window_view(samples, FRAME_SIZE)
+    return view[::HOP]
 
 
 STFT_BLOCK = 16  # frames windowed and transformed per rfft call
 
 
-def stft_magnitude(samples: np.ndarray, frame_size: int = FRAME_SIZE,
-                   hop: int = HOP) -> np.ndarray:
-    """Hann-windowed magnitude spectrogram, shape (n_frames, frame_size//2+1).
+def stft_magnitude(samples: np.ndarray) -> np.ndarray:
+    """Hann-windowed magnitude spectrogram, shape (n_frames, FRAME_SIZE//2+1).
 
     Frames are windowed, transformed and rectified ``STFT_BLOCK`` at a time
     in one reused buffer, so no windowed copy or complex spectrum of the
@@ -67,10 +65,10 @@ def stft_magnitude(samples: np.ndarray, frame_size: int = FRAME_SIZE,
     result is the one-call ``np.abs(rfft(frames * window, axis=1))``, bit
     for bit.
     """
-    frames = frame_signal(samples, frame_size, hop)
-    window = np.hanning(frame_size)
-    out = np.empty((len(frames), frame_size // 2 + 1))
-    block = np.empty((min(STFT_BLOCK, len(frames)), frame_size))
+    frames = frame_signal(samples)
+    window = np.hanning(FRAME_SIZE)
+    out = np.empty((len(frames), FRAME_SIZE // 2 + 1))
+    block = np.empty((min(STFT_BLOCK, len(frames)), FRAME_SIZE))
     for start in range(0, len(frames), STFT_BLOCK):
         chunk = frames[start:start + STFT_BLOCK]
         windowed = np.multiply(chunk, window, out=block[:len(chunk)])
@@ -78,42 +76,40 @@ def stft_magnitude(samples: np.ndarray, frame_size: int = FRAME_SIZE,
     return out
 
 
-@lru_cache(maxsize=8)
-def mel_filterbank(sample_rate: int, n_fft: int = FRAME_SIZE,
-                   n_filters: int = N_MEL_FILTERS) -> np.ndarray:
-    """Unit-area triangular mel filterbank, shape (n_filters, n_fft//2+1)."""
+def mel_filterbank() -> np.ndarray:
+    """Unit-area triangular mel filterbank at ``SAMPLE_RATE``, shape
+    (N_MEL_FILTERS, FRAME_SIZE//2+1); ``MEL_BANK`` holds it."""
     # center frequencies: 13 linearly spaced, then 27 log-spaced
-    freqs = np.zeros(n_filters + 2)
+    freqs = np.zeros(N_MEL_FILTERS + 2)
     freqs[:MEL_N_LINEAR] = MEL_LOW_HZ + np.arange(MEL_N_LINEAR) * MEL_LINEAR_STEP
     freqs[MEL_N_LINEAR:] = freqs[MEL_N_LINEAR - 1] * (
-        MEL_LOG_STEP ** np.arange(1, n_filters + 2 - MEL_N_LINEAR + 1))
-    bin_freqs = np.arange(n_fft // 2 + 1) * sample_rate / n_fft
-    fb = np.zeros((n_filters, n_fft // 2 + 1))
-    for i in range(n_filters):
+        MEL_LOG_STEP ** np.arange(1, N_MEL_FILTERS + 2 - MEL_N_LINEAR + 1))
+    fb = np.zeros((N_MEL_FILTERS, FRAME_SIZE // 2 + 1))
+    for i in range(N_MEL_FILTERS):
         lo, mid, hi = freqs[i], freqs[i + 1], freqs[i + 2]
         height = 2.0 / (hi - lo)
-        rising = (bin_freqs - lo) / (mid - lo)
-        falling = (hi - bin_freqs) / (hi - mid)
+        rising = (BIN_FREQS - lo) / (mid - lo)
+        falling = (hi - BIN_FREQS) / (hi - mid)
         fb[i] = height * np.clip(np.minimum(rising, falling), 0.0, None)
     return fb
 
 
-def mel_energies(mag: np.ndarray, sample_rate: int) -> np.ndarray:
-    """``mag @ mel_filterbank(sample_rate).T`` as fixed-order sums over each filter's
-    nonzero weights. OpenBLAS splits a product by its thread count, so the product's
-    last digits depend on that count; these sums do not."""
-    fb = mel_filterbank(sample_rate)
-    keep = fb != 0
-    # a filter above the Nyquist frequency has no weight; give it one zero weight,
-    # since reduceat cannot sum an empty run
-    keep[~keep.any(axis=1), 0] = True
-    rows, bins = np.nonzero(keep)
+MEL_BANK = mel_filterbank()
+BIN_FREQS.flags.writeable = MEL_BANK.flags.writeable = False  # shared by every caller
+
+
+def mel_energies(mag: np.ndarray) -> np.ndarray:
+    """``mag @ MEL_BANK.T`` as fixed-order sums over each filter's nonzero weights.
+    OpenBLAS splits a product by its thread count, so the product's last digits
+    depend on that count; these sums do not. Every filter has a nonzero weight
+    below the Nyquist frequency of ``SAMPLE_RATE``, so no run is empty."""
+    rows, bins = np.nonzero(MEL_BANK)
     weighted = np.take(mag, bins, axis=1)
-    weighted *= fb[rows, bins]
-    return np.add.reduceat(weighted, np.searchsorted(rows, np.arange(len(fb))), axis=1)
+    weighted *= MEL_BANK[rows, bins]
+    return np.add.reduceat(weighted, np.searchsorted(rows, np.arange(len(MEL_BANK))), axis=1)
 
 
-def frame_features(samples: np.ndarray, sample_rate: int = 22050) -> np.ndarray:
+def frame_features(samples: np.ndarray) -> np.ndarray:
     """Per-frame feature matrix, shape (n_frames, 16).
 
     Columns: MFCC 0-12, zero-crossing count, spectral centroid (Hz),
@@ -122,22 +118,21 @@ def frame_features(samples: np.ndarray, sample_rate: int = 22050) -> np.ndarray:
     frames = frame_signal(samples)
     mag = stft_magnitude(samples)
 
-    energies = mel_energies(mag, sample_rate)
+    energies = mel_energies(mag)
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     mfcc = dct(log_energies, type=2, norm="ortho", axis=1)[:, :13]
 
     zcr = np.sum(frames[:, 1:] * frames[:, :-1] < 0, axis=1).astype(float)
 
-    bin_freqs = np.arange(mag.shape[1]) * sample_rate / FRAME_SIZE
     mag_sums = np.sum(mag, axis=1)
     safe = np.where(mag_sums > 0, mag_sums, 1.0)
     # a fixed-order sum, as in mel_energies, not a BLAS product
-    centroid = np.where(mag_sums > 0, np.sum(mag * bin_freqs, axis=1) / safe, 0.0)
+    centroid = np.where(mag_sums > 0, np.sum(mag * BIN_FREQS, axis=1) / safe, 0.0)
 
     cum = np.cumsum(mag, axis=1)
     target = ROLLOFF_FRACTION * mag_sums[:, None]
     roll_bins = np.argmax(cum >= target, axis=1)
-    rolloff = np.where(mag_sums > 0, bin_freqs[roll_bins], 0.0)
+    rolloff = np.where(mag_sums > 0, BIN_FREQS[roll_bins], 0.0)
 
     return np.column_stack([mfcc, zcr, centroid, rolloff])
 
@@ -158,9 +153,9 @@ def texture_vectors(frames: np.ndarray) -> np.ndarray:
     return np.concatenate([blocks.mean(axis=1), blocks.var(axis=1)], axis=1)
 
 
-def excerpt_features(samples: np.ndarray, sample_rate: int = 22050) -> np.ndarray:
+def excerpt_features(samples: np.ndarray) -> np.ndarray:
     """Full pipeline: samples -> texture vectors, shape (n_blocks, 32)."""
-    return texture_vectors(frame_features(samples, sample_rate))
+    return texture_vectors(frame_features(samples))
 
 
 @dataclass(frozen=True)

@@ -48,19 +48,14 @@ DEFAULT_THRESHOLD = 0.25
 CACHE_MAGIC = b"DFPK1"
 
 
-@dataclass(frozen=True)
-class FingerprintParams:
-    frame_size: int = 1024
-    hop: int = 512
-    neighborhood: int = 15         # local-max window, frames x bins
-    max_peaks_per_frame: int = 5
-    floor_db: float = 10.0         # above the median log magnitude
-    fan_out: int = 8               # targets per anchor
-    min_delta: int = 1             # frames
-    max_delta: int = 64
-
-
-DEFAULT_PARAMS = FingerprintParams()
+# The landmark setting, read when peaks and hashes are computed. The framing
+# is features.FRAME_SIZE/HOP, through stft_magnitude.
+NEIGHBORHOOD = 15         # local-max window, frames x bins
+MAX_PEAKS_PER_FRAME = 5
+FLOOR_DB = 10.0           # above the median log magnitude
+FAN_OUT = 8               # targets per anchor
+MIN_DELTA = 1             # frames
+MAX_DELTA = 64
 
 
 @dataclass(frozen=True)
@@ -250,67 +245,63 @@ def _median(values: np.ndarray) -> float:
     return np.mean(middle[low_rank - below:high_rank - below + 1])
 
 
-def find_peaks(samples: np.ndarray, params: FingerprintParams = DEFAULT_PARAMS,
-               owner: str = "") -> PeakConstellation:
+def find_peaks(samples: np.ndarray, owner: str = "") -> PeakConstellation:
     """Pick local maxima of the log-magnitude spectrogram.
 
-    A bin qualifies when it is the maximum of its ``neighborhood`` x
-    ``neighborhood`` window, cut off at the spectrogram's edges, and sits
-    more than ``floor_db`` above the exact median log magnitude; at most
-    ``max_peaks_per_frame`` strongest peaks are kept per frame. A
+    A bin qualifies when it is the maximum of its ``NEIGHBORHOOD`` x
+    ``NEIGHBORHOOD`` window, cut off at the spectrogram's edges, and sits
+    more than ``FLOOR_DB`` above the exact median log magnitude; at most
+    ``MAX_PEAKS_PER_FRAME`` strongest peaks are kept per frame. A
     spectrogram holding a nan anywhere gives no peaks.
     """
-    log_mag = stft_magnitude(samples, params.frame_size, params.hop)
+    log_mag = stft_magnitude(samples)
     log_mag += 1e-10
     np.log10(log_mag, out=log_mag)
     log_mag *= 20.0
     if np.isnan(log_mag).any():
         return PeakConstellation(owner=owner, peaks=())
-    floor = _median(log_mag) + params.floor_db
-    frames, bins = np.divmod(_local_maxima(log_mag, params.neighborhood, floor),
+    floor = _median(log_mag) + FLOOR_DB
+    frames, bins = np.divmod(_local_maxima(log_mag, NEIGHBORHOOD, floor),
                              log_mag.shape[1])
     magnitudes = log_mag[frames, bins]
     # per frame, strongest first (ties: the higher bin first); keep the first
-    # max_peaks_per_frame of each frame, then restore frame-then-bin order
+    # MAX_PEAKS_PER_FRAME of each frame, then restore frame-then-bin order
     order = np.lexsort((-bins, -magnitudes, frames))
     rank = np.arange(len(order)) - np.searchsorted(frames, frames[order])
-    kept = np.sort(order[rank < params.max_peaks_per_frame])
+    kept = np.sort(order[rank < MAX_PEAKS_PER_FRAME])
     peaks = zip(frames[kept].tolist(), bins[kept].tolist(), magnitudes[kept].tolist())
     return PeakConstellation(owner=owner, peaks=tuple(peaks))
 
 
-def compute_fingerprint(samples: np.ndarray,
-                        params: FingerprintParams = DEFAULT_PARAMS,
-                        owner: str = "") -> HashSet:
-    """Hash peak pairs: each anchor pairs with up to ``fan_out`` later peaks."""
-    constellation = find_peaks(samples, params, owner)
+def compute_fingerprint(samples: np.ndarray, owner: str = "") -> HashSet:
+    """Hash peak pairs: each anchor pairs with up to ``FAN_OUT`` later peaks
+    ``MIN_DELTA`` to ``MAX_DELTA`` frames on."""
+    constellation = find_peaks(samples, owner)
     peaks = constellation.peaks
     flat = []  # key, frame, key, frame, ...
     for i, (t1, f1, _) in enumerate(peaks):
         paired = 0
         for t2, f2, _ in peaks[i + 1:]:
             delta = t2 - t1
-            if delta < params.min_delta:
+            if delta < MIN_DELTA:
                 continue
-            if delta > params.max_delta:
+            if delta > MAX_DELTA:
                 break
             flat += (pack_key(f1, f2, delta), t1)
             paired += 1
-            if paired >= params.fan_out:
+            if paired >= FAN_OUT:
                 break
     return HashSet(owner=owner, hashes=np.array(flat, dtype=np.int64).reshape(-1, 2))
 
 
-def fingerprint_corpus(corpus: Corpus, params: FingerprintParams = DEFAULT_PARAMS,
-                       workers: int = 1) -> dict[str, HashSet]:
-    """Each excerpt's hash set, keyed by id, from its audio at the corpus rate.
+def fingerprint_corpus(corpus: Corpus, workers: int = 1) -> dict[str, HashSet]:
+    """Each excerpt's hash set, keyed by id, from its audio.
 
     With ``workers`` above one, excerpts are loaded and hashed on that many
     threads; the result does not depend on the count.
     """
     def one(ex):
-        samples = load_audio(ex, corpus.sample_rate)
-        return ex.id, compute_fingerprint(samples, params, owner=ex.id)
+        return ex.id, compute_fingerprint(load_audio(ex), owner=ex.id)
 
     if workers <= 1:
         return dict(map(one, corpus.excerpts))
@@ -394,7 +385,6 @@ def connected_groups(edges) -> list[tuple[str, ...]]:
 
 
 def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
-                           params: FingerprintParams = DEFAULT_PARAMS,
                            hashsets: dict[str, HashSet] | None = None) -> list[tuple[str, ...]]:
     """Connected components of the match graph at the given threshold.
 
@@ -403,7 +393,7 @@ def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
     Groups and their members are sorted lexicographically.
     """
     if hashsets is None:
-        hashsets = fingerprint_corpus(corpus, params)
+        hashsets = fingerprint_corpus(corpus)
     named = [hs if hs.owner == eid else HashSet(owner=eid, hashes=hs.hashes)
              for eid, hs in sorted(hashsets.items())]
     return connected_groups(ms.pair for ms in match_all(named, threshold))

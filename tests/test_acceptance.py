@@ -226,7 +226,7 @@ def test_criterion_07_feature_counts():
     32-dimensional texture vectors."""
     rng = np.random.default_rng(7)
     samples = rng.normal(size=30 * SR)
-    frames = frame_features(samples, SR)
+    frames = frame_features(samples)
     assert frames.shape == (1290, 16)
     assert texture_vectors(frames).shape == (9, 32)
 
@@ -349,7 +349,7 @@ def test_criterion_11_reference_dataset_conditional():
     for ex in corpus.excerpts:
         ex = type(ex)(id=ex.id, label=ex.label, artist=ex.artist, title=ex.title,
                       audio_path=audio_dir / f"{ex.id}.wav")
-        features[ex.id] = excerpt_features(load_audio(ex, corpus.sample_rate))
+        features[ex.id] = excerpt_features(load_audio(ex))
 
     drops = {}
     for kind in ("nn", "md", "mmd"):

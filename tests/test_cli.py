@@ -546,8 +546,23 @@ def _audio_with_sample(value):
     return build
 
 
+def _labelless_catalog(fx, tmp):
+    """The catalog ``catalog build`` writes for a metadata CSV that holds only its header."""
+    metadata, catalog = tmp / "header-only.csv", tmp / "labelless-catalog.json"
+    metadata.write_text("id,label,artist,title\n")
+    assert dispatch(["catalog", "build", "--metadata", str(metadata), "--out", str(catalog)]) == 0
+    return catalog
+
+
 # (make the bad file, argv for it, text the one stderr line must also hold)
 BAD_INPUTS = {
+    "catalog_without_labels": (
+        _labelless_catalog,
+        lambda fx, bad: ["report", "perfect", "--catalog", bad], "no labels"),
+    "catalog_without_labels_as_json": (
+        _labelless_catalog,
+        lambda fx, bad: ["report", "perfect", "--catalog", bad, "--format", "json"],
+        "no labels"),
     "catalog_empty_scores": (
         _damaged_catalog(lambda d: _slate_003(d).update(scores={})),
         lambda fx, bad: ["report", "perfect", "--catalog", bad], "'slate.003'"),

@@ -185,7 +185,7 @@ def test_load_audio_duration_and_scaling(tmp_path):
     data[1] = 32767
     path = make_wav(tmp_path, data)
     ex = Excerpt(id="x", label="rock", audio_path=path)
-    samples = load_audio(ex, 22050)
+    samples = load_audio(ex)
     assert len(samples) == 661500
     assert samples[0] == -1.0
     assert abs(samples[1] - 32767 / 32768) < 1e-12
@@ -194,7 +194,7 @@ def test_load_audio_duration_and_scaling(tmp_path):
 def test_load_audio_scales_every_int16_value_exactly(tmp_path):
     data = np.arange(-32768, 32768, dtype=np.int16)
     path = make_wav(tmp_path, data)
-    samples = load_audio(Excerpt(id="x", label="rock", audio_path=path), 22050)
+    samples = load_audio(Excerpt(id="x", label="rock", audio_path=path))
     assert samples.dtype == np.float64
     assert samples.tobytes() == (data.astype(np.float64) / 32768.0).tobytes()
 
@@ -202,7 +202,7 @@ def test_load_audio_scales_every_int16_value_exactly(tmp_path):
 def test_load_audio_float32_passthrough(tmp_path):
     data = np.linspace(-0.5, 0.5, 100, dtype=np.float32)
     path = make_wav(tmp_path, data)
-    samples = load_audio(Excerpt(id="x", label="rock", audio_path=path), 22050)
+    samples = load_audio(Excerpt(id="x", label="rock", audio_path=path))
     np.testing.assert_allclose(samples, data, atol=1e-7)
 
 
@@ -213,32 +213,32 @@ def test_load_audio_rejects_a_non_finite_sample(tmp_path, dtype, value):
     data[[7, 50]] = value
     path = make_wav(tmp_path, data)
     with pytest.raises(FormatError, match=f"{re.escape(str(path))}: sample 7 is {value}, not"):
-        load_audio(Excerpt(id="x", label="rock", audio_path=path), 22050)
+        load_audio(Excerpt(id="x", label="rock", audio_path=path))
 
 
 def test_load_audio_stereo_rejected(tmp_path):
     data = np.zeros((100, 2), dtype=np.int16)
     path = make_wav(tmp_path, data)
     with pytest.raises(FormatError):
-        load_audio(Excerpt(id="x", label="rock", audio_path=path), 22050)
+        load_audio(Excerpt(id="x", label="rock", audio_path=path))
 
 
 def test_load_audio_wrong_rate(tmp_path):
     path = make_wav(tmp_path, np.zeros(100, dtype=np.int16), rate=44100)
     with pytest.raises(FormatError):
-        load_audio(Excerpt(id="x", label="rock", audio_path=path), 22050)
+        load_audio(Excerpt(id="x", label="rock", audio_path=path))
 
 
 def test_load_audio_missing_file(tmp_path):
     ex = Excerpt(id="x", label="rock", audio_path=tmp_path / "nope.wav")
     with pytest.raises(IoError):
-        load_audio(ex, 22050)
+        load_audio(ex)
 
 
 def test_load_audio_directory_is_an_io_error(tmp_path):
     ex = Excerpt(id="x", label="rock", audio_path=tmp_path)
     with pytest.raises(IoError, match=f"cannot read audio file {re.escape(str(tmp_path))}"):
-        load_audio(ex, 22050)
+        load_audio(ex)
 
 
 def test_identification_tally(small_corpus):

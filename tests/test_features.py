@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.fft import rfft
 
+from corpusaudit import features
 from corpusaudit.errors import IncompleteFeaturesError, IoError, ParseError, TooShortError
 from corpusaudit.features import (
     FRAME_SIZE,
     HOP,
+    MEL_BANK,
     N_TEXTURE_DIMS,
     apply_normalization,
     companion_path,
@@ -43,20 +45,23 @@ def test_frame_signal_too_short():
         frame_signal(np.zeros(FRAME_SIZE - 1))
 
 
-def one_shot_stft_magnitude(samples, frame_size=FRAME_SIZE, hop=HOP):
+def one_shot_stft_magnitude(samples):
     """``stft_magnitude`` in one call over all frames, kept as its oracle."""
-    frames = frame_signal(samples, frame_size, hop)
-    return np.abs(rfft(frames * np.hanning(frame_size), axis=1))
+    frames = frame_signal(samples)
+    return np.abs(rfft(frames * np.hanning(features.FRAME_SIZE), axis=1))
 
 
+# stft_magnitude reads the framing when it runs, so other framings are set here
 @pytest.mark.parametrize("frame_size,hop", [(FRAME_SIZE, HOP), (1000, 333), (2048, 512)])
 @pytest.mark.parametrize("n_frames", [1, 15, 16, 17, 33])  # around the 16-frame block
-def test_stft_magnitude_equals_the_one_shot_transform(frame_size, hop, n_frames):
+def test_stft_magnitude_equals_the_one_shot_transform(monkeypatch, frame_size, hop, n_frames):
+    monkeypatch.setattr(features, "FRAME_SIZE", frame_size)
+    monkeypatch.setattr(features, "HOP", hop)
     rng = np.random.default_rng(n_frames * frame_size)
     samples = rng.normal(size=frame_size + (n_frames - 1) * hop + hop // 2)
-    got = stft_magnitude(samples, frame_size, hop)
+    got = stft_magnitude(samples)
     assert got.shape == (n_frames, frame_size // 2 + 1)
-    assert got.tobytes() == one_shot_stft_magnitude(samples, frame_size, hop).tobytes()
+    assert got.tobytes() == one_shot_stft_magnitude(samples).tobytes()
 
 
 def test_frame_features_shape_and_determinism():
@@ -122,7 +127,7 @@ def test_mfcc_amplitude_invariance():
 
 
 def test_mel_filterbank_shape_and_area():
-    fb = mel_filterbank(SR)
+    fb = mel_filterbank()
     assert fb.shape == (40, FRAME_SIZE // 2 + 1)
     bin_width = SR / FRAME_SIZE
     # unit area in frequency: sum of weights x bin width close to 1
@@ -131,22 +136,27 @@ def test_mel_filterbank_shape_and_area():
 
 
 def test_mel_filterbank_band_edges():
-    fb = mel_filterbank(SR)
+    fb = mel_filterbank()
     bin_freqs = np.arange(FRAME_SIZE // 2 + 1) * SR / FRAME_SIZE
     active = fb.sum(axis=0) > 0
     assert bin_freqs[active].min() > 100.0
     assert bin_freqs[active].max() < 7000.0
 
 
-@pytest.mark.parametrize("sample_rate", [SR, 8000])
-def test_mel_energies_equal_the_matrix_product(sample_rate):
-    fb = mel_filterbank(sample_rate)
-    # at 8 kHz the top filters lie above the Nyquist frequency and have no weight
-    assert (fb == 0).all(axis=1).any() == (sample_rate == 8000)
-    mag = stft_magnitude(np.random.default_rng(5).normal(size=sample_rate))
+def test_mel_energies_equal_the_matrix_product():
+    mag = stft_magnitude(np.random.default_rng(5).normal(size=SR))
     # each energy sums at most 41 nonnegative terms in another order than the
     # product does, so the two differ by at most about 2 * 41 epsilons (1.8e-14)
-    np.testing.assert_allclose(mel_energies(mag, sample_rate), mag @ fb.T, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(mel_energies(mag), mag @ MEL_BANK.T, rtol=1e-13, atol=0)
+
+
+def test_every_mel_filter_has_weight_at_the_sample_rate():
+    # mel_energies sums each filter's nonzero weights with np.add.reduceat, which
+    # would give a filter with none its next filter's first term, and no error;
+    # at 8000 Hz the top filters lie above the Nyquist frequency and have none
+    assert np.array_equal(MEL_BANK, mel_filterbank())
+    assert (MEL_BANK != 0).any(axis=1).all()
+    assert not MEL_BANK.flags.writeable
 
 
 def test_texture_vectors_shapes():

@@ -15,17 +15,18 @@ from corpusaudit import fingerprint
 from corpusaudit.errors import IoError, ParseError
 from corpusaudit.features import (
     COMPANION_MAGIC,
+    FRAME_SIZE,
+    HOP,
     N_TEXTURE_DIMS,
     companion_path,
+    frame_features,
     read_feature_cache,
     stft_magnitude,
     write_feature_cache,
 )
 from corpusaudit.fingerprint import (
     CACHE_MAGIC,
-    DEFAULT_PARAMS,
     DEFAULT_THRESHOLD,
-    FingerprintParams,
     HashSet,
     MatchScore,
     PeakConstellation,
@@ -70,14 +71,14 @@ def reference_match(a: HashSet, b: HashSet) -> MatchScore:
     return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
 
 
-def reference_find_peaks(samples: np.ndarray, params: FingerprintParams = DEFAULT_PARAMS,
-                         owner: str = "") -> PeakConstellation:
-    """The ``maximum_filter``/``np.median`` formulation of ``find_peaks``, kept as its oracle."""
-    mag = stft_magnitude(samples, params.frame_size, params.hop)
+def reference_find_peaks(samples: np.ndarray, owner: str = "") -> PeakConstellation:
+    """The ``maximum_filter``/``np.median`` formulation of ``find_peaks``, kept as its oracle.
+    It reads the same module constants as ``find_peaks``, when it runs."""
+    mag = stft_magnitude(samples)
     log_mag = 20.0 * np.log10(mag + 1e-10)
-    local_max = maximum_filter(
-        log_mag, size=(params.neighborhood, params.neighborhood)) == log_mag
-    floor = np.median(log_mag) + params.floor_db
+    size = fingerprint.NEIGHBORHOOD
+    local_max = maximum_filter(log_mag, size=(size, size)) == log_mag
+    floor = np.median(log_mag) + fingerprint.FLOOR_DB
     candidates = np.argwhere(local_max & (log_mag > floor))
 
     by_frame: dict[int, list[tuple[float, int]]] = {}
@@ -85,7 +86,7 @@ def reference_find_peaks(samples: np.ndarray, params: FingerprintParams = DEFAUL
         by_frame.setdefault(int(frame), []).append((float(log_mag[frame, fbin]), int(fbin)))
     peaks = []
     for frame in sorted(by_frame):
-        strongest = sorted(by_frame[frame], reverse=True)[:params.max_peaks_per_frame]
+        strongest = sorted(by_frame[frame], reverse=True)[:fingerprint.MAX_PEAKS_PER_FRAME]
         for magnitude, fbin in sorted(strongest, key=lambda p: p[1]):
             peaks.append((frame, fbin, magnitude))
     return PeakConstellation(owner=owner, peaks=tuple(peaks))
@@ -153,8 +154,7 @@ def test_hash_count_gain_independent(clouds):
 
 
 def test_shift_by_whole_hops_preserves_hashes(clouds):
-    params = FingerprintParams()
-    shifted = np.concatenate([np.zeros(params.hop * 4), clouds[4]])
+    shifted = np.concatenate([np.zeros(HOP * 4), clouds[4]])
     a = compute_fingerprint(clouds[4], owner="a")
     b = compute_fingerprint(shifted, owner="b")
     result = match(a, b)
@@ -316,10 +316,10 @@ def test_local_maxima_equal_maximum_filter(values, size, floor):
 
 
 @pytest.mark.parametrize("neighborhood", [0, -1])
-def test_find_peaks_rejects_a_window_of_no_bins(neighborhood):
-    params = dataclasses.replace(DEFAULT_PARAMS, neighborhood=neighborhood)
+def test_find_peaks_rejects_a_window_of_no_bins(monkeypatch, neighborhood):
+    monkeypatch.setattr(fingerprint, "NEIGHBORHOOD", neighborhood)
     with pytest.raises(ValueError, match="window size"):
-        find_peaks(np.random.default_rng(0).normal(size=SR), params)
+        find_peaks(np.random.default_rng(0).normal(size=SR))
 
 
 def test_local_maxima_checks_a_window_its_tile_bounds_cannot_decide():
@@ -370,35 +370,46 @@ def test_median_falls_back_when_the_bracket_misses(monkeypatch, size):
 
 
 def peak_inputs():
-    """(name, samples, params) cases on which find_peaks meets its oracle."""
+    """(name, samples, neighborhood) cases on which find_peaks meets its oracle."""
     rng = np.random.default_rng(7)
+    default = fingerprint.NEIGHBORHOOD
     clips = [tone_cloud(rng, duration=float(rng.uniform(2.0, 6.0))) for _ in range(4)]
-    cases = [(f"cloud{i}", clip, DEFAULT_PARAMS) for i, clip in enumerate(clips)]
+    cases = [(f"cloud{i}", clip, default) for i, clip in enumerate(clips)]
     cases += [(f"copy{i}", delayed_copy(clip, float(rng.uniform(0.01, 1.0)),
-                                        float(rng.uniform(0.2, 1.0)), SR), DEFAULT_PARAMS)
+                                        float(rng.uniform(0.2, 1.0)), SR), default)
               for i, clip in enumerate(clips)]
     cases += [
-        ("silence", np.zeros(SR * 2), DEFAULT_PARAMS),
-        ("constant", np.full(SR * 2, 0.3), DEFAULT_PARAMS),
-        ("one_frame", clips[0][:DEFAULT_PARAMS.frame_size], DEFAULT_PARAMS),
-        ("even_neighborhood", clips[1], dataclasses.replace(DEFAULT_PARAMS, neighborhood=8)),
-        ("neighborhood_1", clips[2], dataclasses.replace(DEFAULT_PARAMS, neighborhood=1)),
+        ("silence", np.zeros(SR * 2), default),
+        ("constant", np.full(SR * 2, 0.3), default),
+        ("one_frame", clips[0][:FRAME_SIZE], default),
+        ("even_neighborhood", clips[1], 8),
+        ("neighborhood_1", clips[2], 1),
     ]
     for name, bad in (("nan", np.nan), ("inf", np.inf)):
         clip = clips[3].copy()
         clip[SR] = bad
-        cases.append((f"{name}_sample", clip, DEFAULT_PARAMS))
+        cases.append((f"{name}_sample", clip, default))
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
-@pytest.mark.parametrize("name,samples,params", peak_inputs())
-def test_find_peaks_equals_reference(name, samples, params):
-    got = find_peaks(samples, params, owner=name)
-    assert got == reference_find_peaks(samples, params, owner=name)
+@pytest.mark.parametrize("name,samples,neighborhood", peak_inputs())
+def test_find_peaks_equals_reference(monkeypatch, name, samples, neighborhood):
+    monkeypatch.setattr(fingerprint, "NEIGHBORHOOD", neighborhood)
+    got = find_peaks(samples, owner=name)
+    assert got == reference_find_peaks(samples, owner=name)
     if name in ("nan_sample", "silence"):
         assert got.peaks == ()
     elif name.startswith(("cloud", "copy")):
         assert len(got.peaks) > 20
+
+
+@pytest.mark.parametrize("k", [40, 200])
+@pytest.mark.parametrize("tail", [0, HOP - 1])  # a partial hop makes no frame
+def test_fingerprint_and_features_share_one_framing(clouds, k, tail):
+    clip = clouds[0][:FRAME_SIZE + k * HOP + tail]
+    assert len(frame_features(clip)) == k + 1
+    frames = {frame for frame, _, _ in find_peaks(clip).peaks}
+    assert frames and frames <= set(range(k + 1))
 
 
 # keys at the packing edges (delta at min_delta/max_delta, extreme bins) and
@@ -407,8 +418,8 @@ EDGE_KEYS = sorted({
     pack_key(f1, f2, dt) + step
     for f1 in (0, 1, 512)
     for f2 in (0, 1, 1023)
-    for dt in (DEFAULT_PARAMS.min_delta, DEFAULT_PARAMS.min_delta + 1,
-               DEFAULT_PARAMS.max_delta - 1, DEFAULT_PARAMS.max_delta)
+    for dt in (fingerprint.MIN_DELTA, fingerprint.MIN_DELTA + 1,
+               fingerprint.MAX_DELTA - 1, fingerprint.MAX_DELTA)
     for step in (-1, 0, 1)})
 
 # half the keys come from a 12-key pool so that hashes of a and b often collide
