@@ -162,6 +162,8 @@ def _fold_json(table: evaluate.ConfusionTable) -> dict:
 
 def cmd_eval_run(args) -> int:
     corpus = load_metadata(args.metadata)
+    if not corpus.excerpts:
+        raise ParseError(f"{args.metadata}: no excerpts to evaluate")
     feats = features.read_feature_cache(args.features)
     catalog = faults.load_catalog(args.catalog, corpus) if args.catalog else None
     artist_folds = _read_artist_folds(args.artist_folds)

@@ -28,6 +28,7 @@ from .errors import (
     ArtistLeakError,
     AuditError,
     DegenerateClassError,
+    EmptyClassError,
     IncompleteFeaturesError,
     ParseError,
 )
@@ -201,6 +202,8 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
     for i, test_fold in enumerate(partition.folds):
         train_ids = [eid for j, fold in enumerate(partition.folds)
                      if j != i for eid in fold]
+        if not train_ids:
+            raise EmptyClassError(f"fold {i} leaves no excerpts to train on")
         train_x = np.concatenate([features[eid] for eid in train_ids])
         train_y = [corpus.get(eid).label
                    for eid in train_ids for _ in range(len(features[eid]))]

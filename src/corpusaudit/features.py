@@ -56,18 +56,24 @@ def frame_signal(samples: np.ndarray) -> np.ndarray:
 STFT_BLOCK = 16  # frames windowed and transformed per rfft call
 
 
-def stft_magnitude(samples: np.ndarray) -> np.ndarray:
+def stft_magnitude(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hann-windowed magnitude spectrogram, shape (n_frames, FRAME_SIZE//2+1).
 
     Frames are windowed, transformed and rectified ``STFT_BLOCK`` at a time
     in one reused buffer, so no windowed copy or complex spectrum of the
     whole clip is built. The FFT transforms each row on its own, so the
     result is the one-call ``np.abs(rfft(frames * window, axis=1))``, bit
-    for bit.
+    for bit. Given ``out``, a contiguous float64 array of at least
+    ``n_frames * (FRAME_SIZE//2+1)`` entries, the result is written into
+    its start and returned as a view of it.
     """
     frames = frame_signal(samples)
     window = np.hanning(FRAME_SIZE)
-    out = np.empty((len(frames), FRAME_SIZE // 2 + 1))
+    shape = (len(frames), FRAME_SIZE // 2 + 1)
+    if out is None:
+        out = np.empty(shape)
+    else:
+        out = out.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
     block = np.empty((min(STFT_BLOCK, len(frames)), FRAME_SIZE))
     for start in range(0, len(frames), STFT_BLOCK):
         chunk = frames[start:start + STFT_BLOCK]
@@ -109,20 +115,36 @@ def mel_energies(mag: np.ndarray) -> np.ndarray:
     return np.add.reduceat(weighted, np.searchsorted(rows, np.arange(len(MEL_BANK))), axis=1)
 
 
+def zero_crossings(samples: np.ndarray, n_frames: int) -> np.ndarray:
+    """Each frame's count of adjacent samples whose product is negative, as floats.
+
+    A frame is two ``HOP``-sample halves (``FRAME_SIZE == 2 * HOP``), and
+    its second half is the next frame's first. So the signal's products
+    are taken once and counted within each half, and a frame's count is
+    its first half's, that of the one pair across its middle, and its
+    second half's.
+    """
+    halves = np.asarray(samples)[:(n_frames + 1) * HOP]
+    changes = np.zeros(len(halves), dtype=bool)  # the last pair crosses out of the frames
+    np.less(halves[1:] * halves[:-1], 0, out=changes[:-1])
+    changes = changes.reshape(n_frames + 1, HOP)
+    within = np.count_nonzero(changes[:, :-1], axis=1)
+    return (within[:-1] + changes[:-1, -1] + within[1:]).astype(float)
+
+
 def frame_features(samples: np.ndarray) -> np.ndarray:
     """Per-frame feature matrix, shape (n_frames, 16).
 
     Columns: MFCC 0-12, zero-crossing count, spectral centroid (Hz),
     spectral rolloff (Hz). ZCR is counted on the raw, unwindowed frame.
     """
-    frames = frame_signal(samples)
     mag = stft_magnitude(samples)
 
     energies = mel_energies(mag)
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     mfcc = dct(log_energies, type=2, norm="ortho", axis=1)[:, :13]
 
-    zcr = np.sum(frames[:, 1:] * frames[:, :-1] < 0, axis=1).astype(float)
+    zcr = zero_crossings(samples, len(mag))
 
     mag_sums = np.sum(mag, axis=1)
     safe = np.where(mag_sums > 0, mag_sums, 1.0)
@@ -154,8 +176,15 @@ def texture_vectors(frames: np.ndarray) -> np.ndarray:
 
 
 def excerpt_features(samples: np.ndarray) -> np.ndarray:
-    """Full pipeline: samples -> texture vectors, shape (n_blocks, 32)."""
-    return texture_vectors(frame_features(samples))
+    """Full pipeline: samples -> texture vectors, shape (n_blocks, 32).
+
+    Only the frames of whole texture windows are computed; the result is
+    ``texture_vectors(frame_features(samples))``.
+    """
+    n_frames = len(frame_signal(samples))
+    # fewer frames than one window: all of them, for texture_vectors' error
+    used = n_frames // TEXTURE_FRAMES * TEXTURE_FRAMES or n_frames
+    return texture_vectors(frame_features(np.asarray(samples)[:FRAME_SIZE + (used - 1) * HOP]))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ the three keys marked for ``k``, so its slot is always set, and a false
 positive costs only a search that finds nothing.
 """
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +42,7 @@ import numpy as np
 
 from .corpus import Corpus, load_audio, read_records, write_records
 from .errors import ParseError
-from .features import stft_magnitude
+from .features import FRAME_SIZE, frame_signal, stft_magnitude
 
 DEFAULT_THRESHOLD = 0.25
 
@@ -245,16 +246,19 @@ def _median(values: np.ndarray) -> float:
     return np.mean(middle[low_rank - below:high_rank - below + 1])
 
 
-def find_peaks(samples: np.ndarray, owner: str = "") -> PeakConstellation:
+def find_peaks(samples: np.ndarray, owner: str = "",
+               out: np.ndarray | None = None) -> PeakConstellation:
     """Pick local maxima of the log-magnitude spectrogram.
 
     A bin qualifies when it is the maximum of its ``NEIGHBORHOOD`` x
     ``NEIGHBORHOOD`` window, cut off at the spectrogram's edges, and sits
     more than ``FLOOR_DB`` above the exact median log magnitude; at most
     ``MAX_PEAKS_PER_FRAME`` strongest peaks are kept per frame. A
-    spectrogram holding a nan anywhere gives no peaks.
+    spectrogram holding a nan anywhere gives no peaks. The spectrogram is
+    built in ``out`` when it is given (see ``stft_magnitude``), which is
+    then overwritten.
     """
-    log_mag = stft_magnitude(samples)
+    log_mag = stft_magnitude(samples, out=out)
     log_mag += 1e-10
     np.log10(log_mag, out=log_mag)
     log_mag *= 20.0
@@ -273,35 +277,51 @@ def find_peaks(samples: np.ndarray, owner: str = "") -> PeakConstellation:
     return PeakConstellation(owner=owner, peaks=tuple(peaks))
 
 
-def compute_fingerprint(samples: np.ndarray, owner: str = "") -> HashSet:
-    """Hash peak pairs: each anchor pairs with up to ``FAN_OUT`` later peaks
-    ``MIN_DELTA`` to ``MAX_DELTA`` frames on."""
-    constellation = find_peaks(samples, owner)
-    peaks = constellation.peaks
-    flat = []  # key, frame, key, frame, ...
-    for i, (t1, f1, _) in enumerate(peaks):
-        paired = 0
-        for t2, f2, _ in peaks[i + 1:]:
-            delta = t2 - t1
-            if delta < MIN_DELTA:
-                continue
-            if delta > MAX_DELTA:
-                break
-            flat += (pack_key(f1, f2, delta), t1)
-            paired += 1
-            if paired >= FAN_OUT:
-                break
-    return HashSet(owner=owner, hashes=np.array(flat, dtype=np.int64).reshape(-1, 2))
+def landmark_hashes(peaks) -> np.ndarray:
+    """(key, anchor frame) rows, in anchor then target order: each peak
+    pairs with up to ``FAN_OUT`` later peaks ``MIN_DELTA`` to ``MAX_DELTA``
+    frames on, in peak order.
+
+    ``peaks`` are (frame, bin, ...) in frame order, as ``find_peaks`` gives
+    them, so an anchor's targets are one run of the peaks after it: from
+    the first at least ``MIN_DELTA`` frames on, up to ``FAN_OUT`` of those at
+    most ``MAX_DELTA`` frames on.
+    """
+    frames, bins = np.array([p[:2] for p in peaks], dtype=np.int64).reshape(-1, 2).T
+    first = np.maximum(np.arange(1, len(frames) + 1),
+                       np.searchsorted(frames, frames + MIN_DELTA))
+    stop = np.searchsorted(frames, frames + MAX_DELTA, side="right")
+    counts = np.clip(stop - first, 0, FAN_OUT)
+    anchors = np.repeat(np.arange(len(frames)), counts)
+    targets = np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    keys = pack_key(bins[anchors], bins[targets], frames[targets] - frames[anchors])
+    return np.column_stack([keys, frames[anchors]])
+
+
+def compute_fingerprint(samples: np.ndarray, owner: str = "",
+                        out: np.ndarray | None = None) -> HashSet:
+    """The hash set of the clip's ``landmark_hashes``; ``out`` is ``find_peaks``'
+    spectrogram buffer."""
+    return HashSet(owner=owner, hashes=landmark_hashes(find_peaks(samples, owner, out=out).peaks))
 
 
 def fingerprint_corpus(corpus: Corpus, workers: int = 1) -> dict[str, HashSet]:
     """Each excerpt's hash set, keyed by id, from its audio.
 
     With ``workers`` above one, excerpts are loaded and hashed on that many
-    threads; the result does not depend on the count.
+    threads; the result does not depend on the count. Each thread builds
+    its spectrograms in one buffer for the whole pass, grown to the longest
+    clip it has seen, so no clip-sized block is allocated and faulted in
+    anew per clip.
     """
+    local = threading.local()
+
     def one(ex):
-        return ex.id, compute_fingerprint(load_audio(ex), owner=ex.id)
+        samples = load_audio(ex)
+        size = len(frame_signal(samples)) * (FRAME_SIZE // 2 + 1)
+        if getattr(local, "buffer", np.empty(0)).size < size:
+            local.buffer = np.empty(size)
+        return ex.id, compute_fingerprint(samples, owner=ex.id, out=local.buffer)
 
     if workers <= 1:
         return dict(map(one, corpus.excerpts))

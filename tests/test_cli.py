@@ -626,6 +626,10 @@ BAD_INPUTS = {
     "missing_features": (
         _absent("features.csv"),
         lambda fx, bad: _eval_run(fx, bad), "not found"),
+    "metadata_without_excerpts": (
+        _text("metadata.csv", "id,label,artist,title\n"),
+        lambda fx, bad: ["eval", "run", "--metadata", bad, "--features", fx["features"],
+                         "--scheme", "st", "--classifier", "md"], "no excerpts to evaluate"),
     "non_integer_window_index": (
         _text("features.csv", "id,window_index,f0\namber.000,0,0.5\namber.000,one,0.5\n"),
         lambda fx, bad: _eval_run(fx, bad), ":3:"),

@@ -9,6 +9,7 @@ from corpusaudit.errors import (
     ArtistLeakError,
     AuditError,
     DegenerateClassError,
+    EmptyClassError,
     IncompleteFeaturesError,
     ParseError,
 )
@@ -163,6 +164,15 @@ def test_run_experiment_missing_features():
     part = make_partition(corpus, "st", seed=5)
     with pytest.raises(IncompleteFeaturesError):
         run_experiment(corpus, part, "md", features)
+
+
+@pytest.mark.parametrize("n_per_label", [0, 1])
+def test_run_experiment_without_excerpts_to_train_on(n_per_label):
+    # one excerpt: st puts it in fold 0, and testing fold 0 leaves nothing to train on
+    corpus = grid_corpus(n_labels=1, n_per_label=n_per_label)
+    part = make_partition(corpus, "st", seed=5)
+    with pytest.raises(EmptyClassError, match="fold 0 leaves no excerpts to train on"):
+        run_experiment(corpus, part, "md", echo_features(corpus))
 
 
 def test_run_experiment_deterministic():

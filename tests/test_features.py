@@ -64,6 +64,68 @@ def test_stft_magnitude_equals_the_one_shot_transform(monkeypatch, frame_size, h
     assert got.tobytes() == one_shot_stft_magnitude(samples).tobytes()
 
 
+def test_stft_magnitude_into_a_buffer_is_a_view_of_it():
+    samples = np.random.default_rng(3).normal(size=FRAME_SIZE + 40 * HOP)
+    fresh = stft_magnitude(samples)
+    for spare in (0, 1, 1000):  # a buffer of exactly the size, and larger ones
+        buffer = np.full(fresh.size + spare, np.nan)
+        got = stft_magnitude(samples, out=buffer)
+        assert np.shares_memory(got, buffer)
+        assert got.shape == fresh.shape and got.tobytes() == fresh.tobytes()
+
+
+def test_stft_magnitude_refuses_a_buffer_too_small():
+    samples = np.zeros(FRAME_SIZE + 3 * HOP)
+    with pytest.raises(ValueError):
+        stft_magnitude(samples, out=np.empty(4 * (FRAME_SIZE // 2 + 1) - 1))
+
+
+def product_zero_crossings(samples):
+    """Zero crossings from the products of each frame's adjacent samples, frame
+    by frame, kept as the oracle of ``zero_crossings``."""
+    frames = frame_signal(samples)
+    return np.sum(frames[:, 1:] * frames[:, :-1] < 0, axis=1).astype(float)
+
+
+def signed_zeros_signal(n_frames, remainder):
+    """Noise with runs of exact zeros and -0.0, and tiny values whose products
+    underflow to a signed zero, so that sign changes and negative products differ."""
+    rng = np.random.default_rng(n_frames * HOP + remainder)
+    samples = rng.normal(size=FRAME_SIZE + (n_frames - 1) * HOP + remainder)
+    samples[::7] = 0.0
+    samples[3::11] = -0.0
+    samples[HOP - 2:HOP + 3] = [1e-200, -1e-200, 0.0, -0.0, 1e-200]  # across the first half's end
+    samples[-3:] = [-0.0, 0.0, -1.0]
+    return samples
+
+
+FRAME_COUNTS = [1, 2, 129, 130, 131, 260]  # around one and two texture windows
+REMAINDERS = [0, 1, HOP - 1]  # samples past the last frame
+
+
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+@pytest.mark.parametrize("remainder", REMAINDERS)
+def test_zero_crossings_equal_the_frame_products(n_frames, remainder):
+    samples = signed_zeros_signal(n_frames, remainder)
+    expected = product_zero_crossings(samples)
+    assert features.zero_crossings(samples, n_frames).tobytes() == expected.tobytes()
+    assert frame_features(samples)[:, 13].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n_frames", FRAME_COUNTS)
+@pytest.mark.parametrize("remainder", REMAINDERS)
+def test_excerpt_features_equal_texture_vectors_of_every_frame(n_frames, remainder):
+    samples = signed_zeros_signal(n_frames, remainder)
+    if n_frames < features.TEXTURE_FRAMES:
+        with pytest.raises(TooShortError) as full:
+            texture_vectors(frame_features(samples))
+        with pytest.raises(TooShortError, match=re.escape(str(full.value))):
+            excerpt_features(samples)
+    else:
+        expected = texture_vectors(frame_features(samples))
+        assert excerpt_features(samples).tobytes() == expected.tobytes()
+
+
 def test_frame_features_shape_and_determinism():
     rng = np.random.default_rng(0)
     x = rng.normal(size=SR * 2)

@@ -41,7 +41,7 @@ from corpusaudit.fingerprint import (
     read_cache,
     write_cache,
 )
-from corpusaudit.corpus import Corpus, Excerpt, read_records, write_records
+from corpusaudit.corpus import Corpus, Excerpt, load_audio, read_records, write_records
 from corpusaudit.synth import delayed_copy, tone_cloud
 
 SR = 22050
@@ -90,6 +90,25 @@ def reference_find_peaks(samples: np.ndarray, owner: str = "") -> PeakConstellat
         for magnitude, fbin in sorted(strongest, key=lambda p: p[1]):
             peaks.append((frame, fbin, magnitude))
     return PeakConstellation(owner=owner, peaks=tuple(peaks))
+
+
+def reference_landmark_hashes(peaks) -> list[tuple[int, int]]:
+    """The pairing loop of ``landmark_hashes``, kept as its oracle. It reads the
+    same module constants, when it runs."""
+    pairs = []
+    for i, (t1, f1, _) in enumerate(peaks):
+        paired = 0
+        for t2, f2, _ in peaks[i + 1:]:
+            delta = t2 - t1
+            if delta < fingerprint.MIN_DELTA:
+                continue
+            if delta > fingerprint.MAX_DELTA:
+                break
+            pairs.append((pack_key(f1, f2, delta), t1))
+            paired += 1
+            if paired >= fingerprint.FAN_OUT:
+                break
+    return pairs
 
 
 @pytest.fixture(scope="module")
@@ -183,9 +202,19 @@ def test_match_all_pairs(clouds):
         ("c0", "c1"), ("c0", "c2"), ("c1", "c2")}
 
 
+def write_clips(tmp_path, signals) -> Corpus:
+    """A corpus of float WAV files, one per (id, samples), in the given order."""
+    from scipy.io import wavfile
+    excerpts = []
+    for name, sig in signals:
+        path = tmp_path / f"{name}.wav"
+        wavfile.write(path, SR, sig.astype(np.float32))
+        excerpts.append(Excerpt(id=name, label="g", artist="A", audio_path=str(path)))
+    return Corpus(labels=("g",), excerpts=tuple(excerpts))
+
+
 def planted_corpus(tmp_path, rng):
     """Six excerpts, two planted duplicate pairs."""
-    from scipy.io import wavfile
     signals = {}
     base0 = tone_cloud(rng, duration=8.0)
     base1 = tone_cloud(rng, duration=8.0)
@@ -195,12 +224,7 @@ def planted_corpus(tmp_path, rng):
     signals["g.003"] = delayed_copy(base1, 1.1, 0.3, SR)
     signals["g.004"] = tone_cloud(rng, duration=8.0)
     signals["g.005"] = tone_cloud(rng, duration=8.0)
-    excerpts = []
-    for name, sig in signals.items():
-        path = tmp_path / f"{name}.wav"
-        wavfile.write(path, SR, sig.astype(np.float32))
-        excerpts.append(Excerpt(id=name, label="g", artist="A", audio_path=str(path)))
-    return Corpus(labels=("g",), excerpts=tuple(excerpts))
+    return write_clips(tmp_path, signals.items())
 
 
 def test_find_exact_repetitions_recovers_planted_pairs(tmp_path):
@@ -227,6 +251,24 @@ def test_fingerprint_corpus_is_the_same_on_two_threads(tmp_path):
     serial = fingerprint_corpus(corpus, workers=1)
     assert list(serial) == [ex.id for ex in corpus.excerpts]
     assert serial == fingerprint_corpus(corpus, workers=2)
+
+
+# clip lengths in samples, 8 s at most; each thread's spectrogram buffer is
+# reused for a shorter clip and grown for a longer one
+CLIP_ORDERS = {"long_first": [SR * 8, SR * 3, FRAME_SIZE + 7 * HOP, SR * 5],
+               "short_first": [FRAME_SIZE + 7 * HOP, SR * 3, SR * 8, SR * 5]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("order", sorted(CLIP_ORDERS))
+def test_fingerprint_corpus_with_one_buffer_equals_each_clip_alone(tmp_path, clouds,
+                                                                 workers, order):
+    signals = [(f"g.{i:03d}", clouds[i][:n]) for i, n in enumerate(CLIP_ORDERS[order])]
+    corpus = write_clips(tmp_path, signals)
+    got = fingerprint_corpus(corpus, workers=workers)
+    assert list(got) == [name for name, _ in signals]
+    for ex in corpus.excerpts:
+        assert got[ex.id] == compute_fingerprint(load_audio(ex), owner=ex.id)
 
 
 def test_find_exact_repetitions_names_an_excerpt_without_audio(tmp_path):
@@ -410,6 +452,41 @@ def test_fingerprint_and_features_share_one_framing(clouds, k, tail):
     assert len(frame_features(clip)) == k + 1
     frames = {frame for frame, _, _ in find_peaks(clip).peaks}
     assert frames and frames <= set(range(k + 1))
+
+
+def test_compute_fingerprint_equals_the_pairing_loop(clouds):
+    for clip in clouds[:3]:
+        peaks = find_peaks(clip).peaks
+        expected = reference_landmark_hashes(peaks)
+        assert len(expected) > 100
+        assert compute_fingerprint(clip).hashes.tolist() == [list(p) for p in expected]
+
+
+# frame-sorted peak lists: frames with gaps up to past MAX_DELTA, several peaks a frame
+@st.composite
+def peak_lists(draw):
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 63, 64, 65, 200]), max_size=40))
+    frames = np.cumsum([draw(st.integers(0, 5))] + gaps).tolist()
+    return [(frame, bin_, 0.0)
+            for frame, bin_ in sorted({(f, draw(st.integers(0, 512))) for f in frames})]
+
+
+@pytest.mark.parametrize("min_delta", [0, 1, 2])
+@pytest.mark.parametrize("fan_out", [1, 8])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(peaks=peak_lists())
+@example(peaks=[])
+@example(peaks=[(4, 9, -1.0)])
+@example(peaks=[(3, b, 0.0) for b in range(12)])  # one frame only
+@example(peaks=[(0, 1, 0.0), (0, 2, 0.0), (65, 3, 0.0), (65, 4, 0.0), (130, 5, 0.0)])
+@example(peaks=[(t, t % 7, 0.0) for t in range(0, 300, 16)])
+def test_landmark_hashes_equal_the_pairing_loop(monkeypatch, min_delta, fan_out, peaks):
+    monkeypatch.setattr(fingerprint, "MIN_DELTA", min_delta)
+    monkeypatch.setattr(fingerprint, "FAN_OUT", fan_out)
+    got = fingerprint.landmark_hashes(peaks)
+    assert got.dtype == np.int64 and got.shape == (len(got), 2)
+    assert got.tolist() == [list(p) for p in reference_landmark_hashes(peaks)]
 
 
 # keys at the packing edges (delta at min_delta/max_delta, extreme bins) and
