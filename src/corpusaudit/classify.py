@@ -184,15 +184,18 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     ``PREFILTER_MAX_DIM``, every row is kept and the kernel is plain
     blocked cdist. Labels therefore depend neither on the BLAS thread
     count nor on how windows are blocked; only the kept sets may.
+
+    Memory: besides ``-2 train_x^T`` in float32, the prefilter allocates
+    one workspace per call, reused by every block: the block's windows in
+    float32, its p block and that block's ``<=`` mask. The magnitude
+    check reads ``min`` and ``max`` and copies nothing.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     train_x = model.train_x
-    dim = train_x.shape[1]
-    # Each comparison is False when its array holds a nan.
+    n_train, dim = train_x.shape
     prefilter = (dim <= PREFILTER_MAX_DIM
-                 and np.abs(train_x).max(initial=0.0) <= PREFILTER_MAX_ABS
-                 and np.abs(vectors).max(initial=0.0) <= PREFILTER_MAX_ABS)
-    kept = np.arange(train_x.shape[0])  # every row, unless the prefilter narrows it
+                 and _within_prefilter_range(train_x) and _within_prefilter_range(vectors))
+    kept = np.arange(n_train)  # every row, unless the prefilter narrows it
     if prefilter:
         eps, tiny = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).tiny)
         train_sq = np.einsum("ij,ij->i", train_x, train_x)
@@ -200,18 +203,32 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
                                         + train_sq.max()) + tiny)
         train_sq32 = train_sq.astype(np.float32)
         minus_2xt = np.multiply(train_x.T, -2.0, dtype=np.float32, order="C")
-        vectors32 = vectors.astype(np.float32)
+        rows = min(BLOCK, vectors.shape[0])
+        block32 = np.empty((rows, dim), dtype=np.float32)
+        partial = np.empty((rows, n_train), dtype=np.float32)
+        close = np.empty((rows, n_train), dtype=bool)
+        any_close = np.empty(n_train, dtype=bool)
     out = np.empty(vectors.shape[0], dtype=np.intp)
     for start in range(0, vectors.shape[0], BLOCK):
         block = vectors[start:start + BLOCK]
         if prefilter:
-            partial = vectors32[start:start + BLOCK] @ minus_2xt
-            partial += train_sq32
-            limit = partial.min(axis=1) + 2 * bound[start:start + BLOCK]
+            m = len(block)
+            block32[:m] = block
+            p = np.matmul(block32[:m], minus_2xt, out=partial[:m])
+            p += train_sq32
+            limit = p.min(axis=1) + 2 * bound[start:start + m]
             limit = np.nextafter(limit.astype(np.float32), np.float32(np.inf))
-            kept = np.flatnonzero((partial <= limit[:, None]).any(axis=0))
+            np.less_equal(p, limit[:, None], out=close[:m])
+            kept = np.flatnonzero(np.logical_or.reduce(close[:m], axis=0, out=any_close))
         out[start:start + BLOCK] = kept[np.argmin(cdist(block, train_x[kept]), axis=1)]
     return model.train_y[out]
+
+
+def _within_prefilter_range(values: np.ndarray) -> bool:
+    """No value is nan or larger than ``PREFILTER_MAX_ABS`` in magnitude; a nan
+    makes ``min`` and ``max`` nan, and each comparison False."""
+    return bool(-PREFILTER_MAX_ABS <= values.min(initial=0.0)
+                and values.max(initial=0.0) <= PREFILTER_MAX_ABS)
 
 
 def vote(label_indices: np.ndarray, n_labels: int, rng: np.random.Generator) -> int:

@@ -17,6 +17,7 @@ import json
 import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -118,10 +119,25 @@ class Corpus:
         return n_id, len(self.excerpts) - n_id
 
 
+@contextmanager
 def open_text(path, what: str):
-    """Open a UTF-8 text file for reading; a missing or unreadable file is an ``IoError``."""
+    """Open a UTF-8 text file for reading, as a context manager.
+
+    A missing or unreadable file is an ``IoError``. Bytes that are not
+    UTF-8, and a line the ``csv`` module refuses (a field over its size
+    limit, say), met while the file is read inside the ``with`` block, are
+    a ``ParseError`` naming ``path``.
+    """
     with reading(path, what):
-        return Path(path).open(newline="", encoding="utf-8")
+        fh = Path(path).open(newline="", encoding="utf-8")
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {what} is not UTF-8 text: {exc.reason} "
+                             f"(bytes {exc.object[exc.start:exc.end].hex(' ')})") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: malformed {what}: {exc}") from None
 
 
 def read_json(path, what: str, parse=lambda data: data):

@@ -192,6 +192,10 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
     A fold's test excerpts are scored together, in sorted id order; the
     ``j``-th one draws NN vote ties from ``default_rng([seed, realization,
     fold, j])``, so each label equals ``classify_excerpt`` on its own.
+
+    Memory: a fold's training windows, then its test windows, are each
+    gathered into one new float64 matrix and normalized in place, and
+    neither outlives its use.
     """
     all_ids = [eid for fold in partition.folds for eid in fold]
     missing = [eid for eid in all_ids if eid not in features]
@@ -204,21 +208,22 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
                      if j != i for eid in fold]
         if not train_ids:
             raise EmptyClassError(f"fold {i} leaves no excerpts to train on")
-        train_x = np.concatenate([features[eid] for eid in train_ids])
+        train_x = np.concatenate([features[eid] for eid in train_ids], dtype=float)
         train_y = [corpus.get(eid).label
                    for eid in train_ids for _ in range(len(features[eid]))]
         nmap = fit_normalization(train_x)
-        model = train(kind, apply_normalization(nmap, train_x), train_y,
+        model = train(kind, apply_normalization(nmap, train_x, out=train_x), train_y,
                       label_order=corpus.labels, seed=seed)
-        del train_x  # scoring does not need it; freeing it lowers the peak memory
+        del train_x  # an NN model keeps it; an MD or MMD model does not need it
         test_ids = sorted(test_fold)
         if not test_ids:
             continue
-        test_x = apply_normalization(nmap,
-                                     np.concatenate([features[eid] for eid in test_ids]))
+        test_x = np.concatenate([features[eid] for eid in test_ids], dtype=float)
         predicted = classify_excerpts(
-            model, test_x, [len(features[eid]) for eid in test_ids],
+            model, apply_normalization(nmap, test_x, out=test_x),
+            [len(features[eid]) for eid in test_ids],
             lambda j: np.random.default_rng([seed, partition.realization, i, j]))
+        del test_x  # not kept while the next fold trains
         predictions += [PredictionRecord(excerpt_id=eid, true_label=corpus.get(eid).label,
                                          predicted_label=label, fold=i)
                         for eid, label in zip(test_ids, predicted)]

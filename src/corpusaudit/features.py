@@ -203,10 +203,14 @@ def fit_normalization(vectors: np.ndarray) -> NormalizationMap:
     return NormalizationMap(mins=vectors.min(axis=0), maxs=vectors.max(axis=0))
 
 
-def apply_normalization(nmap: NormalizationMap, vectors: np.ndarray) -> np.ndarray:
+def apply_normalization(nmap: NormalizationMap, vectors: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Apply a learned map; values outside the training range are not clamped.
 
-    Degenerate dimensions (max == min) map to 0 with a warning.
+    Degenerate dimensions (max == min) map to 0 with a warning. The result
+    is written into ``out``, a float64 array of the vectors' shape, and
+    returned; ``out`` may be ``vectors`` itself. Without it, one array is
+    allocated for the result and ``vectors`` is left unchanged.
     """
     vectors = np.asarray(vectors, dtype=float)
     span = nmap.maxs - nmap.mins
@@ -215,7 +219,8 @@ def apply_normalization(nmap: NormalizationMap, vectors: np.ndarray) -> np.ndarr
         warnings.warn("degenerate feature dimensions mapped to 0: "
                       f"{np.flatnonzero(degenerate).tolist()}")
     safe_span = np.where(degenerate, 1.0, span)
-    out = (vectors - nmap.mins) / safe_span
+    out = np.subtract(vectors, nmap.mins, out=out)
+    np.divide(out, safe_span, out=out)
     out[:, degenerate] = 0.0
     return out
 
@@ -315,6 +320,8 @@ def _parse_feature_csv(path) -> dict[str, np.ndarray]:
 
         try:
             values = np.fromiter(map(float, chain.from_iterable(value_fields())), dtype=float)
+        except UnicodeDecodeError:
+            raise  # a ValueError that open_text, not this parse, reports
         except (IndexError, ValueError):
             raise ParseError(f"{path}:{reader.line_num}: expected an id, an integer "
                              "window_index and numeric features") from None

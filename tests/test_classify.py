@@ -267,6 +267,31 @@ def test_nearest_labels_prefilter_prunes(monkeypatch):
     assert np.array_equal(got, reference_nearest(model, windows))
 
 
+@pytest.mark.parametrize("n_train", [BLOCK - 5, 4 * BLOCK + 3])
+@pytest.mark.parametrize("n_test", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_nearest_labels_workspace_edges(monkeypatch, n_train, n_test):
+    """The prefilter's workspace is reused from block to block, and the last
+    block may be shorter. Labels equal the reference, and each block keeps
+    the training rows it keeps when scored alone, in a workspace of its own."""
+    train_x, test_x, y = _nn_case(30 + n_test, 32, n_train, n_test, 0.0, 1.0)
+    model = train("nn", train_x, [f"l{k}" for k in y], label_order=("l0", "l1", "l2"))
+    scored = []
+
+    def recording_cdist(a, b):
+        scored.append(b)
+        return cdist(a, b)
+
+    monkeypatch.setattr(classify, "cdist", recording_cdist)
+    got = nearest_labels(model, test_x)
+    assert np.array_equal(got, reference_nearest(model, test_x))
+    whole_call = scored[:]
+    scored.clear()
+    for start in range(0, n_test, BLOCK):
+        nearest_labels(model, test_x[start:start + BLOCK])
+    assert len(whole_call) == len(scored) == -(-n_test // BLOCK)
+    assert all(np.array_equal(a, b) for a, b in zip(whole_call, scored))
+
+
 @pytest.mark.parametrize("kind, dim", [
     pytest.param(kind, dim, id=kind if dim == 3 else f"{kind}-{dim}d")
     for dim in (3, 32) for kind in ("nn", "md", "mmd")])

@@ -515,6 +515,14 @@ def _text(name, text):
     return build
 
 
+def _bytes(name, data):
+    def build(fx, tmp):
+        path = tmp / name
+        path.write_bytes(data)
+        return path
+    return build
+
+
 def _absent(name):
     return lambda fx, tmp: tmp / name
 
@@ -623,6 +631,22 @@ BAD_INPUTS = {
         _absent("metadata.csv"),
         lambda fx, bad: ["audit", "labels", "--metadata", bad, "--tags", fx["tags"]],
         "not found"),
+    "metadata_not_utf8": (
+        _bytes("metadata.csv", b"id,label,artist,title\namber.000,amber,Ann,\xff\n"),
+        lambda fx, bad: ["partition", "make", "--metadata", bad, "--scheme", "st"],
+        "metadata CSV is not UTF-8 text"),
+    "metadata_field_over_csv_limit": (
+        _text("metadata.csv", "id,label,artist,title\namber.000,amber,Ann," + "x" * 200_000),
+        lambda fx, bad: ["eval", "run", "--metadata", bad, "--features", fx["features"],
+                         "--scheme", "st", "--classifier", "md"],
+        "field larger than field limit"),
+    "features_not_utf8": (  # past the first 8 KiB that the text reader decodes at once
+        _bytes("features.csv", b"id,window_index,f0\n"
+               + b"".join(b"amber.000,%d,0.5\n" % w for w in range(600)) + b"slate.000,0,\xff\n"),
+        lambda fx, bad: _eval_run(fx, bad), "feature CSV is not UTF-8 text"),
+    "dupes_not_utf8": (
+        _bytes("dupes.csv", b"id_a,id_b,score,offset_frames\namber.000,amber.001,0.9\xff,0\n"),
+        lambda fx, bad: _catalog_build(fx, bad, "--dupes"), "dupes CSV is not UTF-8 text"),
     "missing_features": (
         _absent("features.csv"),
         lambda fx, bad: _eval_run(fx, bad), "not found"),

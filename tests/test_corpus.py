@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from corpusaudit.corpus import (
@@ -16,6 +18,7 @@ from corpusaudit.corpus import (
     tag_coverage,
 )
 from corpusaudit.errors import (
+    AuditError,
     DuplicateIdError,
     FormatError,
     IoError,
@@ -23,6 +26,8 @@ from corpusaudit.errors import (
     ParseError,
     UnknownExcerptError,
 )
+from corpusaudit.faults import exact_groups_from_csv
+from corpusaudit.features import read_feature_cache
 
 HEADER = "id,label,artist,title\n"
 
@@ -243,3 +248,41 @@ def test_load_audio_directory_is_an_io_error(tmp_path):
 
 def test_identification_tally(small_corpus):
     assert small_corpus.identification_tally() == (5, 1)
+
+
+FUZZ_CORPUS = Corpus(labels=("a", "b"), excerpts=(Excerpt(id="a.0", label="a"),
+                                                   Excerpt(id="b.0", label="b")))
+
+# each CSV reader with the header it expects, so fuzzed bodies get past it
+CSV_READERS = {
+    "metadata": (lambda path: load_metadata(path), b"id,label,artist,title\n"),
+    "feature_csv": (read_feature_cache, b"id,window_index,f0,f1\n"),
+    "dupes_csv": (lambda path: exact_groups_from_csv(path, 0.5, FUZZ_CORPUS),
+                  b"id_a,id_b,score,offset_frames\n"),
+}
+
+CSV_TOKENS = st.lists(st.sampled_from(
+    [b",", b"\n", b"\r", b'"', b" ", b"\x00", b"\xff", b"\xc3", b"\xc3\xa9", b"a.0", b"b.0",
+     b"a", b"b", b"0", b"1", b"-1", b"0.5", b"nan", b"inf", b"1e999", b"1_0", b"x"]),
+    max_size=40).map(b"".join)
+
+
+@pytest.mark.parametrize("reader", sorted(CSV_READERS))
+@settings(max_examples=300, deadline=None)
+@given(prefixed=st.booleans(), body=CSV_TOKENS | st.binary(max_size=80))
+@example(prefixed=True, body=b"a.0,a,Ann,\xff\n")
+@example(prefixed=True, body=b"a.0,0,0.5,\xff\n")
+@example(prefixed=True, body=b"a.0,b.0,0.9\xff,0\n")
+@example(prefixed=False, body=b"\xff")
+@example(prefixed=True, body=b"a.0,\x00,0.5\n")
+def test_csv_readers_raise_only_toolkit_errors(tmp_path_factory, reader, prefixed, body):
+    """Any bytes, after the expected header or alone: each reader returns or
+    raises an ``AuditError``, never a traceback."""
+    read, header = CSV_READERS[reader]
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{reader}.csv"
+    path.write_bytes(header + body if prefixed else body)
+    try:
+        read(path)
+    except AuditError:
+        pass
+

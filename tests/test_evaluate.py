@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -243,6 +244,40 @@ def test_run_experiment_equals_per_excerpt_loop():
                 == tuple(expected)
             if part is partitions[0] and kind == "nn":
                 assert ties >= len(planted)
+
+
+@pytest.mark.parametrize("n_folds, kind, bound", [
+    (2, "nn", 4.0), (2, "md", 2.5), (2, "mmd", 3.5),
+    (3, "nn", 6.5), (3, "md", 3.0), (3, "mmd", 5.0)])
+def test_run_experiment_peak_memory_in_fold_matrices(n_folds, kind, bound):
+    """The traced allocation peak of one ``run_experiment`` on 400 excerpts of
+    9 windows, in units of one fold's window matrix (float64, 32 dimensions).
+
+    With two folds, an NN model keeps its normalized training matrix and its
+    test fold is a second one; the rest is the prefilter's float32 copy of the
+    training matrix and its block workspace. MD keeps only class means, and
+    MMD adds the centered training and the whitened test matrix. With three
+    folds, training takes two fold matrices, so a training matrix normalized
+    into a copy, or a test matrix kept into the next fold, passes the bound.
+    """
+    corpus = grid_corpus(n_labels=10, n_per_label=40)
+    rng = np.random.default_rng(24)
+    features = {ex.id: rng.normal(int(ex.label[1:]) * 0.3, 1.0, size=(9, 32))
+                for ex in corpus.excerpts}
+    ids = sorted(features)
+    rng.shuffle(ids)
+    part = Partition(scheme="st", folds=tuple(tuple(sorted(ids[f::n_folds]))
+                                              for f in range(n_folds)), seed=24)
+    fold_matrix = max(map(len, part.folds)) * 9 * 32 * 8
+    run_experiment(corpus, part, kind, features)  # lazy imports and caches first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_experiment(corpus, part, kind, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / fold_matrix <= bound
 
 
 def test_figures_of_merit_hand_example():

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,45 @@ def test_normalization_degenerate_dimension_warns():
         out = apply_normalization(nmap, np.array([[1.0, 1.0]]))
     assert out[0, 0] == 0.0
     assert out[0, 1] == pytest.approx(0.5)
+
+
+def reference_normalization(nmap, vectors):
+    """``apply_normalization`` as the allocating formula with a ``vectors - mins``
+    temporary, kept as its oracle."""
+    vectors = np.asarray(vectors, dtype=float)
+    span = nmap.maxs - nmap.mins
+    out = (vectors - nmap.mins) / np.where(span == 0, 1.0, span)
+    out[:, span == 0] = 0.0
+    return out
+
+
+NORMALIZATION_VALUES = st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.0, 5e-324])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda d: st.tuples(
+    hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(d)), elements=NORMALIZATION_VALUES),
+    hnp.arrays(float, st.tuples(st.integers(0, 6), st.just(d)), elements=NORMALIZATION_VALUES))))
+@example((np.array([[1.0, 0.0, 3.0], [1.0, 2.0, 3.0]]),  # two degenerate dimensions
+          np.array([[1.0, 1.0, 2.0], [0.0, -1.0, 3.0]])))
+@example((np.array([[0.0, np.inf], [1.0, 2.0]]), np.array([[np.nan, np.inf], [-0.0, 1.0]])))
+def test_apply_normalization_into_out_equals_the_allocating_formula(arrays):
+    """Bit for bit, into a new array, into a given one and into the vectors
+    themselves; without ``out`` the vectors are left unchanged."""
+    train_x, test_x = arrays
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # the degenerate-dimension warning, inf - inf
+        nmap = fit_normalization(train_x)
+        expected = reference_normalization(nmap, test_x)
+        before = test_x.tobytes()
+        allocated = apply_normalization(nmap, test_x)
+        assert test_x.tobytes() == before
+        given_out = np.full_like(test_x, 7.0)
+        assert apply_normalization(nmap, test_x, out=given_out) is given_out
+        in_place = test_x.copy()
+        assert apply_normalization(nmap, in_place, out=in_place) is in_place
+    for got in (allocated, given_out, in_place):
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 def test_feature_cache_round_trip(tmp_path):
