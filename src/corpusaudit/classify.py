@@ -26,7 +26,6 @@ so NN labels do not depend on it either.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import EmptyClassError
 
@@ -190,6 +189,10 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     float32, its p block and that block's ``<=`` mask. The magnitude
     check reads ``min`` and ``max`` and copies nothing.
     """
+    # here, not at import: scipy.spatial loads scipy.linalg and scipy.sparse, which
+    # no other command needs
+    from scipy.spatial.distance import cdist
+
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     train_x = model.train_x
     n_train, dim = train_x.shape

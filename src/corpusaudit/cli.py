@@ -18,7 +18,7 @@ from pathlib import Path
 from . import classify, evaluate, faults, features, fingerprint, tagscore
 from .corpus import (Corpus, load_audio, load_metadata, load_tags, read_json, write_json,
                      write_text)
-from .errors import AuditError, ParseError, in_file
+from .errors import AuditError, IncompleteFeaturesError, ParseError, in_file
 
 # fixed default so reruns without an explicit seed are reproducible
 DEFAULT_SEED = 1234
@@ -167,9 +167,10 @@ def cmd_eval_run(args) -> int:
     feats = features.read_feature_cache(args.features)
     catalog = faults.load_catalog(args.catalog, corpus) if args.catalog else None
     artist_folds = _read_artist_folds(args.artist_folds)
-    results = evaluate.run_realizations(
-        corpus, args.scheme, args.classifier, feats, seed=args.seed,
-        realizations=args.realizations, catalog=catalog, artist_folds=artist_folds)
+    with in_file(args.features, IncompleteFeaturesError):
+        results = evaluate.run_realizations(
+            corpus, args.scheme, args.classifier, feats, seed=args.seed,
+            realizations=args.realizations, catalog=catalog, artist_folds=artist_folds)
     mean, std = evaluate.accuracy_summary(results)
     write_json(args.out, {
         "scheme": args.scheme,

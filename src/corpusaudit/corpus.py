@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import (
     DuplicateIdError,
@@ -141,12 +140,15 @@ def open_text(path, what: str):
 
 
 def read_json(path, what: str, parse=lambda data: data):
-    """``parse`` of a JSON file's value. A missing file is an ``IoError`` and invalid
-    JSON a ``ParseError``; a toolkit error from ``parse`` gets ``path`` prefixed."""
+    """``parse`` of a JSON file's value. A missing file is an ``IoError``, and invalid
+    or too deeply nested JSON a ``ParseError``; a toolkit error from ``parse`` gets
+    ``path`` prefixed."""
     with open_text(path, what) as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # bad JSON syntax or bytes that are not UTF-8
+        # bad JSON syntax, bytes that are not UTF-8, or arrays and objects nested
+        # deeper than the decoder's recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from None
     with in_file(path):
         return parse(data)
@@ -310,13 +312,18 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError(f"{path}: entry {i} is not an object with an 'id'")
         eid = entry["id"]
+        if not isinstance(eid, str):
+            raise ParseError(f"{path}: entry {i}: 'id' is not a string")
         if eid not in corpus:
             raise UnknownExcerptError(f"{path}: entry {i}: unknown excerpt id {eid!r}")
         source = entry.get("source", "song")
         if source not in TAG_SOURCES:
             raise ParseError(f"{path}: entry {i}: bad source {source!r}")
+        tag_objs = entry.get("tags", [])
+        if not isinstance(tag_objs, list):
+            raise ParseError(f"{path}: entry {i}: 'tags' is not an array")
         merged: dict[str, int] = {}
-        for tag_obj in entry.get("tags", []):
+        for tag_obj in tag_objs:
             if not isinstance(tag_obj, dict) or not {"tag", "count"} <= tag_obj.keys():
                 raise ParseError(f"{path}: entry {i}: tag object needs a 'tag' and a 'count'")
             tag = normalize_text(str(tag_obj["tag"]))
@@ -359,6 +366,8 @@ def load_audio(excerpt: Excerpt) -> np.ndarray:
     A float file holding a nan or infinite sample is a ``FormatError``: its
     spectrogram would have no median, so it could never be fingerprinted.
     """
+    from scipy.io import wavfile  # here, not at import: most commands read no audio
+
     if excerpt.audio_path is None:
         raise IoError(f"excerpt {excerpt.id!r} has no audio path")
     path = Path(excerpt.audio_path)

@@ -60,15 +60,17 @@ class IncompleteVerdictError(AuditError):
 
 
 class IncompleteFeaturesError(AuditError):
-    """An excerpt in the partition has no cached feature vectors."""
+    """An excerpt in the partition has no cached feature vectors, or one that
+    holds a nan or an infinity."""
 
 
 @contextmanager
-def in_file(path):
-    """Prefix the message of any toolkit error raised inside with ``path``."""
+def in_file(path, errors=AuditError):
+    """Prefix the message of any toolkit error of the class ``errors`` raised
+    inside with ``path``."""
     try:
         yield
-    except AuditError as exc:
+    except errors as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 

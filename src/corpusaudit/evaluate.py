@@ -193,6 +193,12 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
     ``j``-th one draws NN vote ties from ``default_rng([seed, realization,
     fold, j])``, so each label equals ``classify_excerpt`` on its own.
 
+    Every window must be finite: a nan or an infinity is an
+    ``IncompleteFeaturesError`` naming the excerpt, the window and the
+    feature, where it would otherwise turn its fold's normalization into
+    nan. Only training windows are checked, because with two folds or
+    more every excerpt trains some fold, and one fold trains nothing.
+
     Memory: a fold's training windows, then its test windows, are each
     gathered into one new float64 matrix and normalized in place, and
     neither outlives its use.
@@ -209,6 +215,7 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
         if not train_ids:
             raise EmptyClassError(f"fold {i} leaves no excerpts to train on")
         train_x = np.concatenate([features[eid] for eid in train_ids], dtype=float)
+        _check_finite(train_x, train_ids, features)
         train_y = [corpus.get(eid).label
                    for eid in train_ids for _ in range(len(features[eid]))]
         nmap = fit_normalization(train_x)
@@ -229,6 +236,22 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
                         for eid, label in zip(test_ids, predicted)]
     return ExperimentResult(tables=confusion_tables(corpus.labels, predictions),
                             predictions=tuple(predictions))
+
+
+def _check_finite(windows: np.ndarray, ids, features) -> None:
+    """Refuse a nan or an infinity in ``windows``, the windows of ``ids`` stacked in
+    order. ``min`` and ``max`` copy nothing, and one of them is a nan or an
+    infinity exactly when some value is; only then are the excerpts searched."""
+    if np.isfinite(windows.min(initial=0.0)) and np.isfinite(windows.max(initial=0.0)):
+        return
+    for eid in ids:
+        values = np.asarray(features[eid], dtype=float)
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            window, feature = bad[0]
+            raise IncompleteFeaturesError(
+                f"excerpt {eid!r} window {window}: feature {feature} is "
+                f"{values[window, feature]}, not a finite number")
 
 
 def run_realizations(corpus: Corpus, scheme: str, kind: str, features, seed: int = 0,

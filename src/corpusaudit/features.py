@@ -20,7 +20,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import dct, rfft
 
 from .corpus import SAMPLE_RATE, open_text, read_records, write_records
 from .errors import (IncompleteFeaturesError, IoError, ParseError, TooShortError, reading,
@@ -67,6 +66,8 @@ def stft_magnitude(samples: np.ndarray, out: np.ndarray | None = None) -> np.nda
     ``n_frames * (FRAME_SIZE//2+1)`` entries, the result is written into
     its start and returned as a view of it.
     """
+    from scipy.fft import rfft  # here, not at import: most commands never run an FFT
+
     frames = frame_signal(samples)
     window = np.hanning(FRAME_SIZE)
     shape = (len(frames), FRAME_SIZE // 2 + 1)
@@ -138,6 +139,8 @@ def frame_features(samples: np.ndarray) -> np.ndarray:
     Columns: MFCC 0-12, zero-crossing count, spectral centroid (Hz),
     spectral rolloff (Hz). ZCR is counted on the raw, unwindowed frame.
     """
+    from scipy.fft import dct
+
     mag = stft_magnitude(samples)
 
     energies = mel_energies(mag)

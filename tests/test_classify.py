@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.spatial.distance
 from scipy.spatial.distance import cdist
 
 from corpusaudit import classify
@@ -260,7 +261,7 @@ def test_nearest_labels_prefilter_prunes(monkeypatch):
         scored.append(len(b))
         return cdist(a, b)
 
-    monkeypatch.setattr(classify, "cdist", counting_cdist)
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", counting_cdist)
     got = nearest_labels(model, windows)
     assert len(scored) == -(-len(windows) // BLOCK)
     assert max(scored) <= 2 * BLOCK
@@ -281,7 +282,7 @@ def test_nearest_labels_workspace_edges(monkeypatch, n_train, n_test):
         scored.append(b)
         return cdist(a, b)
 
-    monkeypatch.setattr(classify, "cdist", recording_cdist)
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", recording_cdist)
     got = nearest_labels(model, test_x)
     assert np.array_equal(got, reference_nearest(model, test_x))
     whole_call = scored[:]

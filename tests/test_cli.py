@@ -318,6 +318,60 @@ def test_features_and_mmd_report_same_bytes_for_any_blas_thread_count(workspace,
     assert outputs[0] == outputs[1]
 
 
+# In a fresh interpreter: run the command given on the command line, if any, then print
+# its exit code and the scipy subpackages loaded ("" for scipy itself).
+SCIPY_PROBE = """import sys
+from corpusaudit.cli import dispatch
+code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted({m.split(".")[1] if "." in m else ""
+                     for m in sys.modules if m.split(".")[0] == "scipy"}))
+"""
+
+
+@pytest.fixture(scope="module")
+def warm_fp_cache(workspace, tmp_path_factory):
+    cache = tmp_path_factory.mktemp("warm") / "prints.bin"
+    assert _audit_dupes(workspace, cache, cache.with_name("dupes.csv")) == 0
+    return cache
+
+
+# (command, AUDIT_THREADS, which of scipy.fft, scipy.io and scipy.spatial it loads)
+AUDIO = ["--audio-dir", "{audio}", "--metadata", "{metadata}"]
+SCIPY_FOOTPRINTS = {
+    "import": ([], "1", set()),
+    "catalog_show": (["catalog", "show", "--catalog", "{catalog}"], "1", set()),
+    "report_perfect": (["report", "perfect", "--catalog", "{catalog}"], "1", set()),
+    "eval_run_md": (["eval", "run", "--metadata", "{metadata}", "--features", "{features}",
+                     "--scheme", "st", "--classifier", "md"], "1", set()),
+    "warm_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{warm}"], "1", set()),
+    "cold_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{tmp}/prints.bin"], "2",
+                         {"fft", "io"}),
+    "features_extract": (["features", "extract", *AUDIO], "1", {"fft", "io"}),
+    "eval_run_nn": (["eval", "run", "--metadata", "{metadata}", "--features", "{features}",
+                     "--scheme", "st", "--classifier", "nn"], "1", {"spatial"}),
+}
+
+
+@pytest.mark.parametrize("case", list(SCIPY_FOOTPRINTS))
+def test_commands_load_only_the_scipy_they_run(good_inputs, warm_fp_cache, tmp_path, case):
+    """Start-up imports no scipy; a command imports the subpackages it calls
+    (scipy.fft and scipy.io to read and analyse audio, scipy.spatial for NN)."""
+    template, threads, loaded = SCIPY_FOOTPRINTS[case]
+    paths = {**good_inputs, "warm": warm_fp_cache, "tmp": tmp_path}
+    argv = [arg.format(**paths) for arg in template]
+    if argv:
+        argv += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, AUDIT_THREADS=threads,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    code, *scipy_modules = run.stdout.split()
+    assert code == "0", run.stderr
+    assert {"fft", "io", "spatial"} & set(scipy_modules) == loaded
+    if not loaded:  # nor scipy itself
+        assert scipy_modules == []
+
+
 def test_eval_run_and_rerun_identical(workspace, features_path, tmp_path):
     args = ["eval", "run",
             "--metadata", str(workspace / "metadata.csv"),
@@ -551,6 +605,21 @@ def _audio_with_sample(value):
         data[100] = value
         wavfile.write(audio / "amber.000.wav", rate, data)
         return audio
+    return build
+
+
+def _features_with(eid, window, feature, value):
+    """A copy of the feature CSV, with no companion, in which ``eid``'s ``window``
+    holds ``value`` at ``feature``."""
+    def build(fx, tmp):
+        rows = list(csv.reader(fx["features"].read_text().splitlines()))
+        for row in rows:
+            if row[:2] == [eid, str(window)]:
+                row[2 + feature] = value
+        path = tmp / "features.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
     return build
 
 
@@ -821,6 +890,27 @@ BAD_INPUTS = {
         _audio_with_sample(-np.inf),
         lambda fx, bad: ["features", "extract", "--metadata", fx["metadata"],
                          "--audio-dir", bad], "amber.000.wav: sample 100 is -inf"),
+    "nan_feature_value": (
+        _features_with("amber.000", 1, 3, "nan"),
+        lambda fx, bad: _eval_run(fx, bad),
+        "excerpt 'amber.000' window 1: feature 3 is nan, not a finite number"),
+    "infinite_feature_value": (
+        _features_with("slate.004", 0, 31, "-inf"),
+        lambda fx, bad: _eval_run(fx, bad, "--classifier", "nn"),
+        "excerpt 'slate.004' window 0: feature 31 is -inf"),
+    "tag_id_not_a_string": (
+        _text("tags.json", json.dumps([{"id": ["amber.000"]}])),
+        lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],
+        "entry 0: 'id' is not a string"),
+    "tags_not_a_list": (
+        _text("tags.json", json.dumps([{"id": "amber.000", "tags": 5}])),
+        lambda fx, bad: _catalog_build(fx, bad, "--tags"), "entry 0: 'tags' is not an array"),
+    "catalog_nested_too_deep": (
+        _text("catalog.json", "[" * 100_000),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad], "invalid JSON"),
+    "report_nested_too_deep": (
+        _text("report.json", "[" * 100_000),
+        lambda fx, bad: ["eval", "compare", fx["report"], bad], "invalid JSON"),
     "tag_entry_without_tag": (
         _text("tags.json", json.dumps([{"id": "amber.000", "tags": [{"count": 3}]}])),
         lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],

@@ -14,6 +14,7 @@ from corpusaudit.corpus import (
     load_metadata,
     load_tags,
     normalize_text,
+    read_json,
     save_metadata,
     tag_coverage,
 )
@@ -286,3 +287,52 @@ def test_csv_readers_raise_only_toolkit_errors(tmp_path_factory, reader, prefixe
     except AuditError:
         pass
 
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.floats() | st.integers()
+               | st.integers(-10**400, 10**400) | st.text(max_size=4))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda children: st.lists(children, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), children, max_size=3),
+                           max_leaves=6)
+# snapshot-shaped values, any field of which may be any JSON value
+TAG_OBJECTS = st.fixed_dictionaries({}, optional={
+    "tag": st.text(max_size=4) | JSON_VALUES, "count": st.integers(-1, 3) | JSON_VALUES})
+TAG_ENTRIES = st.fixed_dictionaries({}, optional={
+    "id": st.sampled_from(["a.0", "b.0", "c.0"]) | JSON_VALUES,
+    "source": st.sampled_from(["song", "artist"]) | JSON_VALUES,
+    "tags": st.lists(TAG_OBJECTS | JSON_VALUES, max_size=3) | JSON_VALUES})
+TAG_SNAPSHOTS = st.lists(TAG_ENTRIES | JSON_VALUES, max_size=3) | JSON_VALUES
+
+
+@settings(max_examples=300, deadline=None)
+@given(TAG_SNAPSHOTS)
+@example([{"id": ["a.0"]}])
+@example([{"id": "a.0", "tags": 5}])
+@example([{"id": "a.0", "tags": None}])
+@example([{"id": {"a.0": 1}, "source": ["song"]}])
+@example([{"id": "a.0", "source": ["song"], "tags": [{"tag": ["x"], "count": 1}]}])
+def test_load_tags_raises_only_toolkit_errors(tmp_path_factory, snapshot):
+    path = tmp_path_factory.getbasetemp() / "fuzz-tags.json"
+    path.write_text(json.dumps(snapshot))
+    try:
+        load_tags(path, FUZZ_CORPUS)
+    except AuditError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=40) | st.text(max_size=40).map(str.encode)
+       | st.builds(lambda depth, token: token * depth, st.integers(0, 3000),
+                   st.sampled_from([b"[", b'{"a":', b"[{\"a\":"])))
+@example(b"[" * 100_000)
+@example(b'{"a":' * 100_000)
+@example(b"[" * 500 + b"]" * 500)
+def test_read_json_raises_only_toolkit_errors(tmp_path_factory, data):
+    """Any bytes, nested arrays and objects of any depth among them: ``read_json``
+    returns a value or raises an ``AuditError``."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(data)
+    try:
+        read_json(path, "JSON file")
+    except AuditError:
+        pass

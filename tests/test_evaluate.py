@@ -167,6 +167,20 @@ def test_run_experiment_missing_features():
         run_experiment(corpus, part, "md", features)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fold", [0, 1])
+def test_run_experiment_refuses_a_non_finite_window(value, fold):
+    """In either fold: every excerpt is a training excerpt of the other."""
+    corpus = grid_corpus()
+    features = echo_features(corpus)
+    part = make_partition(corpus, "st", seed=5)
+    eid = sorted(part.folds[fold])[-1]
+    features[eid][2, 1] = value
+    with pytest.raises(IncompleteFeaturesError,
+                       match=f"excerpt '{eid}' window 2: feature 1 is {value}, not a finite"):
+        run_experiment(corpus, part, "nn", features)
+
+
 @pytest.mark.parametrize("n_per_label", [0, 1])
 def test_run_experiment_without_excerpts_to_train_on(n_per_label):
     # one excerpt: st puts it in fold 0, and testing fold 0 leaves nothing to train on
