@@ -18,9 +18,12 @@ digits can vary with the BLAS thread count and with the number of rows
 in one call.
 
 The one BLAS product left is NN's single-precision prefilter. It only
-narrows which training rows ``cdist`` scores in double precision, with a
-bound that keeps every nearest neighbor whatever the product's rounding,
-so NN labels do not depend on it either.
+narrows each window's candidate training rows, with a bound that keeps
+every nearest neighbor whatever the product's rounding; a window left
+with two or more candidates gets their exact distances, rounded as
+``scipy.spatial.distance.cdist`` rounds them. So NN labels do not depend
+on the product either. The prefilter is decided per block of windows: a
+block with a value it cannot bound is scored exactly against every row.
 """
 
 from dataclasses import dataclass
@@ -114,9 +117,12 @@ def window_distances(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
         vectors = np.einsum("nd,de->ne", vectors, model.whiten)
         means = np.einsum("nd,de->ne", means, model.whiten)
     out = np.empty((vectors.shape[0], len(model.labels)))
+    diffs = np.empty((min(BLOCK, vectors.shape[0]), *means.shape))  # reused by every block
     for start in range(0, vectors.shape[0], BLOCK):
-        diffs = vectors[start:start + BLOCK, None, :] - means[None, :, :]
-        out[start:start + BLOCK] = np.sum(diffs * diffs, axis=2)
+        block = vectors[start:start + BLOCK]
+        squares = np.subtract(block[:, None, :], means, out=diffs[:len(block)])
+        np.multiply(squares, squares, out=squares)
+        np.sum(squares, axis=2, out=out[start:start + BLOCK])
     return out
 
 
@@ -129,26 +135,30 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     """Per-window nearest-training-neighbor label indices (NN only).
 
     The neighbor is ``argmin(cdist(vectors, train_x), axis=1)``, bit for
-    bit: the smallest Euclidean distance as ``cdist`` rounds it, ties to
-    the earliest training index. Windows go ``BLOCK`` at a time through
-    a single-precision BLAS prefilter, and only the training rows it
-    keeps are scored with ``cdist`` in double precision.
+    bit: the smallest Euclidean distance as ``scipy.spatial.distance.cdist``
+    rounds it, ties to the earliest training index and a nan to the first
+    nan. ``_euclidean`` rounds as ``cdist`` does: each difference and
+    square in float64, the squares added in dimension order, then the
+    square root. Windows go ``BLOCK`` at a time through a single-precision
+    BLAS prefilter, which leaves each window its own candidate rows. A
+    window with one candidate takes it; only windows with two or more get
+    exact distances, and only to their candidates.
 
-    Prefilter. The windows and training rows are rounded to float32 once
-    per call. For window a and training row x, an sgemm and one float32
-    addition give p = ||x||^2 - 2 a.x, which is ||a - x||^2 minus ||a||^2,
-    a constant per window. Every row whose p lies within 2B of the
-    window's smallest p is kept, with B = 4(d + 5) eps (||a||^2 + max
-    ||x||^2) + 4(d + 5) t, where eps = 2u = 2**-23 is float32's epsilon,
-    t = 2**-126 its smallest normal number and d the dimension; the
-    norms and B are computed in float64. The limit, smallest p plus 2B,
-    is rounded to float32 and then moved up one float32 step, so it is
-    never below its float64 value. The kept rows of a block are scored
-    against the whole block, in index order, and each window takes the
-    argmin of its row.
+    Prefilter. The windows and training rows are rounded to float32. For
+    window a and training row x, an sgemm and one float32 addition give
+    p = ||x||^2 - 2 a.x, which is ||a - x||^2 minus ||a||^2, a constant per
+    window. A window's candidates are the rows whose p lies within 2B of
+    its smallest p, with B = 4(d + 5) eps (||a||^2 + max ||x||^2) +
+    4(d + 5) t, where eps = 2u = 2**-23 is float32's epsilon, t = 2**-126
+    its smallest normal number and d the dimension; the norms and B are
+    computed in float64. The limit, smallest p plus 2B, is rounded to
+    float32 and then moved up one float32 step, so it is never below its
+    float64 value. The block's kept rows are the union of its windows'
+    candidates; each window's own candidates are read from its row of the
+    ``<=`` mask at the kept columns, in index order.
 
-    Why every cdist minimizer is kept. Let s = ||a||^2 + ||x||^2,
-    D = ||a - x||^2 and q = D - ||a||^2 in exact arithmetic.
+    Why every cdist minimizer is a candidate of its window. Let s = ||a||^2
+    + ||x||^2, D = ||a - x||^2 and q = D - ||a||^2 in exact arithmetic.
     - Rounding a value v to float32 changes it by at most u|v| + t: u in
       the normal range, below t when it lands among the subnormals or
       is flushed to zero, and reading such an input as zero (DAZ) stays
@@ -173,37 +183,40 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     4(d + 8) u (||a||^2 + max ||x||^2) + (4d + 7) t while (d + 8) u <= 1/2.
     2B is twice that or more. The rest absorbs the float64 rounding of
     the norms, of B and of the limit, and a flush to zero of the limit
-    or of a p, which moves it by less than t. So row j is kept, and
-    since every kept set holds all minimizers of its window in index
-    order, the argmin over it is the earliest minimizer.
+    or of a p, which moves it by less than t. Taking k as the row with
+    the smallest p, row j is a candidate of its window. So a window's
+    candidates hold all its minimizers, in index order, and the first
+    candidate at the smallest exact distance is the earliest minimizer;
+    a window with a single candidate needs no distance at all.
 
     The bounds need finite values whose float32 squares and d-term sums
-    cannot overflow, and (d + 8) u <= 1/2: if any value is not finite or
-    exceeds ``PREFILTER_MAX_ABS`` in magnitude, or d exceeds
-    ``PREFILTER_MAX_DIM``, every row is kept and the kernel is plain
-    blocked cdist. Labels therefore depend neither on the BLAS thread
-    count nor on how windows are blocked; only the kept sets may.
+    cannot overflow, and (d + 8) u <= 1/2. The training matrix is checked
+    once, and each block of windows on its own. A value that is not finite
+    or exceeds ``PREFILTER_MAX_ABS`` in magnitude turns the prefilter off
+    for every block if the training matrix holds it, and for its own block
+    if a window does; so does d above ``PREFILTER_MAX_DIM``, for every
+    block. A block without the prefilter scores each of its windows
+    against every row, one window at a time. Labels therefore depend
+    neither on the BLAS thread count nor on how windows are blocked; only
+    the kept sets may.
 
     Memory: besides ``-2 train_x^T`` in float32, the prefilter allocates
     one workspace per call, reused by every block: the block's windows in
-    float32, its p block and that block's ``<=`` mask. The magnitude
-    check reads ``min`` and ``max`` and copies nothing.
+    float32, its p block and that block's ``<=`` mask. The range checks
+    take each row's ``min`` and ``max`` and copy no matrix. A block without
+    the prefilter holds one window's differences to every row at a time.
     """
-    # here, not at import: scipy.spatial loads scipy.linalg and scipy.sparse, which
-    # no other command needs
-    from scipy.spatial.distance import cdist
-
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     train_x = model.train_x
     n_train, dim = train_x.shape
-    prefilter = (dim <= PREFILTER_MAX_DIM
-                 and _within_prefilter_range(train_x) and _within_prefilter_range(vectors))
-    kept = np.arange(n_train)  # every row, unless the prefilter narrows it
+    prefilter = dim <= PREFILTER_MAX_DIM and _rows_in_prefilter_range(train_x).all()
     if prefilter:
+        in_range = _rows_in_prefilter_range(vectors)
         eps, tiny = float(np.finfo(np.float32).eps), float(np.finfo(np.float32).tiny)
         train_sq = np.einsum("ij,ij->i", train_x, train_x)
+        # inf or nan for a window out of range, whose block does not use it
         bound = 4 * (dim + 5) * (eps * (np.einsum("ij,ij->i", vectors, vectors)
-                                        + train_sq.max()) + tiny)
+                                        + train_sq.max(initial=0.0)) + tiny)
         train_sq32 = train_sq.astype(np.float32)
         minus_2xt = np.multiply(train_x.T, -2.0, dtype=np.float32, order="C")
         rows = min(BLOCK, vectors.shape[0])
@@ -214,24 +227,46 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     out = np.empty(vectors.shape[0], dtype=np.intp)
     for start in range(0, vectors.shape[0], BLOCK):
         block = vectors[start:start + BLOCK]
-        if prefilter:
-            m = len(block)
-            block32[:m] = block
-            p = np.matmul(block32[:m], minus_2xt, out=partial[:m])
-            p += train_sq32
-            limit = p.min(axis=1) + 2 * bound[start:start + m]
-            limit = np.nextafter(limit.astype(np.float32), np.float32(np.inf))
-            np.less_equal(p, limit[:, None], out=close[:m])
-            kept = np.flatnonzero(np.logical_or.reduce(close[:m], axis=0, out=any_close))
-        out[start:start + BLOCK] = kept[np.argmin(cdist(block, train_x[kept]), axis=1)]
+        if not (prefilter and in_range[start:start + BLOCK].all()):
+            # nan and infinity are scored as cdist scores them, without warnings
+            with np.errstate(invalid="ignore", over="ignore"):
+                for i, window in enumerate(block):
+                    out[start + i] = np.argmin(_euclidean(window - train_x))
+            continue
+        m = len(block)
+        block32[:m] = block
+        p = np.matmul(block32[:m], minus_2xt, out=partial[:m])
+        p += train_sq32
+        limit = p.min(axis=1) + 2 * bound[start:start + m]
+        limit = np.nextafter(limit.astype(np.float32), np.float32(np.inf))
+        np.less_equal(p, limit[:, None], out=close[:m])
+        kept = np.flatnonzero(np.logical_or.reduce(close[:m], axis=0, out=any_close))
+        own = close[:m, kept]  # each window's candidates, in row order
+        out[start:start + m] = kept[own.argmax(axis=1)]  # its first
+        choice = np.flatnonzero(own.sum(axis=1) > 1)
+        if len(choice):
+            own = own[choice]
+            owner, col = np.nonzero(own)
+            dists = np.full(own.shape, np.inf)  # a candidate's distance is finite
+            dists[own] = _euclidean(block[choice[owner]] - train_x[kept[col]])
+            out[start + choice] = kept[dists.argmin(axis=1)]
     return model.train_y[out]
 
 
-def _within_prefilter_range(values: np.ndarray) -> bool:
-    """No value is nan or larger than ``PREFILTER_MAX_ABS`` in magnitude; a nan
-    makes ``min`` and ``max`` nan, and each comparison False."""
-    return bool(-PREFILTER_MAX_ABS <= values.min(initial=0.0)
-                and values.max(initial=0.0) <= PREFILTER_MAX_ABS)
+def _euclidean(diffs: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``diffs``, rounded as ``cdist`` rounds
+    them: the squares added in dimension order, then the square root.
+    ``np.sum`` adds pairwise and can differ in the last bit. Overwrites
+    ``diffs``."""
+    squares = np.multiply(diffs, diffs, out=diffs)
+    return np.sqrt(np.add.accumulate(squares, axis=-1, out=squares)[..., -1])
+
+
+def _rows_in_prefilter_range(values: np.ndarray) -> np.ndarray:
+    """Per row: no value is nan or larger than ``PREFILTER_MAX_ABS`` in magnitude;
+    a nan makes its row's ``min`` and ``max`` nan, and each comparison False."""
+    return ((-PREFILTER_MAX_ABS <= values.min(axis=1, initial=0.0))
+            & (values.max(axis=1, initial=0.0) <= PREFILTER_MAX_ABS))
 
 
 def vote(label_indices: np.ndarray, n_labels: int, rng: np.random.Generator) -> int:
@@ -278,11 +313,14 @@ def classify_excerpts(model: TrainedModel, vectors: np.ndarray, sizes,
                             rng_for(int(j)))
     else:
         dists = window_distances(model, vectors)
-        sums = np.empty((len(sizes), n_labels))
-        # summing a (k, n, labels) stack over axis 1 adds each excerpt's
-        # windows in the order np.sum(axis=0) adds them for one excerpt
-        for n in np.unique(sizes):
+        sums = np.zeros((len(sizes), n_labels))
+        # each excerpt's windows added one at a time in window order, as
+        # np.sum(axis=0) adds them for one excerpt
+        for n in np.unique(sizes[sizes > 0]):
             group = np.flatnonzero(sizes == n)
-            sums[group] = dists[starts[group][:, None] + np.arange(n)].sum(axis=1)
+            acc = dists[starts[group]]
+            for w in range(1, n):
+                acc += dists[starts[group] + w]
+            sums[group] = acc
         picks = np.argmax(-0.5 * sums, axis=1)
     return [model.labels[k] for k in picks]

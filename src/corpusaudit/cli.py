@@ -193,12 +193,22 @@ def _read_predictions(path) -> list[list[evaluate.PredictionRecord]]:
     """Each realization's predictions from an ``eval run`` report."""
     report = read_json(path, "report")
     try:
-        return [[evaluate.PredictionRecord(excerpt_id=p["id"], true_label=p["true"],
-                                           predicted_label=p["predicted"], fold=p["fold"])
-                 for p in realization["predictions"]]
+        return [[_prediction(p) for p in realization["predictions"]]
                 for realization in report["realizations"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed report: {exc!r}") from None
+
+
+def _prediction(p) -> evaluate.PredictionRecord:
+    """One report prediction: string ``id``, ``true`` and ``predicted``, and a
+    non-negative integer ``fold``; anything else is a TypeError."""
+    for key in ("id", "true", "predicted"):
+        if not isinstance(p[key], str):
+            raise TypeError(f"prediction {key!r} is not a string: {p[key]!r}")
+    if type(p["fold"]) is not int or p["fold"] < 0:  # bool is an int subclass
+        raise TypeError(f"prediction 'fold' is not a non-negative integer: {p['fold']!r}")
+    return evaluate.PredictionRecord(excerpt_id=p["id"], true_label=p["true"],
+                                     predicted_label=p["predicted"], fold=p["fold"])
 
 
 def cmd_eval_compare(args) -> int:

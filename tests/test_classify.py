@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-import scipy.spatial.distance
 from scipy.spatial.distance import cdist
 
 from corpusaudit import classify
@@ -249,48 +248,101 @@ def test_nearest_labels_separates_what_float32_cannot(radius):
     assert np.array_equal(nearest_labels(model, windows), expected)
 
 
-def test_nearest_labels_prefilter_prunes(monkeypatch):
-    """Exact with any kept set, the kernel is fast only if the bound keeps few rows."""
-    x, y = toy_training(seed=18, n=2250, dim=32)
-    model = train("nn", x, y)
+def scored_nearest(model: TrainedModel, vectors: np.ndarray):
+    """``nearest_labels(model, vectors)``, and what each call of its exact step
+    scored: one row of differences per (window, training row) pair, copied
+    before the step squares them in place."""
+    calls = []
+    euclidean = classify._euclidean
+
+    def recording(diffs):
+        calls.append(diffs.copy())
+        return euclidean(diffs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "_euclidean", recording)
+        return nearest_labels(model, vectors), calls
+
+
+def test_nearest_labels_prefilter_prunes():
+    """Exact with any candidates, the kernel is fast only if the bound leaves
+    few. Here it leaves each window one row, and nothing is scored. With each
+    training row twice, every window ties between the two copies of its
+    neighbor and is scored, against little more than those two rows, in one
+    exact call per block."""
+    x, y = toy_training(seed=18, n=1125, dim=32)
     rng = np.random.default_rng(19)
     windows = x[rng.integers(0, len(x), size=500)] + rng.normal(0.0, 0.5, size=(500, 32))
-    scored = []
-
-    def counting_cdist(a, b):
-        scored.append(len(b))
-        return cdist(a, b)
-
-    monkeypatch.setattr(scipy.spatial.distance, "cdist", counting_cdist)
-    got = nearest_labels(model, windows)
-    assert len(scored) == -(-len(windows) // BLOCK)
-    assert max(scored) <= 2 * BLOCK
+    model = train("nn", x, y)
+    got, calls = scored_nearest(model, windows)
+    assert calls == []
+    assert np.array_equal(got, reference_nearest(model, windows))
+    model = train("nn", np.repeat(x, 2, axis=0), np.repeat(y, 2))
+    got, calls = scored_nearest(model, windows)
+    assert len(calls) == -(-len(windows) // BLOCK)
+    assert sum(map(len, calls)) <= 2.5 * len(windows)
     assert np.array_equal(got, reference_nearest(model, windows))
 
 
 @pytest.mark.parametrize("n_train", [BLOCK - 5, 4 * BLOCK + 3])
 @pytest.mark.parametrize("n_test", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-def test_nearest_labels_workspace_edges(monkeypatch, n_train, n_test):
+def test_nearest_labels_workspace_edges(n_train, n_test):
     """The prefilter's workspace is reused from block to block, and the last
-    block may be shorter. Labels equal the reference, and each block keeps
-    the training rows it keeps when scored alone, in a workspace of its own."""
-    train_x, test_x, y = _nn_case(30 + n_test, 32, n_train, n_test, 0.0, 1.0)
-    model = train("nn", train_x, [f"l{k}" for k in y], label_order=("l0", "l1", "l2"))
-    scored = []
-
-    def recording_cdist(a, b):
-        scored.append(b)
-        return cdist(a, b)
-
-    monkeypatch.setattr(scipy.spatial.distance, "cdist", recording_cdist)
-    got = nearest_labels(model, test_x)
+    block may be shorter. Labels equal the reference, and each block scores
+    the (window, row) pairs it scores alone, in a workspace of its own. Every
+    training row appears twice, so every window is scored, and the copies'
+    exact tie goes to the earlier one."""
+    train_x, test_x, _ = _nn_case(30 + n_test, 32, n_train, n_test, 0.0, 1.0)
+    model = train("nn", np.repeat(train_x, 2, axis=0),
+                  [f"r{i:03d}" for i in range(2 * n_train)])  # one label per row
+    got, whole_call = scored_nearest(model, test_x)
     assert np.array_equal(got, reference_nearest(model, test_x))
-    whole_call = scored[:]
-    scored.clear()
-    for start in range(0, n_test, BLOCK):
-        nearest_labels(model, test_x[start:start + BLOCK])
-    assert len(whole_call) == len(scored) == -(-n_test // BLOCK)
-    assert all(np.array_equal(a, b) for a, b in zip(whole_call, scored))
+    alone = [call for start in range(0, n_test, BLOCK)
+             for call in scored_nearest(model, test_x[start:start + BLOCK])[1]]
+    assert len(whole_call) == len(alone) == -(-n_test // BLOCK)
+    assert all(np.array_equal(a, b) for a, b in zip(whole_call, alone))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.integers(1, 40),
+       st.integers(BLOCK + 1, 3 * BLOCK), st.sampled_from([1.0, 0.25, 1e-3, 3e5]),
+       st.sampled_from([np.nan, np.inf, -np.inf, 1e16, np.nextafter(PREFILTER_MAX_ABS, np.inf)]),
+       st.data())
+def test_nearest_labels_equals_cdist_with_one_unbounded_block(
+        seed, dim, n_train, n_test, step, special, data):
+    """Exact duplicate rows, rows one ulp apart and windows on or one ulp from
+    a row; one window of one block holds a value the prefilter cannot bound.
+    Labels equal ``argmin(cdist)``. That block scores each window against every
+    row, and every other block scores what it scores alone, so it still
+    prefilters: no window outside the block is scored against the far row."""
+    rng = np.random.default_rng(seed)
+    train_x = step * rng.integers(-2, 3, size=(n_train, dim))
+    pick = lambda k: rng.integers(0, n_train, size=k)
+    train_x[pick(n_train // 3)] = train_x[pick(n_train // 3)]  # exact duplicates
+    train_x[pick(n_train // 3)] = np.nextafter(train_x[pick(n_train // 3)],  # one ulp apart
+                                               rng.choice([-np.inf, np.inf]))
+    train_x = np.vstack([train_x, np.full(dim, 1e3 * step)])  # the far row, last
+    test_x = train_x[rng.integers(0, n_train, size=n_test)]
+    near = rng.random(n_test) < 0.5
+    test_x[near] = np.nextafter(test_x[near], rng.choice([-np.inf, np.inf],
+                                                         size=test_x[near].shape))
+    test_x += step * rng.integers(-1, 2, size=test_x.shape) * (rng.random(n_test) < 0.3)[:, None]
+    bad_block = data.draw(st.integers(0, (n_test - 1) // BLOCK))
+    bad_window = data.draw(st.integers(bad_block * BLOCK, min(n_test, (bad_block + 1) * BLOCK) - 1))
+    test_x[bad_window, data.draw(st.integers(0, dim - 1))] = special
+    model = train("nn", train_x, [f"r{i:02d}" for i in range(n_train + 1)])  # one label per row
+
+    got, calls = scored_nearest(model, test_x)
+    assert np.array_equal(got, reference_nearest(model, test_x))
+    alone = [scored_nearest(model, test_x[start:start + BLOCK])[1]
+             for start in range(0, n_test, BLOCK)]
+    assert len(calls) == sum(map(len, alone))
+    assert all(np.array_equal(a, b, equal_nan=True)
+               for a, b in zip(calls, [call for block in alone for call in block]))
+    bad_windows = min(BLOCK, n_test - bad_block * BLOCK)
+    assert [len(call) for call in alone[bad_block]] == [n_train + 1] * bad_windows
+    assert all(np.all(np.abs(call) < 100 * step)  # the far row differs by ~1e3 steps
+               for k, block in enumerate(alone) if k != bad_block for call in block)
 
 
 @pytest.mark.parametrize("kind, dim", [

@@ -348,14 +348,15 @@ SCIPY_FOOTPRINTS = {
                          {"fft", "io"}),
     "features_extract": (["features", "extract", *AUDIO], "1", {"fft", "io"}),
     "eval_run_nn": (["eval", "run", "--metadata", "{metadata}", "--features", "{features}",
-                     "--scheme", "st", "--classifier", "nn"], "1", {"spatial"}),
+                     "--scheme", "st", "--classifier", "nn"], "1", set()),
 }
 
 
 @pytest.mark.parametrize("case", list(SCIPY_FOOTPRINTS))
 def test_commands_load_only_the_scipy_they_run(good_inputs, warm_fp_cache, tmp_path, case):
     """Start-up imports no scipy; a command imports the subpackages it calls
-    (scipy.fft and scipy.io to read and analyse audio, scipy.spatial for NN)."""
+    (scipy.fft and scipy.io to read and analyse audio); no command imports
+    scipy.spatial, and NN scoring imports no scipy at all."""
     template, threads, loaded = SCIPY_FOOTPRINTS[case]
     paths = {**good_inputs, "warm": warm_fp_cache, "tmp": tmp_path}
     argv = [arg.format(**paths) for arg in template]
@@ -623,6 +624,17 @@ def _features_with(eid, window, feature, value):
     return build
 
 
+def _report_with(**fields):
+    """An ``eval run`` report of one prediction whose fields ``fields`` replace."""
+    prediction = {"id": "amber.000", "true": "amber", "predicted": "amber", "fold": 0}
+    return _text("report.json", json.dumps(
+        {"realizations": [{"predictions": [{**prediction, **fields}]}]}))
+
+
+def _relabel(fx, bad):
+    return ["eval", "relabel", "--catalog", fx["catalog"], "--predictions", bad]
+
+
 def _labelless_catalog(fx, tmp):
     """The catalog ``catalog build`` writes for a metadata CSV that holds only its header."""
     metadata, catalog = tmp / "header-only.csv", tmp / "labelless-catalog.json"
@@ -658,6 +670,24 @@ BAD_INPUTS = {
             {"id": "amber.000", "true": "amber", "predicted": "violet", "fold": 0}]}]})),
         lambda fx, bad: ["eval", "relabel", "--catalog", fx["catalog"],
                          "--predictions", bad], "'amber.000'"),
+    "report_id_a_list_on_compare": (
+        _report_with(id=["amber.000"]),
+        lambda fx, bad: ["eval", "compare", fx["report"], bad], "malformed report"),
+    "report_id_a_list_on_relabel": (
+        _report_with(id=["amber.000"]), _relabel, "malformed report"),
+    "report_predicted_null": (
+        _report_with(predicted=None),
+        lambda fx, bad: ["eval", "compare", bad, fx["report"]], "'predicted' is not a string"),
+    "report_true_a_number": (
+        _report_with(true=5),
+        lambda fx, bad: ["eval", "compare", fx["report"], bad], "'true' is not a string"),
+    "report_fold_a_string": (
+        _report_with(fold="x"),
+        lambda fx, bad: ["eval", "compare", fx["report"], bad], "'fold' is not a non-negative"),
+    "report_fold_negative": (
+        _report_with(fold=-1), _relabel, "'fold' is not a non-negative integer"),
+    "report_fold_a_bool": (
+        _report_with(fold=True), _relabel, "'fold' is not a non-negative integer"),
     "missing_recordings": (
         _absent("recordings.json"),
         lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "not found"),
@@ -989,9 +1019,38 @@ def test_catalog_commands_exit_0_or_2_on_any_field_value(fuzz_catalog, data, val
     path.write_text(json.dumps(damaged))
     for argv in (["catalog", "show"], ["report", "perfect"],
                  ["eval", "relabel", "--predictions", str(report), "--out", str(out)]):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = dispatch([*argv, "--catalog", str(path)])
-        assert code in (0, 2)
-        assert code == 0 or (err.getvalue().startswith("error: ")
-                             and err.getvalue().count("\n") == 1)
+        assert _exit_code_of([*argv, "--catalog", str(path)]) in (0, 2)
+
+
+def _exit_code_of(argv) -> int:
+    """``dispatch(argv)``'s exit code; a failure must be one ``error:`` line on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = dispatch(argv)
+    assert code == 0 or (err.getvalue().startswith("error: ")
+                         and err.getvalue().count("\n") == 1)
+    return code
+
+
+@pytest.fixture(scope="module")
+def fuzz_report(good_inputs, tmp_path_factory):
+    """The good report JSON, a file to write damaged copies to, and the good
+    report and catalog to compare and relabel with."""
+    return (json.loads(good_inputs["report"].read_text()),
+            tmp_path_factory.mktemp("fuzz") / "report.json",
+            good_inputs["report"], good_inputs["catalog"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from(["id", "true", "predicted", "fold"]),
+       JSON_VALUES | st.sampled_from(["amber", "slate", "violet", "amber.000", "slate.004"]))
+def test_report_commands_exit_0_or_2_on_any_prediction_field(fuzz_report, data, key, value):
+    good, path, report, catalog = fuzz_report
+    damaged = json.loads(json.dumps(good))
+    predictions = data.draw(st.sampled_from(damaged["realizations"]))["predictions"]
+    predictions[data.draw(st.integers(0, len(predictions) - 1))][key] = value
+    path.write_text(json.dumps(damaged))
+    out = path.with_name("out.json")
+    for argv in (["eval", "compare", str(report), str(path)],
+                 ["eval", "relabel", "--catalog", str(catalog), "--predictions", str(path)]):
+        assert _exit_code_of([*argv, "--out", str(out)]) in (0, 2)
