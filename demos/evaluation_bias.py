@@ -44,9 +44,8 @@ def main():
     # significance of the gap for nn on the shared (non-excluded) excerpts
     excluded = catalog.exclusions()
     st_res, stp_res = kept["nn"]
-    p1 = [p for res in st_res for p in res.predictions
-          if p.excerpt_id not in excluded]
-    p2 = [p for res in stp_res for p in res.predictions]
+    p1 = [[p for p in res.predictions if p.excerpt_id not in excluded] for res in st_res]
+    p2 = [res.predictions for res in stp_res]
     sig = evaluate.significance_test(p1, p2)
     verdict = "reject" if sig.reject else "fail to reject"
     print(f"\nbinomial test on nn (st vs st', shared excerpts only): "

@@ -237,8 +237,7 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
         block32[:m] = block
         p = np.matmul(block32[:m], minus_2xt, out=partial[:m])
         p += train_sq32
-        limit = p.min(axis=1) + 2 * bound[start:start + m]
-        limit = np.nextafter(limit.astype(np.float32), np.float32(np.inf))
+        limit = _candidate_limit(p.min(axis=1), bound[start:start + m])
         np.less_equal(p, limit[:, None], out=close[:m])
         kept = np.flatnonzero(np.logical_or.reduce(close[:m], axis=0, out=any_close))
         own = close[:m, kept]  # each window's candidates, in row order
@@ -251,6 +250,14 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
             dists[own] = _euclidean(block[choice[owner]] - train_x[kept[col]])
             out[start + choice] = kept[dists.argmin(axis=1)]
     return model.train_y[out]
+
+
+def _candidate_limit(p_min: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """Each window's prefilter limit, ``p_min + 2 bound`` in float64, rounded
+    to float32 and moved up one float32 step, so never below its float64
+    value."""
+    limit = p_min + 2 * bound
+    return np.nextafter(limit.astype(np.float32), np.float32(np.inf))
 
 
 def _euclidean(diffs: np.ndarray) -> np.ndarray:

@@ -212,9 +212,9 @@ def _prediction(p) -> evaluate.PredictionRecord:
 
 
 def cmd_eval_compare(args) -> int:
-    preds_a, preds_b = ([p for preds in _read_predictions(path) for p in preds]
-                        for path in (args.report_a, args.report_b))
-    res = evaluate.significance_test(preds_a, preds_b)
+    realizations_a, realizations_b = map(_read_predictions, (args.report_a, args.report_b))
+    with in_file(f"{args.report_a}, {args.report_b}"):
+        res = evaluate.significance_test(realizations_a, realizations_b)
     write_json(args.out, {
         "n_disagreements": res.n,
         "t12": res.t12,

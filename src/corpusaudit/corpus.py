@@ -4,7 +4,8 @@ File formats:
   - metadata CSV: header ``id,label,artist,title``, UTF-8, RFC-4180 quoting.
   - tag snapshot JSON: array of
     ``{"id": str, "source": "song"|"artist", "tags": [{"tag": str, "count": int}]}``.
-  - audio: RIFF WAVE, mono, PCM 16-bit or 32-bit float, at ``SAMPLE_RATE``.
+  - audio: RIFF WAVE, mono, PCM 16-bit or IEEE float 32/64-bit, at ``SAMPLE_RATE``;
+    see ``_read_wav_samples``.
   - binary caches (fingerprints, texture vectors): id-keyed row records,
     see ``write_records``.
 
@@ -360,33 +361,89 @@ def tag_coverage(corpus: Corpus, tags: dict[str, TagCountSet]) -> dict[str, dict
     return report
 
 
+# RIFF WAVE sample types load_audio reads, by (format tag, bits per sample):
+# PCM 16-bit and IEEE float 32/64-bit, little-endian
+WAV_SAMPLE_TYPES = {(1, 16): np.dtype("<i2"), (3, 32): np.dtype("<f4"), (3, 64): np.dtype("<f8")}
+WAV_FORMAT_EXTENSIBLE = 0xFFFE
+# a WAVE_FORMAT_EXTENSIBLE subformat GUID is the format tag, then these 12 bytes
+WAV_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
 def load_audio(excerpt: Excerpt) -> np.ndarray:
     """Load an excerpt's ``SAMPLE_RATE`` WAV file as float64 samples in [-1, 1].
 
-    A float file holding a nan or infinite sample is a ``FormatError``: its
+    The file is a little-endian RIFF WAVE file, mono, PCM 16-bit or IEEE
+    float 32/64-bit, also under ``WAVE_FORMAT_EXTENSIBLE``; see
+    ``_read_wav_samples``. Anything else is a ``FormatError`` naming the
+    file. A float file holding a nan or infinite sample is one too: its
     spectrogram would have no median, so it could never be fingerprinted.
     """
-    from scipy.io import wavfile  # here, not at import: most commands read no audio
-
     if excerpt.audio_path is None:
         raise IoError(f"excerpt {excerpt.id!r} has no audio path")
     path = Path(excerpt.audio_path)
-    try:
-        with reading(path, "audio file"):
-            rate, data = wavfile.read(path)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    if data.ndim != 1:
-        raise FormatError(f"{path}: expected mono, got {data.shape[1]} channels")
-    if rate != SAMPLE_RATE:
-        raise FormatError(f"{path}: sample rate {rate}, expected {SAMPLE_RATE}")
-    if data.dtype == np.int16:
+    with reading(path, "audio file"), path.open("rb") as fh:
+        data = _read_wav_samples(fh, path)
+    if data.dtype.kind == "i":
         # one pass, no int-to-float temporary; scaling by 2**-15 is exact
         return np.multiply(data, 2.0**-15, dtype=np.float64)
-    if data.dtype in (np.float32, np.float64):
-        finite = np.isfinite(data)
-        if not finite.all():
-            at = int(np.argmin(finite))
-            raise FormatError(f"{path}: sample {at} is {data[at]}, not a finite number")
-        return data.astype(np.float64)
-    raise FormatError(f"{path}: unsupported sample format {data.dtype}")
+    finite = np.isfinite(data)
+    if not finite.all():
+        at = int(np.argmin(finite))
+        raise FormatError(f"{path}: sample {at} is {data[at]}, not a finite number")
+    return data.astype(np.float64)
+
+
+def _read_wav_samples(fh, path) -> np.ndarray:
+    """The samples of the mono ``SAMPLE_RATE`` WAV file open in ``fh``, in
+    the file's own sample type, one of ``WAV_SAMPLE_TYPES``.
+
+    Chunks are read in order up to the ``data`` chunk, which must follow
+    a ``fmt `` chunk; any other chunk is skipped, with its pad byte when
+    its size is odd, and nothing after ``data`` is read. The RIFF size
+    field is not checked. A ``data`` chunk that claims more bytes than the
+    file holds yields the whole samples present, as does one whose size
+    is not a multiple of the sample size. The samples are read straight
+    into the returned array. RIFX, RF64, a missing chunk, a truncated
+    header and every other channel count, rate or sample format are a
+    ``FormatError`` naming ``path``.
+    """
+    if fh.read(4) != b"RIFF" or len(fh.read(4)) < 4 or fh.read(4) != b"WAVE":
+        raise FormatError(f"{path}: not a little-endian RIFF WAVE file")
+    fmt = None
+    while True:
+        header = fh.read(8)
+        if len(header) < 8:
+            raise FormatError(f"{path}: no {'data' if fmt else 'fmt'} chunk")
+        chunk_id, size = struct.unpack("<4sI", header)
+        if chunk_id == b"data":
+            break
+        skip = size + (size & 1)
+        if chunk_id == b"fmt ":
+            body = fh.read(min(size, 40))
+            skip -= len(body)
+            if len(body) < 16:
+                raise FormatError(f"{path}: fmt chunk of {len(body)} bytes, need 16")
+            fmt = struct.unpack_from("<HHIIHH", body)
+            # the extension's size, valid bits and channel mask, then the GUID
+            if (fmt[0] == WAV_FORMAT_EXTENSIBLE and len(body) == 40
+                    and struct.unpack_from("<H", body, 16)[0] >= 22
+                    and body[28:] == WAV_GUID_TAIL):
+                fmt = (struct.unpack_from("<I", body, 24)[0], *fmt[1:])
+        fh.seek(skip, os.SEEK_CUR)
+    if fmt is None:
+        raise FormatError(f"{path}: data chunk before the fmt chunk")
+    tag, channels, rate, _, block_align, bits = fmt
+    if channels != 1:
+        raise FormatError(f"{path}: expected mono, got {channels} channels")
+    if rate != SAMPLE_RATE:
+        raise FormatError(f"{path}: sample rate {rate}, expected {SAMPLE_RATE}")
+    dtype = WAV_SAMPLE_TYPES.get((tag, bits))
+    if dtype is None or block_align != dtype.itemsize:
+        raise FormatError(f"{path}: unsupported sample format (format tag {tag:#06x}, "
+                          f"{bits} bits, block align {block_align}); expected PCM 16-bit "
+                          "or IEEE float 32/64-bit")
+    present = os.fstat(fh.fileno()).st_size - fh.tell()
+    data = np.empty(min(size, present) // dtype.itemsize, dtype=dtype)
+    if fh.readinto(data) != data.nbytes:  # the file shrank while being read
+        raise FormatError(f"{path}: truncated data chunk")
+    return data

@@ -337,22 +337,30 @@ def binomial_significance(n: int, t12: int) -> SignificanceResult:
     return SignificanceResult(n=n, t12=t12, p=p, reject=p < ALPHA)
 
 
-def significance_test(predictions_1, predictions_2) -> SignificanceResult:
+def significance_test(realizations_1, realizations_2) -> SignificanceResult:
     """Compare two systems' predictions over the same observations.
 
-    Inputs are iterables of PredictionRecord. Only observations where
+    Inputs are sequences of realizations, each an iterable of
+    PredictionRecord; an observation is one excerpt in one realization, so
+    the two systems must hold equally many realizations, and realization i
+    of each must classify the same excerpts. Only observations where
     exactly one system is correct count.
     """
-    m1, m2 = ({p.excerpt_id: (p.true_label, p.predicted_label) for p in preds}
-              for preds in (predictions_1, predictions_2))
-    if set(m1) != set(m2):
-        raise AuditError("the two systems classified different observation sets")
+    if len(realizations_1) != len(realizations_2):
+        raise AuditError(f"the two systems ran {len(realizations_1)} and "
+                         f"{len(realizations_2)} realizations")
     n = t12 = 0
-    for eid, (true, pred1) in m1.items():
-        pred2 = m2[eid][1]
-        ok1, ok2 = pred1 == true, pred2 == true
-        if ok1 != ok2:
-            n += 1
-            if ok1:
-                t12 += 1
+    for i, (predictions_1, predictions_2) in enumerate(zip(realizations_1, realizations_2)):
+        m1, m2 = ({p.excerpt_id: (p.true_label, p.predicted_label) for p in preds}
+                  for preds in (predictions_1, predictions_2))
+        if set(m1) != set(m2):
+            raise AuditError(f"the two systems classified different observation sets "
+                             f"in realization {i}")
+        for eid, (true, pred1) in m1.items():
+            pred2 = m2[eid][1]
+            ok1, ok2 = pred1 == true, pred2 == true
+            if ok1 != ok2:
+                n += 1
+                if ok1:
+                    t12 += 1
     return binomial_significance(n, t12)

@@ -61,13 +61,12 @@ def stft_magnitude(samples: np.ndarray, out: np.ndarray | None = None) -> np.nda
     Frames are windowed, transformed and rectified ``STFT_BLOCK`` at a time
     in one reused buffer, so no windowed copy or complex spectrum of the
     whole clip is built. The FFT transforms each row on its own, so the
-    result is the one-call ``np.abs(rfft(frames * window, axis=1))``, bit
-    for bit. Given ``out``, a contiguous float64 array of at least
+    result is the one-call ``np.abs(np.fft.rfft(frames * window, axis=1))``,
+    bit for bit. An infinite sample gives inf and nan bins and no warning.
+    Given ``out``, a contiguous float64 array of at least
     ``n_frames * (FRAME_SIZE//2+1)`` entries, the result is written into
     its start and returned as a view of it.
     """
-    from scipy.fft import rfft  # here, not at import: most commands never run an FFT
-
     frames = frame_signal(samples)
     window = np.hanning(FRAME_SIZE)
     shape = (len(frames), FRAME_SIZE // 2 + 1)
@@ -76,10 +75,13 @@ def stft_magnitude(samples: np.ndarray, out: np.ndarray | None = None) -> np.nda
     else:
         out = out.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
     block = np.empty((min(STFT_BLOCK, len(frames)), FRAME_SIZE))
-    for start in range(0, len(frames), STFT_BLOCK):
-        chunk = frames[start:start + STFT_BLOCK]
-        windowed = np.multiply(chunk, window, out=block[:len(chunk)])
-        np.abs(rfft(windowed, axis=1), out=out[start:start + len(chunk)])
+    # an infinity times the window's zero end, and numpy's rfft on an infinity,
+    # would warn
+    with np.errstate(invalid="ignore"):
+        for start in range(0, len(frames), STFT_BLOCK):
+            chunk = frames[start:start + STFT_BLOCK]
+            windowed = np.multiply(chunk, window, out=block[:len(chunk)])
+            np.abs(np.fft.rfft(windowed, axis=1), out=out[start:start + len(chunk)])
     return out
 
 

@@ -248,6 +248,22 @@ def test_nearest_labels_separates_what_float32_cannot(radius):
     assert np.array_equal(nearest_labels(model, windows), expected)
 
 
+def test_candidate_limit_is_never_below_its_float64_value():
+    """The prefilter keeps a row when its float32 p is at most the window's
+    limit, p_min + 2B in float64. Rounded to float32 alone, that limit lands
+    below its float64 value for about half the windows; the step up keeps it
+    at or above, and within two float32 steps."""
+    rng = np.random.default_rng(21)
+    p_min = (rng.normal(size=2000) * 10.0 ** rng.integers(-30, 30, size=2000)).astype(np.float32)
+    bound = np.abs(p_min) * 10.0 ** rng.uniform(-12, -5, size=2000)
+    exact = p_min.astype(float) + 2 * bound
+    assert (exact.astype(np.float32) < exact).mean() > 0.3  # rounding alone would fail
+    limit = classify._candidate_limit(p_min, bound)
+    assert limit.dtype == np.float32
+    assert (limit.astype(float) >= exact).all()
+    assert (limit.astype(float) - exact <= 2 * np.abs(np.spacing(limit))).all()
+
+
 def scored_nearest(model: TrainedModel, vectors: np.ndarray):
     """``nearest_labels(model, vectors)``, and what each call of its exact step
     scored: one row of differences per (window, training row) pair, copied

@@ -345,8 +345,8 @@ SCIPY_FOOTPRINTS = {
                      "--scheme", "st", "--classifier", "md"], "1", set()),
     "warm_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{warm}"], "1", set()),
     "cold_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{tmp}/prints.bin"], "2",
-                         {"fft", "io"}),
-    "features_extract": (["features", "extract", *AUDIO], "1", {"fft", "io"}),
+                         set()),
+    "features_extract": (["features", "extract", *AUDIO], "1", {"fft"}),
     "eval_run_nn": (["eval", "run", "--metadata", "{metadata}", "--features", "{features}",
                      "--scheme", "st", "--classifier", "nn"], "1", set()),
 }
@@ -355,8 +355,9 @@ SCIPY_FOOTPRINTS = {
 @pytest.mark.parametrize("case", list(SCIPY_FOOTPRINTS))
 def test_commands_load_only_the_scipy_they_run(good_inputs, warm_fp_cache, tmp_path, case):
     """Start-up imports no scipy; a command imports the subpackages it calls
-    (scipy.fft and scipy.io to read and analyse audio); no command imports
-    scipy.spatial, and NN scoring imports no scipy at all."""
+    (scipy.fft for the features' DCT); reading WAV files, fingerprinting and
+    NN scoring import no scipy at all, and no command imports scipy.io or
+    scipy.spatial."""
     template, threads, loaded = SCIPY_FOOTPRINTS[case]
     paths = {**good_inputs, "warm": warm_fp_cache, "tmp": tmp_path}
     argv = [arg.format(**paths) for arg in template]
@@ -631,6 +632,15 @@ def _report_with(**fields):
         {"realizations": [{"predictions": [{**prediction, **fields}]}]}))
 
 
+def _report_twice(fx, tmp):
+    """The good report with its one realization repeated."""
+    data = json.loads(fx["report"].read_text())
+    data["realizations"] *= 2
+    path = tmp / "two-realizations.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
 def _relabel(fx, bad):
     return ["eval", "relabel", "--catalog", fx["catalog"], "--predictions", bad]
 
@@ -673,6 +683,9 @@ BAD_INPUTS = {
     "report_id_a_list_on_compare": (
         _report_with(id=["amber.000"]),
         lambda fx, bad: ["eval", "compare", fx["report"], bad], "malformed report"),
+    "report_realization_count_on_compare": (
+        _report_twice,
+        lambda fx, bad: ["eval", "compare", fx["report"], bad], "ran 1 and 2 realizations"),
     "report_id_a_list_on_relabel": (
         _report_with(id=["amber.000"]), _relabel, "malformed report"),
     "report_predicted_null": (

@@ -1,5 +1,7 @@
 import json
 import re
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +247,171 @@ def test_load_audio_directory_is_an_io_error(tmp_path):
     ex = Excerpt(id="x", label="rock", audio_path=tmp_path)
     with pytest.raises(IoError, match=f"cannot read audio file {re.escape(str(tmp_path))}"):
         load_audio(ex)
+
+
+# a WAVE_FORMAT_EXTENSIBLE subformat GUID after its 4-byte format tag
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+SAMPLE_TYPES = {(1, 16): "<i2", (3, 32): "<f4", (3, 64): "<f8"}
+
+
+def chunk(chunk_id: bytes, body: bytes, size: int | None = None) -> bytes:
+    """A RIFF chunk: id, size (``len(body)`` unless given), body, and a pad
+    byte when the body's length is odd."""
+    size = len(body) if size is None else size
+    return chunk_id + struct.pack("<I", size) + body + b"\0" * (len(body) % 2)
+
+
+def fmt_chunk(tag=1, bits=16, channels=1, rate=22050, extensible=False, extra=b"",
+              guid_tail=GUID_TAIL):
+    align = channels * bits // 8
+    body = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate,
+                       rate * align, align, bits)
+    if extensible:
+        body += struct.pack("<HHII", 22, bits, 4, tag) + guid_tail
+    return chunk(b"fmt ", body + extra)
+
+
+def wav_bytes(*chunks: bytes, form: bytes = b"RIFF") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return form + struct.pack("<I", len(body)) + body
+
+
+def wav_samples(fmt, n=50):
+    """``n`` samples of the sample type ``SAMPLE_TYPES[fmt]``, extremes first."""
+    dtype = np.dtype(SAMPLE_TYPES[fmt])
+    rng = np.random.default_rng(n)
+    if dtype.kind == "i":
+        return np.concatenate([[-32768, 32767, 0, -1], rng.integers(-32768, 32768, n - 4)]
+                              ).astype(dtype)
+    return np.concatenate([[-1.0, 1.0, 0.0, 1e-40], rng.uniform(-1, 1, n - 4)]).astype(dtype)
+
+
+def layout(name, fmt, data):
+    """A WAV file of ``data`` with the format ``fmt``, laid out as ``name`` says."""
+    tag, bits = fmt
+    samples = chunk(b"data", data.tobytes())
+    if name == "plain":
+        return wav_bytes(fmt_chunk(tag, bits), samples)
+    if name == "fmt_18_bytes":
+        return wav_bytes(fmt_chunk(tag, bits, extra=b"\0\0"), samples)
+    if name == "extensible":
+        return wav_bytes(fmt_chunk(tag, bits, extensible=True), samples)
+    assert name == "odd_chunks_around_data"
+    return wav_bytes(chunk(b"LIST", b"INFO!"), fmt_chunk(tag, bits),
+                     chunk(b"fact", struct.pack("<I", len(data))), chunk(b"JUNK", b"abc"),
+                     samples, chunk(b"LIST", b"INFOxyz"), chunk(b"abcd", b"\1"))
+
+
+def scipy_load_audio(path):
+    """``load_audio`` as it was built on ``scipy.io.wavfile.read``, kept as its
+    oracle: the samples scaled as ``load_audio`` scales them."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", wavfile.WavFileWarning)  # chunks it does not know
+        rate, data = wavfile.read(path)
+    assert rate == 22050 and data.ndim == 1
+    if data.dtype == np.int16:
+        return np.multiply(data, 2.0**-15, dtype=np.float64)
+    return data.astype(np.float64)
+
+
+@pytest.mark.parametrize("fmt", list(SAMPLE_TYPES))
+@pytest.mark.parametrize("name", ["scipy_written", "plain", "fmt_18_bytes", "extensible",
+                                  "odd_chunks_around_data"])
+def test_load_audio_equals_scipy_wavfile(tmp_path, fmt, name):
+    data = wav_samples(fmt)
+    path = tmp_path / "x.wav"
+    if name == "scipy_written":
+        wavfile.write(path, 22050, data)
+    else:
+        path.write_bytes(layout(name, fmt, data))
+    got = load_audio(Excerpt(id="x", label="rock", audio_path=path))
+    assert got.dtype == np.float64
+    assert got.tobytes() == scipy_load_audio(path).tobytes()
+    assert np.array_equal(got, data.astype(np.float64) * (2.0**-15 if fmt == (1, 16) else 1))
+
+
+PCM = chunk(b"data", wav_samples((1, 16)).tobytes())
+BAD_WAVS = {
+    "pcm_8_bit": (wav_bytes(fmt_chunk(bits=8), PCM), "unsupported sample format"),
+    "pcm_24_bit": (wav_bytes(fmt_chunk(bits=24), PCM), "unsupported sample format"),
+    "pcm_32_bit": (wav_bytes(fmt_chunk(bits=32), PCM), "unsupported sample format"),
+    "float_16_bit": (wav_bytes(fmt_chunk(tag=3, bits=16), PCM), "unsupported sample format"),
+    "mu_law": (wav_bytes(fmt_chunk(tag=7, bits=8), PCM), "unsupported sample format"),
+    "extensible_unknown_guid": (
+        wav_bytes(fmt_chunk(extensible=True, guid_tail=bytes(12)), PCM),
+        "unsupported sample format"),
+    "block_align_4": (wav_bytes(chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 22050, 88200,
+                                                            4, 16)), PCM),
+                      "unsupported sample format"),
+    "stereo": (wav_bytes(fmt_chunk(channels=2), PCM), "expected mono, got 2 channels"),
+    "rate": (wav_bytes(fmt_chunk(rate=44100), PCM), "sample rate 44100, expected 22050"),
+    "rifx": (wav_bytes(fmt_chunk(), PCM, form=b"RIFX"), "not a little-endian RIFF WAVE"),
+    "rf64": (wav_bytes(fmt_chunk(), PCM, form=b"RF64"), "not a little-endian RIFF WAVE"),
+    "not_wave": (wav_bytes(fmt_chunk(), PCM).replace(b"WAVE", b"AVI ", 1),
+                 "not a little-endian RIFF WAVE"),
+    "empty": (b"", "not a little-endian RIFF WAVE"),
+    "no_chunks": (wav_bytes(), "no fmt chunk"),
+    "no_fmt": (wav_bytes(PCM), "data chunk before the fmt chunk"),
+    "data_before_fmt": (wav_bytes(PCM, fmt_chunk()), "data chunk before the fmt chunk"),
+    "no_data": (wav_bytes(fmt_chunk(), chunk(b"LIST", b"INFO")), "no data chunk"),
+    "fmt_14_bytes": (wav_bytes(chunk(b"fmt ", bytes(14)), PCM), "fmt chunk of 14 bytes"),
+    "header_cut_in_riff": (wav_bytes(fmt_chunk(), PCM)[:10], "not a little-endian RIFF WAVE"),
+    "header_cut_in_fmt": (wav_bytes(fmt_chunk(), PCM)[:30], "fmt chunk of 10 bytes"),
+    "header_cut_in_data_header": (wav_bytes(fmt_chunk(), PCM)[:40], "no data chunk"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_WAVS))
+def test_load_audio_rejects_a_malformed_or_unsupported_file(tmp_path, case):
+    raw, needle = BAD_WAVS[case]
+    path = tmp_path / "x.wav"
+    path.write_bytes(raw)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{re.escape(needle)}"):
+        load_audio(Excerpt(id="x", label="rock", audio_path=path))
+
+
+def test_load_audio_reads_the_whole_samples_present(tmp_path):
+    """A data chunk claiming more bytes than the file holds yields the whole
+    samples present (scipy warns and gives the same); a partial sample at its
+    end, or at the end of an odd-sized chunk, is dropped."""
+    data = wav_samples((1, 16), n=100)
+    path = tmp_path / "x.wav"
+    whole = wav_bytes(fmt_chunk(), chunk(b"data", data.tobytes()))
+    for raw, n in [(whole[:-79], 60), (whole[:-80], 60),
+                   (wav_bytes(fmt_chunk(), chunk(b"data", data.tobytes() + b"\7")), 100)]:
+        path.write_bytes(raw)
+        got = load_audio(Excerpt(id="x", label="rock", audio_path=path))
+        assert got.tobytes() == (data[:n] * 2.0**-15).tobytes()
+
+
+@pytest.fixture(scope="module")
+def fuzz_wav(tmp_path_factory):
+    return tmp_path_factory.mktemp("wav") / "fuzz.wav"
+
+
+FUZZ_SEEDS = [layout(name, fmt, wav_samples(fmt, n=8)) for fmt in SAMPLE_TYPES
+              for name in ("plain", "extensible", "odd_chunks_around_data")]
+FIELD_VALUES = [b"\0\0\0\0", b"\xff\xff\xff\xff", b"\x10\0\0\0", b"\x01", b"\x03\0",
+                b"\xfe\xff", b"fmt ", b"data"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_SEEDS) | st.binary(max_size=64),
+       st.lists(st.tuples(st.integers(0, 200), st.sampled_from(FIELD_VALUES)
+                          | st.binary(min_size=1, max_size=4)), max_size=5),
+       st.integers(0, 250))
+def test_load_audio_raises_only_toolkit_errors(fuzz_wav, base, edits, cut):
+    """Raw bytes, and valid files with fields overwritten and the end cut:
+    ``load_audio`` returns finite float64 samples or raises an AuditError."""
+    raw = bytearray(base)
+    for at, value in edits:
+        raw[at:at + len(value)] = value
+    fuzz_wav.write_bytes(bytes(raw[:cut]))
+    try:
+        samples = load_audio(Excerpt(id="x", label="rock", audio_path=fuzz_wav))
+    except AuditError:
+        return
+    assert samples.dtype == np.float64 and samples.ndim == 1 and np.isfinite(samples).all()
 
 
 def test_identification_tally(small_corpus):

@@ -365,7 +365,7 @@ def test_significance_test_counts_disagreements():
           for i, (eid, t) in enumerate(truth.items())]
     p2 = [PredictionRecord(eid, t, "a" if i >= 2 else "b", 0)
           for i, (eid, t) in enumerate(truth.items())]
-    result = significance_test(p1, p2)
+    result = significance_test([p1], [p2])
     assert result.n == 4
     assert result.t12 == 2
     assert result.p == 1.0
@@ -374,14 +374,30 @@ def test_significance_test_counts_disagreements():
 def test_significance_test_identical_predictions():
     preds = [PredictionRecord(f"e{i}", "a", "a" if i % 2 else "b", 0)
              for i in range(10)]
-    result = significance_test(preds, list(preds))
+    result = significance_test([preds], [list(preds)])
     assert result.n == 0 and result.p == 1.0 and not result.reject
 
 
 def test_significance_test_mismatched_sets():
     with pytest.raises(AuditError):
-        significance_test([PredictionRecord("e1", "a", "a", 0)],
-                          [PredictionRecord("e2", "a", "a", 0)])
+        significance_test([[PredictionRecord("e1", "a", "a", 0)]],
+                          [[PredictionRecord("e2", "a", "a", 0)]])
+    preds = [PredictionRecord("e1", "a", "a", 0)]
+    with pytest.raises(AuditError, match="ran 2 and 1 realizations"):
+        significance_test([preds, preds], [preds])
+
+
+def test_significance_test_counts_every_realization():
+    """An observation is an excerpt in one realization: three realizations
+    of the same ten excerpts give the sum of their own counts."""
+    rng = np.random.default_rng(8)
+    systems = [[[PredictionRecord(f"e{i}", "a", "a" if rng.random() < 0.6 else "b", 0)
+                 for i in range(10)] for _ in range(3)] for _ in range(2)]
+    alone = [significance_test([r1], [r2]) for r1, r2 in zip(*systems)]
+    result = significance_test(*systems)
+    assert sum(r.n for r in alone) > max(r.n for r in alone) > 0
+    assert (result.n, result.t12) == (sum(r.n for r in alone), sum(r.t12 for r in alone))
+    assert result == binomial_significance(result.n, result.t12)
 
 
 def test_repetition_bias_property():
