@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 audit findings under ``--strict``, 2 errors, each in on
 ``error:`` line (a ``--threshold`` that is not a finite number is one). Commands
 are deterministic given inputs, flags and seed, and randomized ones record their
 seed in the report. Reruns are byte-identical whatever ``AUDIT_THREADS`` (the cap
-on fingerprinting threads; 0 or unset = one per CPU) or the BLAS thread count.
+on fingerprinting threads; 0 or unset = one per CPU, not a non-negative integer =
+exit 2) or the BLAS thread count.
 """
 
 import argparse
@@ -18,19 +19,22 @@ from pathlib import Path
 from . import classify, evaluate, faults, features, fingerprint, tagscore
 from .corpus import (Corpus, load_audio, load_metadata, load_tags, read_json, write_json,
                      write_text)
-from .errors import AuditError, IncompleteFeaturesError, ParseError, in_file
+from .errors import AuditError, IncompleteFeaturesError, ParseError, TooShortError, in_file
 
 # fixed default so reruns without an explicit seed are reproducible
 DEFAULT_SEED = 1234
 
 
 def _worker_count() -> int:
+    """Fingerprinting threads: ``AUDIT_THREADS``, or one per CPU if it is 0 or unset."""
     raw = os.environ.get("AUDIT_THREADS", "0")
     try:
         n = int(raw)
     except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+        n = -1
+    if n < 0:
+        raise ParseError(f"AUDIT_THREADS must be a non-negative integer, got {raw!r}")
+    return n or os.cpu_count() or 1
 
 
 def _load_corpus(args) -> Corpus:
@@ -144,7 +148,8 @@ def cmd_features_extract(args) -> int:
     feats = {}
     for ex in corpus.excerpts:
         samples = load_audio(ex)
-        feats[ex.id] = features.excerpt_features(samples)
+        with in_file(ex.audio_path, TooShortError):
+            feats[ex.id] = features.excerpt_features(samples)
     features.write_feature_cache(args.out, feats)
     return 0
 

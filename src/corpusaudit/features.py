@@ -9,11 +9,13 @@ frames and nine texture vectors.
 MFCCs follow the classic Slaney auditory-toolbox recipe: 40 unit-area
 triangular mel filters from 133.33 Hz (13 linear, 27 log-spaced, topping
 out near 6854 Hz), log filter energies floored at 1e-10, orthonormal
-type-II DCT, coefficients 0-12.
+type-II DCT, coefficients 0-12. The DCT is numpy's own copy of the one
+``scipy.fft.dct(..., type=2, norm="ortho")`` runs, and gives its bits.
 """
 
 import csv
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -118,6 +120,75 @@ def mel_energies(mag: np.ndarray) -> np.ndarray:
     return np.add.reduceat(weighted, np.searchsorted(rows, np.arange(len(MEL_BANK))), axis=1)
 
 
+def _dct_twiddles(n: int) -> np.ndarray:
+    """cos(pi * (i + 1) / (2 * n)) for i < n, rounded as pocketfft's ``T_dcst23``
+    twiddles are: the real parts of its ``sincos_2pibyn(4 * n)`` table. Entry j of
+    that table is the complex product of a fine and a coarse entry, j's low
+    ``shift`` bits and the rest, each the cos and sin of a multiple of
+    ``ang = pi / (16 * n)`` reduced to an octant. For n = 40 (shift 4) both lie
+    in the first quadrant for every j <= n. Plain ``np.cos`` differs from this
+    table in 15 of 40 entries."""
+    size = 4 * n
+    pi = np.longdouble("3.141592653589793238462643383279502884197")
+    ang = float(np.longdouble(0.25) * pi / np.longdouble(size))
+
+    def sincos(j):  # cos and sin of 2*pi*j/size, for 8*j < 2*size
+        x = 8 * j
+        if x < size:
+            return math.cos(x * ang), math.sin(x * ang)
+        return math.sin((2 * size - x) * ang), math.cos((2 * size - x) * ang)
+
+    shift = 1
+    while (1 << shift) * (1 << shift) < (size + 2) // 2:
+        shift += 1
+    mask = (1 << shift) - 1
+    twiddles = np.empty(n)
+    for i in range(n):
+        fine, coarse = sincos((i + 1) & mask), sincos((i + 1) >> shift << shift)
+        twiddles[i] = fine[0] * coarse[0] - fine[1] * coarse[1]
+    return twiddles
+
+
+_DCT_TWIDDLES = _dct_twiddles(N_MEL_FILTERS)
+_DCT_TWIDDLES.flags.writeable = False
+# pocketfft's orthonormal scale, 1/sqrt(2n) rounded from long double
+_DCT_SCALE = float(1 / np.sqrt(np.longdouble(2 * N_MEL_FILTERS)))
+
+
+def _dct_ortho(x: np.ndarray) -> np.ndarray:
+    """Orthonormal type-II DCT of each row of ``x``, shape (rows, N_MEL_FILTERS),
+    bit for bit ``scipy.fft.dct(x, type=2, norm="ortho", axis=1)``.
+
+    The steps are pocketfft's ``T_dcst23`` for an even length n: pre-twiddle
+    the input into FFTPACK halfcomplex order, take its unnormalized backward
+    real FFT (numpy's ``irfft`` runs the same pocketfft), scale by
+    ``_DCT_SCALE``, and combine each coefficient k with n - k.
+    """
+    n = N_MEL_FILTERS
+    half = n // 2
+    # the halfcomplex c[0], c[1] + i c[2], ..., c[n-1] as complex pairs: (c[0], 0),
+    # (c[1], c[2]), ..., (c[n-1], 0), with c[0] and c[n-1] doubled and each
+    # (c[k], c[k+1]), k odd, replaced by their sum and difference
+    packed = np.zeros((len(x), n + 2))
+    np.multiply(x[:, 0], 2, out=packed[:, 0])
+    odd, even = x[:, 1:n - 1:2], x[:, 2:n:2]
+    np.add(even, odd, out=packed[:, 2:n:2])
+    np.subtract(even, odd, out=packed[:, 3:n:2])
+    np.multiply(x[:, n - 1], 2, out=packed[:, n])
+    c = np.fft.irfft(packed.view(complex), n=n, axis=1, norm="forward")
+    c *= _DCT_SCALE
+    low, high = c[:, 1:half], c[:, n - 1:half:-1]  # c[k] and c[n - k], 0 < k < n/2
+    w_low, w_high = _DCT_TWIDDLES[:half - 1], _DCT_TWIDDLES[n - 2:half - 1:-1]
+    t1 = w_low * high + w_high * low
+    t2 = w_low * low - w_high * high
+    out = np.empty_like(c)
+    out[:, 0] = c[:, 0] * (math.sqrt(2) * 0.5)
+    out[:, 1:half] = 0.5 * (t1 + t2)
+    out[:, half] = c[:, half] * _DCT_TWIDDLES[half - 1]
+    out[:, n - 1:half:-1] = 0.5 * (t1 - t2)
+    return out
+
+
 def zero_crossings(samples: np.ndarray, n_frames: int) -> np.ndarray:
     """Each frame's count of adjacent samples whose product is negative, as floats.
 
@@ -141,13 +212,11 @@ def frame_features(samples: np.ndarray) -> np.ndarray:
     Columns: MFCC 0-12, zero-crossing count, spectral centroid (Hz),
     spectral rolloff (Hz). ZCR is counted on the raw, unwindowed frame.
     """
-    from scipy.fft import dct
-
     mag = stft_magnitude(samples)
 
     energies = mel_energies(mag)
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    mfcc = dct(log_energies, type=2, norm="ortho", axis=1)[:, :13]
+    mfcc = _dct_ortho(log_energies)[:, :13]
 
     zcr = zero_crossings(samples, len(mag))
 

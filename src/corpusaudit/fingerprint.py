@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, load_audio, read_records, write_records
-from .errors import ParseError
+from .errors import ParseError, TooShortError, in_file
 from .features import FRAME_SIZE, frame_signal, stft_magnitude
 
 DEFAULT_THRESHOLD = 0.25
@@ -318,10 +318,11 @@ def fingerprint_corpus(corpus: Corpus, workers: int = 1) -> dict[str, HashSet]:
 
     def one(ex):
         samples = load_audio(ex)
-        size = len(frame_signal(samples)) * (FRAME_SIZE // 2 + 1)
-        if getattr(local, "buffer", np.empty(0)).size < size:
-            local.buffer = np.empty(size)
-        return ex.id, compute_fingerprint(samples, owner=ex.id, out=local.buffer)
+        with in_file(ex.audio_path, TooShortError):
+            size = len(frame_signal(samples)) * (FRAME_SIZE // 2 + 1)
+            if getattr(local, "buffer", np.empty(0)).size < size:
+                local.buffer = np.empty(size)
+            return ex.id, compute_fingerprint(samples, owner=ex.id, out=local.buffer)
 
     if workers <= 1:
         return dict(map(one, corpus.excerpts))

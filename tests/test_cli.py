@@ -163,6 +163,27 @@ def test_audit_dupes_same_bytes_for_any_thread_count(workspace, tmp_path, monkey
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("threads", ["abc", "-3", "1.5", ""])
+def test_audit_threads_not_a_count_exits_two(workspace, tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("AUDIT_THREADS", threads)
+    out = tmp_path / "dupes.csv"
+    assert _audit_dupes(workspace, tmp_path / "prints.bin", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "AUDIT_THREADS" in err and repr(threads) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads, workers", [("3", 3), (" 2 ", 2), ("0", os.cpu_count() or 1),
+                                              (None, os.cpu_count() or 1)])
+def test_worker_count_reads_audit_threads(monkeypatch, threads, workers):
+    if threads is None:
+        monkeypatch.delenv("AUDIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("AUDIT_THREADS", threads)
+    assert cli._worker_count() == workers
+
+
 def _truncate(cache):
     cache.write_bytes(cache.read_bytes()[:-6])
 
@@ -319,12 +340,11 @@ def test_features_and_mmd_report_same_bytes_for_any_blas_thread_count(workspace,
 
 
 # In a fresh interpreter: run the command given on the command line, if any, then print
-# its exit code and the scipy subpackages loaded ("" for scipy itself).
+# its exit code and every scipy module loaded.
 SCIPY_PROBE = """import sys
 from corpusaudit.cli import dispatch
 code = dispatch(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, *sorted({m.split(".")[1] if "." in m else ""
-                     for m in sys.modules if m.split(".")[0] == "scipy"}))
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
@@ -335,30 +355,27 @@ def warm_fp_cache(workspace, tmp_path_factory):
     return cache
 
 
-# (command, AUDIT_THREADS, which of scipy.fft, scipy.io and scipy.spatial it loads)
+# (command, AUDIT_THREADS); none of them loads any scipy module
 AUDIO = ["--audio-dir", "{audio}", "--metadata", "{metadata}"]
 SCIPY_FOOTPRINTS = {
-    "import": ([], "1", set()),
-    "catalog_show": (["catalog", "show", "--catalog", "{catalog}"], "1", set()),
-    "report_perfect": (["report", "perfect", "--catalog", "{catalog}"], "1", set()),
+    "import": ([], "1"),
+    "catalog_show": (["catalog", "show", "--catalog", "{catalog}"], "1"),
+    "report_perfect": (["report", "perfect", "--catalog", "{catalog}"], "1"),
     "eval_run_md": (["eval", "run", "--metadata", "{metadata}", "--features", "{features}",
-                     "--scheme", "st", "--classifier", "md"], "1", set()),
-    "warm_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{warm}"], "1", set()),
-    "cold_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{tmp}/prints.bin"], "2",
-                         set()),
-    "features_extract": (["features", "extract", *AUDIO], "1", {"fft"}),
+                     "--scheme", "st", "--classifier", "md"], "1"),
+    "warm_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{warm}"], "1"),
+    "cold_audit_dupes": (["audit", "dupes", *AUDIO, "--cache", "{tmp}/prints.bin"], "2"),
+    "features_extract": (["features", "extract", *AUDIO], "1"),
     "eval_run_nn": (["eval", "run", "--metadata", "{metadata}", "--features", "{features}",
-                     "--scheme", "st", "--classifier", "nn"], "1", set()),
+                     "--scheme", "st", "--classifier", "nn"], "1"),
 }
 
 
 @pytest.mark.parametrize("case", list(SCIPY_FOOTPRINTS))
 def test_commands_load_only_the_scipy_they_run(good_inputs, warm_fp_cache, tmp_path, case):
-    """Start-up imports no scipy; a command imports the subpackages it calls
-    (scipy.fft for the features' DCT); reading WAV files, fingerprinting and
-    NN scoring import no scipy at all, and no command imports scipy.io or
-    scipy.spatial."""
-    template, threads, loaded = SCIPY_FOOTPRINTS[case]
+    """The package runs on numpy alone: start-up and every command, reading WAV
+    files, fingerprinting, the features' DCT and NN scoring, load no scipy module."""
+    template, threads = SCIPY_FOOTPRINTS[case]
     paths = {**good_inputs, "warm": warm_fp_cache, "tmp": tmp_path}
     argv = [arg.format(**paths) for arg in template]
     if argv:
@@ -369,9 +386,7 @@ def test_commands_load_only_the_scipy_they_run(good_inputs, warm_fp_cache, tmp_p
                          capture_output=True, text=True, check=True, timeout=120)
     code, *scipy_modules = run.stdout.split()
     assert code == "0", run.stderr
-    assert {"fft", "io", "spatial"} & set(scipy_modules) == loaded
-    if not loaded:  # nor scipy itself
-        assert scipy_modules == []
+    assert scipy_modules == []
 
 
 def test_eval_run_and_rerun_identical(workspace, features_path, tmp_path):
@@ -596,18 +611,25 @@ def _eval_run(fx, features, *extra):
             "--scheme", "af", "--classifier", "md", *extra]
 
 
-def _audio_with_sample(value):
-    """A copy of the audio directory in which amber.000 holds ``value`` at sample 100."""
+def _audio_with(edit):
+    """A copy of the audio directory in which amber.000 holds ``edit`` of its samples."""
     def build(fx, tmp):
         audio = tmp / "audio"
         audio.mkdir()
         for wav in fx["audio"].iterdir():
             (audio / wav.name).write_bytes(wav.read_bytes())
         rate, data = wavfile.read(audio / "amber.000.wav")
-        data[100] = value
-        wavfile.write(audio / "amber.000.wav", rate, data)
+        wavfile.write(audio / "amber.000.wav", rate, edit(data))
         return audio
     return build
+
+
+def _audio_with_sample(value):
+    """A copy of the audio directory in which amber.000 holds ``value`` at sample 100."""
+    def edit(data):
+        data[100] = value
+        return data
+    return _audio_with(edit)
 
 
 def _features_with(eid, window, feature, value):
@@ -933,6 +955,14 @@ BAD_INPUTS = {
         _audio_with_sample(-np.inf),
         lambda fx, bad: ["features", "extract", "--metadata", fx["metadata"],
                          "--audio-dir", bad], "amber.000.wav: sample 100 is -inf"),
+    "clip_too_short_to_fingerprint": (
+        _audio_with(lambda data: data[:500]),
+        lambda fx, bad: ["audit", "dupes", "--metadata", fx["metadata"], "--audio-dir", bad],
+        "amber.000.wav: need at least 1024 samples, got 500"),
+    "clip_too_short_for_a_texture_window": (
+        _audio_with(lambda data: data[:2 * SR]),
+        lambda fx, bad: ["features", "extract", "--metadata", fx["metadata"],
+                         "--audio-dir", bad], "amber.000.wav: need at least 130 frames, got 85"),
     "nan_feature_value": (
         _features_with("amber.000", 1, 3, "nan"),
         lambda fx, bad: _eval_run(fx, bad),

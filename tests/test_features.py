@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.fft import rfft
+from scipy.fft import dct, rfft
 
 from corpusaudit import features
 from corpusaudit.errors import IncompleteFeaturesError, IoError, ParseError, TooShortError
@@ -30,6 +30,7 @@ from corpusaudit.features import (
     texture_vectors,
     write_feature_cache,
 )
+from corpusaudit.synth import tone_cloud
 
 SR = 22050
 
@@ -202,6 +203,51 @@ def test_mfcc_amplitude_invariance():
     # doubling amplitude offsets only the DC coefficient
     assert not np.allclose(a[:, 0], b[:, 0])
     assert np.allclose(a[:, 1:13], b[:, 1:13], atol=1e-6)
+
+
+def log_mel_rows(samples):
+    """The rows ``frame_features`` hands to the DCT: floored log mel energies."""
+    return np.log(np.maximum(mel_energies(stft_magnitude(samples)), features.LOG_FLOOR))
+
+
+def random_rows():
+    """Seeded normal rows at scales from near underflow to near overflow."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([rng.normal(0.0, scale, (500, features.N_MEL_FILTERS))
+                           for scale in (1e-300, 1e-8, 1e-3, 1.0, 30.0, 1e5, 1e300)])
+
+
+def edge_rows():
+    """Every value the floor gives, all zeros, uniform values as far as a log reaches,
+    and one nonzero entry in each position."""
+    n = features.N_MEL_FILTERS
+    rng = np.random.default_rng(12)
+    return np.concatenate([np.full((3, n), np.log(features.LOG_FLOOR)), np.zeros((3, n)),
+                           -np.zeros((1, n)), rng.uniform(-700.0, 700.0, (2000, n)),
+                           np.eye(n) * np.log(features.LOG_FLOOR), np.eye(n)])
+
+
+def tone_cloud_log_mel_rows():
+    """Log mel rows of tone clouds of 30, 12.5 and 3.1 s."""
+    rng = np.random.default_rng(13)
+    return np.concatenate([log_mel_rows(tone_cloud(rng, duration=seconds))
+                           for seconds in (30.0, 12.5, 3.1)])
+
+
+@pytest.mark.parametrize("rows", [tone_cloud_log_mel_rows, random_rows, edge_rows])
+def test_dct_equals_the_scipy_dct_bit_for_bit(rows):
+    """The MFCCs' numpy DCT gives the bits of the scipy DCT it replaced, so the
+    feature CSVs it writes are byte-identical to those scipy's gave."""
+    x = rows()
+    expected = dct(x, type=2, norm="ortho", axis=1)
+    got = features._dct_ortho(x)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_mfccs_are_the_dct_of_the_log_mel_rows():
+    samples = tone_cloud(np.random.default_rng(14), duration=3.0)
+    expected = dct(log_mel_rows(samples), type=2, norm="ortho", axis=1)[:, :13]
+    assert frame_features(samples)[:, :13].tobytes() == expected.tobytes()
 
 
 def test_mel_filterbank_shape_and_area():
