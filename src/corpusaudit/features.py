@@ -31,7 +31,6 @@ FRAME_SIZE = 1024  # samples per frame, for the features and the fingerprints
 HOP = 512
 BIN_FREQS = np.arange(FRAME_SIZE // 2 + 1) * SAMPLE_RATE / FRAME_SIZE  # Hz of each STFT bin
 TEXTURE_FRAMES = 130
-N_FRAME_FEATURES = 16
 N_TEXTURE_DIMS = 32
 
 N_MEL_FILTERS = 40

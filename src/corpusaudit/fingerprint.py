@@ -31,6 +31,14 @@ keys in it and only searches for the few whose slot is marked. The
 filter is exact: a key within one of some key ``k`` of the set is one of
 the three keys marked for ``k``, so its slot is always set, and a false
 positive costs only a search that finds nothing.
+
+A set's hashes are sorted by key with numpy's default, unstable sort: the
+order of hashes with equal keys is left open. ``match`` does not see it. It
+counts, for each searched key, the multiset of frames in a run of keys, and
+then sorts the offsets of those hits, so any order of equal keys gives the
+same sorted offsets. In that array each hit's pooled count, the hits whose
+offset is within one frame of its own, is the distance between two
+``searchsorted`` bounds.
 """
 
 import threading
@@ -84,9 +92,10 @@ class HashSet:
     ``hashes`` is a read-only ``(n, 2)`` int64 array of (packed key,
     anchor frame) rows in hash order; any sequence of pairs is accepted
     and copied. Two sets are equal when their owners and hashes, in order,
-    are. The other fields are derived once, for ``match``: the hashes
-    sorted by key (stable), the packed probe table and each sorted key's
-    slot in it, split into byte index and bit mask.
+    are. The other fields are derived once, for ``match``: the keys and
+    frames sorted by key, in no set order among equal keys, the packed probe
+    table and each sorted key's slot in it, split into byte index and bit
+    mask.
     """
     owner: str
     hashes: np.ndarray
@@ -104,7 +113,7 @@ class HashSet:
             raise ValueError(f"hashes of {self.owner!r} are not (key, frame) pairs: "
                              f"shape {hashes.shape}")
         hashes.flags.writeable = False
-        order = np.argsort(hashes[:, 0], kind="stable")
+        order = np.argsort(hashes[:, 0])
         keys = hashes[order, 0]
         marked = np.zeros(1 << PROBE_BITS, dtype=bool)
         marked[_probe_slots(np.concatenate([keys - 1, keys, keys + 1]))] = True
@@ -341,6 +350,11 @@ def match(a: HashSet, b: HashSet) -> MatchScore:
     largest pooled count; ties go to the smallest offset magnitude, then
     to the positive offset.
 
+    The hits' offsets are sorted, and an offset's pooled count is the
+    number of hits in ``[offset - 1, offset + 1]``: two ``searchsorted``
+    bounds in the sorted offsets. Only the multiset of offsets matters, so
+    neither set's order of equal keys changes the score.
+
     Only the ``b`` hashes whose slot is marked in ``a``'s probe table are
     searched for. That drops no hit: a ``b`` key within one of an ``a``
     key ``k`` is ``k - 1``, ``k`` or ``k + 1``, all three marked for ``k``.
@@ -350,22 +364,21 @@ def match(a: HashSet, b: HashSet) -> MatchScore:
         return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
     probed = ((a.probe_table[b.slot_bytes] & b.slot_bits) != 0).nonzero()[0]
     b_keys, b_frames = b.keys[probed], b.frames[probed]
-    # for each probed b hash, the run of a hashes with key in [b_key - 1, b_key + 1]
-    lo = np.searchsorted(a.keys, b_keys - 1)
-    runs = np.searchsorted(a.keys, b_keys + 2) - lo
+    # for each probed b hash, the run of a hashes with key in [b_key - 1, b_key + 1];
+    # the array methods skip the np.* functions' dispatch, a microsecond or two
+    # a call on arrays this small
+    lo = a.keys.searchsorted(b_keys - 1)
+    runs = a.keys.searchsorted(b_keys + 2) - lo
     hits = int(runs.sum())
     if hits == 0:
         return MatchScore(pair=pair, aligned_hits=0, offset_mode=0, score=0.0)
-    run_start = np.repeat(lo - (np.cumsum(runs) - runs), runs)
-    a_index = run_start + np.arange(hits)
-    offsets, counts = np.unique(a.frames[a_index] - np.repeat(b_frames, runs),
-                                return_counts=True)
-    pooled = counts.copy()
-    adjacent = np.flatnonzero(np.diff(offsets) == 1)
-    pooled[adjacent] += counts[adjacent + 1]
-    pooled[adjacent + 1] += counts[adjacent]
+    run_start = (lo - (runs.cumsum() - runs)).repeat(runs)
+    offsets = a.frames[run_start + np.arange(hits)] - b_frames.repeat(runs)
+    offsets.sort()
+    # each hit's pooled count: the hits whose offset is within one of its own
+    pooled = offsets.searchsorted(offsets + 1, side="right") - offsets.searchsorted(offsets - 1)
     aligned = int(pooled.max())
-    offset = max(offsets[pooled == aligned].tolist(), key=lambda off: (-abs(off), off))
+    offset = max(set(offsets[pooled == aligned].tolist()), key=lambda off: (-abs(off), off))
     score = min(1.0, aligned / min(len(a.hashes), len(b.hashes)))
     return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
 

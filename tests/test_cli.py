@@ -145,6 +145,37 @@ def test_audit_dupes_high_threshold_empty(workspace, tmp_path):
     assert read_csv_rows(out) == []
 
 
+def test_audit_dupes_at_threshold_zero_or_below_writes_every_pair(tmp_path):
+    rng = np.random.default_rng(3)
+    signals = {"a.000": tone_cloud(rng, duration=3.0), "a.001": tone_cloud(rng, duration=3.0),
+               "b.000": np.zeros(3 * SR)}  # silence: no hashes, so no hits with any clip
+    signals["b.001"] = delayed_copy(signals["a.000"], 0.2, 0.7, SR)
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    for eid, sig in signals.items():
+        wavfile.write(audio / f"{eid}.wav", SR, sig.astype(np.float32))
+    metadata = tmp_path / "metadata.csv"
+    metadata.write_text("id,label,artist,title\n" + "".join(
+        f"{eid},{eid[0]},artist {eid},title {eid}\n" for eid in signals))
+    outputs = []
+    for threshold in ("0", "-1"):
+        cache = tmp_path / f"prints{threshold}.bin"
+        for run in ("cold", "warm"):
+            out = tmp_path / f"dupes{threshold}{run}.csv"
+            assert dispatch(["audit", "dupes", "--metadata", str(metadata),
+                             "--audio-dir", str(audio), "--cache", str(cache),
+                             "--threshold", threshold, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs == outputs[:1] * 4
+    rows = [line.split(",") for line in outputs[0].decode().splitlines()[1:]]
+    ids = sorted(signals)
+    assert [(a, b) for a, b, _, _ in rows] == [
+        (a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    scores = {(a, b): (score, offset) for a, b, score, offset in rows}
+    assert all(scores[pair] == ("0.000000", "0") for pair in scores if "b.000" in pair)
+    assert float(scores["a.000", "b.001"][0]) > 0.25
+
+
 def _audit_dupes(workspace, cache, out):
     return dispatch(["audit", "dupes",
                      "--metadata", str(workspace / "metadata.csv"),

@@ -523,6 +523,8 @@ def match_cases(test):
         ([(K, 3), (K, 3)], [(K - 1, 0), (K + 1, 0)], 2, 1),  # keys one apart, repeats
         ([(K, 10)], [(K, 7), (K, 13)], 0, 0),                # +3 and -3 tie
         ([(K, 10), (K, 10)], [(K, 5), (K, 6), (K, 14), (K, 15)], 0, 0),  # pooled tie +-4.5
+        # offset 0's pooled count takes in repeated runs at -1 and +1
+        ([(K, 10), (K, 30)], [(K, 11), (K, 11), (K, 10), (K, 9), (K, 9), (K, 29)], 1, 0),
         # probes of the smallest and largest cacheable keys: k - 1 < 0, k + 1 = 2**32
         ([(0, 0)], [(1, 2), (0, 0)], 0, 0),
         ([(1, 5)], [(0, 5), (2, 9), (3, 5)], 1, 0),
@@ -554,6 +556,20 @@ def test_match_equals_reference_with_a_one_bit_probe_table(a_hashes, b_hashes,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fingerprint, "PROBE_BITS", 1)
         check_match(a_hashes, b_hashes, a_repeats, b_repeats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hash_lists, hash_lists, st.integers(0, 5), st.integers(0, 5), st.data())
+def test_match_ignores_the_order_of_hash_rows(a_hashes, b_hashes, a_repeats, b_repeats, data):
+    # a set's hashes in any row order, repeats included, score the same: so the
+    # order of equal keys after HashSet's key sort cannot matter
+    a = _hashset("a", a_hashes, a_repeats)
+    b = _hashset("b", b_hashes, b_repeats)
+    shuffled_a, shuffled_b = (
+        HashSet(owner=hs.owner, hashes=data.draw(st.permutations(hs.hashes.tolist())))
+        for hs in (a, b))
+    assert match(shuffled_a, shuffled_b) == match(a, b) == reference_match(a, b)
+    assert match(shuffled_b, shuffled_a) == match(b, a) == reference_match(b, a)
 
 
 def test_hashset_takes_pairs_only():
