@@ -9,8 +9,10 @@ exit 2) or the BLAS thread count.
 """
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import math
 import os
 import sys
@@ -45,34 +47,38 @@ def _load_corpus(args) -> Corpus:
         for ex in corpus.excerpts))
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """``header`` then ``rows`` as CSV text, quoted where a field needs it, ``\\n`` line ends."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
 def cmd_audit_dupes(args) -> int:
     corpus = _load_corpus(args)
     hashsets = fingerprint.cached_fingerprints(corpus, args.cache, workers=_worker_count())
     matches = fingerprint.match_all([hashsets[ex.id] for ex in corpus.excerpts],
                                     threshold=args.threshold)
     matches.sort(key=lambda m: tuple(sorted(m.pair)))
-    lines = ["id_a,id_b,score,offset_frames"]
-    for m in matches:
-        a, b = sorted(m.pair)
-        lines.append(f"{a},{b},{m.score:.6f},{m.offset_mode}")
-    write_text(args.out, "\n".join(lines) + "\n")
+    write_text(args.out, _csv_text(["id_a", "id_b", "score", "offset_frames"], [
+        [*sorted(m.pair), f"{m.score:.6f}", f"{m.offset_mode}"] for m in matches]))
     return 1 if args.strict and matches else 0
 
 
 def cmd_audit_labels(args) -> int:
     corpus = load_metadata(args.metadata)
     matrix, verdicts = tagscore.audit_labels(corpus, load_tags(args.tags, corpus))
-    lines = ["id,label,own_score,diagonal,best_other_label,best_other_score,delta,rule"]
-    flagged = 0
+    rows = []
     for v in verdicts:
         g = matrix.index(v.label)
-        lines.append(
-            f"{v.excerpt_id},{v.label},{v.own_score:.6f},{matrix.scores[g, g]:.6f},"
-            f"{v.best_other_label or ''},{v.best_other_score:.6f},"
-            f"{matrix.deltas[g]:.6f},{v.rule}")
-        flagged += v.flagged
-    write_text(args.out, "\n".join(lines) + "\n")
-    return 1 if args.strict and flagged else 0
+        rows.append([v.excerpt_id, v.label, f"{v.own_score:.6f}", f"{matrix.scores[g, g]:.6f}",
+                     v.best_other_label or "", f"{v.best_other_score:.6f}",
+                     f"{matrix.deltas[g]:.6f}", v.rule])
+    write_text(args.out, _csv_text(["id", "label", "own_score", "diagonal", "best_other_label",
+                                    "best_other_score", "delta", "rule"], rows))
+    return 1 if args.strict and any(v.flagged for v in verdicts) else 0
 
 
 def cmd_catalog_build(args) -> int:

@@ -74,7 +74,6 @@ class TagCountSet:
 
     owner: str
     pairs: tuple[tuple[str, int], ...]
-    source: str = "song"
 
 
 @dataclass
@@ -112,11 +111,6 @@ class Corpus:
 
     def with_label(self, label: str) -> list[Excerpt]:
         return [ex for ex in self.excerpts if ex.label == label]
-
-    def identification_tally(self) -> tuple[int, int]:
-        """(identified, unidentified) excerpt counts."""
-        n_id = sum(1 for ex in self.excerpts if ex.identified)
-        return n_id, len(self.excerpts) - n_id
 
 
 @contextmanager
@@ -243,12 +237,9 @@ def read_records(path, what: str, header: bytes, dtype, width: int) -> dict[str,
     return out
 
 
-def load_metadata(path, labels=None) -> Corpus:
-    """Read a metadata CSV into a Corpus.
-
-    ``labels`` fixes the valid label set; when omitted, labels are taken in
-    order of first appearance in the file.
-    """
+def load_metadata(path) -> Corpus:
+    """Read a metadata CSV into a Corpus whose labels are in order of first
+    appearance in the file."""
     path = Path(path)
     rows = []
     with open_text(path, "metadata CSV") as fh:
@@ -267,42 +258,27 @@ def load_metadata(path, labels=None) -> Corpus:
                 raise ParseError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             rows.append((lineno, row))
 
-    seen_labels: list[str] = []
     excerpts = []
     for lineno, (eid, label, artist, title) in rows:
         eid = eid.strip()
-        label = label.strip()
         if not eid:
             raise ParseError(f"{path}:{lineno}: empty id")
-        if labels is not None and label not in labels:
-            raise LabelError(f"{path}:{lineno}: unknown label {label!r}")
-        if label not in seen_labels:
-            seen_labels.append(label)
         excerpts.append(Excerpt(
             id=eid,
-            label=label,
+            label=label.strip(),
             artist=artist.strip() or None,
             title=title.strip() or None,
         ))
-    label_order = tuple(labels) if labels is not None else tuple(seen_labels)
-    return Corpus(labels=label_order, excerpts=tuple(excerpts))
-
-
-def save_metadata(corpus: Corpus, path) -> None:
-    """Write a Corpus back to metadata CSV; inverse of load_metadata."""
-    path = Path(path)
-    with writing(path, "metadata CSV"), path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METADATA_HEADER)
-        for ex in corpus.excerpts:
-            writer.writerow([ex.id, ex.label, ex.artist or "", ex.title or ""])
+    return Corpus(labels=tuple(dict.fromkeys(ex.label for ex in excerpts)),
+                  excerpts=tuple(excerpts))
 
 
 def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
     """Read a tag snapshot JSON file keyed by excerpt id.
 
     Tags are lower-cased and whitespace-collapsed; zero-count entries are
-    dropped; duplicate tags are merged by summing counts.
+    dropped; duplicate tags are merged by summing counts. An entry's
+    ``source`` must be one of ``TAG_SOURCES``; nothing else reads it.
     """
     entries = read_json(path, "tag snapshot")
     if not isinstance(entries, list):
@@ -323,7 +299,8 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
         tag_objs = entry.get("tags", [])
         if not isinstance(tag_objs, list):
             raise ParseError(f"{path}: entry {i}: 'tags' is not an array")
-        merged: dict[str, int] = {}
+        # duplicate snapshot entries for one excerpt merge into one set
+        merged: dict[str, int] = dict(result[eid].pairs) if eid in result else {}
         for tag_obj in tag_objs:
             if not isinstance(tag_obj, dict) or not {"tag", "count"} <= tag_obj.keys():
                 raise ParseError(f"{path}: entry {i}: tag object needs a 'tag' and a 'count'")
@@ -336,29 +313,8 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
             if count == 0 or not tag:
                 continue
             merged[tag] = merged.get(tag, 0) + count
-        if eid in result:
-            # duplicate snapshot entries for one excerpt merge into one set
-            prev = result[eid]
-            combined = dict(prev.pairs)
-            for tag, count in merged.items():
-                combined[tag] = combined.get(tag, 0) + count
-            merged = combined
-            source = prev.source
-        result[eid] = TagCountSet(owner=eid, pairs=tuple(sorted(merged.items())),
-                                  source=source)
+        result[eid] = TagCountSet(owner=eid, pairs=tuple(sorted(merged.items())))
     return result
-
-
-def tag_coverage(corpus: Corpus, tags: dict[str, TagCountSet]) -> dict[str, dict[str, int]]:
-    """Per-label counts of song-sourced, artist-sourced, and untagged excerpts."""
-    report = {label: {"song": 0, "artist": 0, "untagged": 0} for label in corpus.labels}
-    for ex in corpus.excerpts:
-        tcs = tags.get(ex.id)
-        if tcs is None or not tcs.pairs:
-            report[ex.label]["untagged"] += 1
-        else:
-            report[ex.label][tcs.source] += 1
-    return report
 
 
 # RIFF WAVE sample types load_audio reads, by (format tag, bits per sample):

@@ -111,17 +111,6 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
         deltas=dict(deltas) if deltas else {}), corpus)
 
 
-def artist_bounds(corpus: Corpus) -> tuple[int, int]:
-    """(min, max) possible distinct-artist counts.
-
-    The minimum assumes every unidentified excerpt is by an already-known
-    artist; the maximum assumes each is by a new one.
-    """
-    artists = {ex.artist_key for ex in corpus.excerpts} - {None}
-    unidentified = sum(1 for ex in corpus.excerpts if not ex.identified)
-    return len(artists), len(artists) + unidentified
-
-
 @dataclass(frozen=True)
 class PerfectConfusion:
     labels: tuple[str, ...]
@@ -197,17 +186,6 @@ def relabeled_result(catalog: FaultCatalog, predictions) -> ExperimentResult:
                       for p in predictions)
     return ExperimentResult(tables=confusion_tables(catalog.labels, relabeled),
                             predictions=relabeled)
-
-
-def apply_relabeling(corpus: Corpus, catalog: FaultCatalog) -> Corpus:
-    """Reassign each flagged excerpt to its highest-scoring label.
-
-    Excerpts whose scores are zero everywhere keep their original label.
-    """
-    new_labels = relabel_map(catalog)
-    return replace(corpus, excerpts=tuple(
-        replace(ex, label=new_labels[ex.id]) if ex.id in new_labels else ex
-        for ex in corpus.excerpts))
 
 
 def catalog_to_json(catalog: FaultCatalog) -> dict:
@@ -317,7 +295,8 @@ def recording_groups_from_json(entries, corpus: Corpus) -> list[tuple[str, ...]]
 
 def exact_groups_from_csv(path, threshold: float, corpus: Corpus) -> list[tuple[str, ...]]:
     """Exact-repetition groups of an ``audit dupes`` CSV: the connected pairs
-    scoring at least ``threshold``. Every id must be in ``corpus``."""
+    scoring at least ``threshold``. Every id must be in ``corpus``, and every
+    score a number from 0 to 1, as ``match`` gives."""
     edges = []
     with open_text(path, "dupes CSV") as fh:
         for lineno, row in enumerate(csv.DictReader(fh), start=2):
@@ -325,6 +304,9 @@ def exact_groups_from_csv(path, threshold: float, corpus: Corpus) -> list[tuple[
                 pair, score = (row["id_a"], row["id_b"]), float(row["score"])
             except (KeyError, TypeError, ValueError):
                 raise ParseError(f"{path}:{lineno}: expected id_a,id_b,score") from None
+            if not 0.0 <= score <= 1.0:  # False for nan
+                raise ParseError(f"{path}:{lineno}: score {row['score']} is not a number "
+                                 "from 0 to 1")
             unknown = [eid for eid in pair if eid not in corpus]
             if unknown:
                 raise UnknownExcerptError(f"{path}:{lineno}: unknown excerpt {unknown[0]!r}")

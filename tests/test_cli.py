@@ -176,6 +176,46 @@ def test_audit_dupes_at_threshold_zero_or_below_writes_every_pair(tmp_path):
     assert float(scores["a.000", "b.001"][0]) > 0.25
 
 
+def test_ids_holding_commas_and_quotes_round_trip(tmp_path):
+    """Ids and labels that need CSV quoting come back whole from both audit CSVs."""
+    rng = np.random.default_rng(5)
+    ids = {"a,0": "amber, warm", "a\"1": "amber, warm", "b,\"0\"": 'slate "cool"',
+           "b.1": 'slate "cool"'}
+    signals = {eid: tone_cloud(rng, duration=3.0) for eid in ids}
+    signals["a\"1"] = delayed_copy(signals["a,0"], 0.2, 0.7, SR)
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    for eid, sig in signals.items():
+        wavfile.write(audio / f"{eid}.wav", SR, sig.astype(np.float32))
+    metadata = tmp_path / "metadata.csv"
+    with metadata.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "label", "artist", "title"])
+        writer.writerows([eid, label, f"artist {eid}", ""] for eid, label in ids.items())
+    tags = tmp_path / "tags.json"
+    tags.write_text(json.dumps([
+        {"id": eid, "tags": [{"tag": label.split()[1], "count": 90}, {"tag": "music", "count": 5}]}
+        for eid, label in ids.items()]))
+
+    dupes = tmp_path / "dupes.csv"
+    assert dispatch(["audit", "dupes", "--metadata", str(metadata), "--audio-dir", str(audio),
+                     "--out", str(dupes)]) == 0
+    assert [row[:2] for row in csv.reader(dupes.open(newline=""))] == [
+        ["id_a", "id_b"], ["a\"1", "a,0"]]
+    catalog = tmp_path / "catalog.json"
+    assert dispatch(["catalog", "build", "--metadata", str(metadata), "--dupes", str(dupes),
+                     "--out", str(catalog)]) == 0
+    assert [g.members for g in load_catalog(catalog).repetitions if g.kind == "exact"] == [
+        ("a\"1", "a,0")]
+
+    labels = tmp_path / "labels.csv"
+    assert dispatch(["audit", "labels", "--metadata", str(metadata), "--tags", str(tags),
+                     "--out", str(labels)]) == 0
+    rows = list(csv.reader(labels.open(newline="")))
+    assert all(len(row) == 8 for row in rows)
+    assert sorted((row[0], row[1]) for row in rows[1:]) == sorted(ids.items())
+
+
 def _audit_dupes(workspace, cache, out):
     return dispatch(["audit", "dupes",
                      "--metadata", str(workspace / "metadata.csv"),
@@ -772,6 +812,12 @@ BAD_INPUTS = {
     "missing_dupes": (
         _absent("dupes.csv"),
         lambda fx, bad: _catalog_build(fx, bad, "--dupes"), "not found"),
+    **{f"dupes_score_{name}": (
+        _text("dupes.csv", f"id_a,id_b,score,offset_frames\namber.000,amber.001,{score},0\n"),
+        lambda fx, bad: _catalog_build(fx, bad, "--dupes"),
+        f":2: score {score} is not a number from 0 to 1")
+       for name, score in (("nan", "nan"), ("inf", "inf"), ("negative", "-0.5"),
+                           ("above_one", "1.5"))},
     "dupes_id_outside_metadata": (
         _text("dupes.csv", "id_a,id_b,score,offset_frames\namber.000,zzz.9,0.900000,0\n"),
         lambda fx, bad: _catalog_build(fx, bad, "--dupes"), ":2: unknown excerpt 'zzz.9'"),

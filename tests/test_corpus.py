@@ -12,20 +12,18 @@ from scipy.io import wavfile
 from corpusaudit.corpus import (
     Corpus,
     Excerpt,
+    TagCountSet,
     load_audio,
     load_metadata,
     load_tags,
     normalize_text,
     read_json,
-    save_metadata,
-    tag_coverage,
 )
 from corpusaudit.errors import (
     AuditError,
     DuplicateIdError,
     FormatError,
     IoError,
-    LabelError,
     ParseError,
     UnknownExcerptError,
 )
@@ -63,12 +61,6 @@ def test_load_metadata_empty_file(tmp_path):
     assert len(corpus) == 0
 
 
-def test_load_metadata_unknown_label(tmp_path):
-    path = write_csv(tmp_path, "x.0,weird,,\n")
-    with pytest.raises(LabelError):
-        load_metadata(path, labels=("rock", "jazz"))
-
-
 def test_load_metadata_duplicate_id(tmp_path):
     path = write_csv(tmp_path, "x.0,rock,,\nx.0,rock,,\n")
     with pytest.raises(DuplicateIdError):
@@ -93,17 +85,14 @@ def test_metadata_round_trip(tmp_path):
                      "a.0,rock,The Band,\"Hello, World\"\n"
                      "b.0,jazz,,\n"
                      "c.0,rock,Solo,\n")
-    corpus = load_metadata(path)
-    out = tmp_path / "again.csv"
-    save_metadata(corpus, out)
-    assert load_metadata(out) == corpus
+    assert load_metadata(path) == Corpus(labels=("rock", "jazz"), excerpts=(
+        Excerpt(id="a.0", label="rock", artist="The Band", title="Hello, World"),
+        Excerpt(id="b.0", label="jazz"),
+        Excerpt(id="c.0", label="rock", artist="Solo"),
+    ))
 
 
 def test_metadata_io_errors_name_the_file(tmp_path):
-    corpus = load_metadata(write_csv(tmp_path, "a.0,rock,,\n"))
-    out = tmp_path / "missing" / "again.csv"
-    with pytest.raises(IoError, match="cannot write metadata CSV .*again.csv"):
-        save_metadata(corpus, out)
     with pytest.raises(IoError, match="cannot read metadata CSV"):
         load_metadata(tmp_path)
 
@@ -111,10 +100,11 @@ def test_metadata_io_errors_name_the_file(tmp_path):
 def test_load_metadata_order_insensitive(tmp_path):
     body_a = "a.0,rock,X,\nb.0,jazz,Y,\n"
     body_b = "b.0,jazz,Y,\na.0,rock,X,\n"
-    ca = load_metadata(write_csv(tmp_path, body_a, "a.csv"), labels=("rock", "jazz"))
-    cb = load_metadata(write_csv(tmp_path, body_b, "b.csv"), labels=("rock", "jazz"))
+    ca = load_metadata(write_csv(tmp_path, body_a, "a.csv"))
+    cb = load_metadata(write_csv(tmp_path, body_b, "b.csv"))
     assert set(ca.excerpts) == set(cb.excerpts)
-    assert ca.labels == cb.labels
+    # labels come in order of first appearance
+    assert (ca.labels, cb.labels) == (("rock", "jazz"), ("jazz", "rock"))
 
 
 def test_normalize_text():
@@ -145,6 +135,19 @@ def test_load_tags_merges_normalized_duplicates(tmp_path):
     assert tags["a.0"].pairs == (("blues", 101),)
 
 
+def test_load_tags_merges_entries_for_one_excerpt(tmp_path):
+    corpus = two_excerpt_corpus()
+    path = write_tags(tmp_path, [
+        {"id": "a.0", "source": "song", "tags": [{"tag": "rock", "count": 4}]},
+        {"id": "b.0", "tags": [{"tag": "jazz", "count": 1}]},
+        {"id": "a.0", "source": "artist",
+         "tags": [{"tag": "Blues", "count": 2}, {"tag": "ROCK", "count": 3}]},
+    ])
+    tags = load_tags(path, corpus)
+    assert tags["a.0"] == TagCountSet(owner="a.0", pairs=(("blues", 2), ("rock", 7)))
+    assert tags["b.0"].pairs == (("jazz", 1),)
+
+
 def test_load_tags_drops_zero_counts(tmp_path):
     corpus = two_excerpt_corpus()
     path = write_tags(tmp_path, [{
@@ -171,14 +174,16 @@ def test_load_tags_unknown_excerpt(tmp_path):
         load_tags(path, corpus)
 
 
-def test_tag_coverage_counts_sources(tmp_path):
+def test_load_tags_checks_the_source(tmp_path):
     corpus = two_excerpt_corpus()
     path = write_tags(tmp_path, [
         {"id": "a.0", "source": "song", "tags": [{"tag": "rock", "count": 1}]},
         {"id": "b.0", "source": "artist", "tags": [{"tag": "rock", "count": 1}]},
     ])
-    report = tag_coverage(corpus, load_tags(path, corpus))
-    assert report["rock"] == {"song": 1, "artist": 1, "untagged": 0}
+    assert [t.pairs for t in load_tags(path, corpus).values()] == [(("rock", 1),)] * 2
+    path = write_tags(tmp_path, [{"id": "a.0", "source": "album", "tags": []}])
+    with pytest.raises(ParseError, match="entry 0: bad source 'album'"):
+        load_tags(path, corpus)
 
 
 def make_wav(tmp_path, data, rate=22050, name="x.wav"):
@@ -412,10 +417,6 @@ def test_load_audio_raises_only_toolkit_errors(fuzz_wav, base, edits, cut):
     except AuditError:
         return
     assert samples.dtype == np.float64 and samples.ndim == 1 and np.isfinite(samples).all()
-
-
-def test_identification_tally(small_corpus):
-    assert small_corpus.identification_tally() == (5, 1)
 
 
 FUZZ_CORPUS = Corpus(labels=("a", "b"), excerpts=(Excerpt(id="a.0", label="a"),

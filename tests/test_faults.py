@@ -19,8 +19,6 @@ from corpusaudit.faults import (
     Distortion,
     FaultCatalog,
     RepetitionGroup,
-    apply_relabeling,
-    artist_bounds,
     build_catalog,
     catalog_from_json,
     catalog_to_json,
@@ -111,19 +109,6 @@ def test_unknown_exact_group_id(small_corpus):
                                                   ("nope.9", "beta.000")])
 
 
-def test_artist_bounds(small_corpus):
-    # four distinct artists, one unidentified excerpt
-    assert artist_bounds(small_corpus) == (4, 5)
-
-
-def test_artist_bounds_normalizes_names():
-    corpus = Corpus(labels=("x",), excerpts=(
-        Excerpt(id="x.0", label="x", artist="Some Artist"),
-        Excerpt(id="x.1", label="x", artist="  some   ARTIST "),
-    ))
-    assert artist_bounds(corpus) == (1, 1)
-
-
 def test_catalog_partition_and_bounds_share_one_artist_key():
     # names that differ only in case and whitespace are one artist; a blank name is none
     corpus = Corpus(labels=("x", "y"), excerpts=(
@@ -143,7 +128,6 @@ def test_catalog_partition_and_bounds_share_one_artist_key():
     assert sorted(tuple(sorted(a)) for a in atoms.values() if len(a) > 1) == sorted(groups)
     folds = [set(f) for f in make_partition(corpus, "af").folds]
     assert all(set(g) <= folds[0] or set(g) <= folds[1] for g in groups)
-    assert artist_bounds(corpus) == (len(groups), len(groups) + 1)  # x.4 unidentified
 
 
 def two_label_corpus():
@@ -266,20 +250,6 @@ def test_perfect_statistics_degenerate_column():
     pc = perfect_confusion(build_catalog(corpus))
     with pytest.raises(DegenerateClassError):
         perfect_statistics(pc)
-
-
-def test_apply_relabeling():
-    corpus = two_label_corpus()
-    catalog = build_catalog(
-        corpus,
-        verdicts=[verdict("one.0", "one", {"one": 0.001, "two": 0.06}, True, "low_own"),
-                  verdict("one.1", "one", {"one": 0.0, "two": 0.0}, True, "low_own"),
-                  verdict("two.0", "two", {"one": 0.2, "two": 0.3}, False)],
-        deltas={"one": 0.01, "two": 0.01})
-    relabeled = apply_relabeling(corpus, catalog)
-    assert relabeled.get("one.0").label == "two"
-    assert relabeled.get("one.1").label == "one"  # zero scores keep the label
-    assert relabeled.get("two.0").label == "two"
 
 
 def test_catalog_json_round_trip(tmp_path, small_corpus):

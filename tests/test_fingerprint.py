@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import re
 import struct
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -377,13 +378,20 @@ def test_local_maxima_checks_a_window_its_tile_bounds_cannot_decide():
 MEDIAN_SETTINGS = {"default": None, "tiny_bracket": (16, 1)}
 
 
+def _value_and_warnings(f, values):
+    """``f(values)`` and the messages of the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return f(values), [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("bracket", sorted(MEDIAN_SETTINGS))
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # huge values
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(pool=st.lists(tied_values, min_size=1, max_size=6), size=st.integers(1, 3000),
        seed=st.integers(0, 2**32 - 1))
 @example(pool=[-np.inf, np.inf], size=2, seed=0)
+@example(pool=[-np.inf, np.inf], size=62, seed=93)  # the middle values are -inf and inf
 @example(pool=[1.0], size=3001, seed=0)
 def test_median_equals_np_median(monkeypatch, bracket, pool, size, seed):
     if MEDIAN_SETTINGS[bracket]:
@@ -392,8 +400,11 @@ def test_median_equals_np_median(monkeypatch, bracket, pool, size, seed):
         monkeypatch.setattr(fingerprint, "MEDIAN_MARGIN", margin)
     # at most six distinct values: every array is full of ties
     values = np.random.default_rng(seed).choice(np.array(pool), size=size).reshape(-1, 1)
-    expected = np.median(values)
-    got = fingerprint._median(values)
+    # np.median warns of an overflow (huge values) or of inf - inf (-inf and inf in
+    # the middle); _median must give the same warnings as well as the same value
+    expected, expected_warnings = _value_and_warnings(np.median, values)
+    got, got_warnings = _value_and_warnings(fingerprint._median, values)
+    assert got_warnings == expected_warnings
     assert type(got) is type(expected)
     assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
