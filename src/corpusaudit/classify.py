@@ -11,10 +11,10 @@ lambda = 1e-6 * trace / dim.
 
 MMD is MD on whitened vectors. With P = inv(cov + lambda*I) = L L^T, L
 its lower Cholesky factor, the Mahalanobis distance (x - mu)^T P (x - mu)
-equals ||x L - mu L||^2, so windows and class means are multiplied by L
-once and then scored as MD scores them. The covariance and those
-products are fixed-order ``einsum`` sums, not BLAS products, whose last
-digits can vary with the BLAS thread count and with the number of rows
+equals ||x L - mu L||^2, so the class means are multiplied by L once per
+model, each window once, and then scored as MD scores them. The covariance
+and those products are fixed-order ``einsum`` sums, not BLAS products, whose
+last digits can vary with the BLAS thread count and with the number of rows
 in one call.
 
 The one BLAS product left is NN's single-precision prefilter. It only
@@ -26,7 +26,7 @@ on the product either. The prefilter is decided per block of windows: a
 block with a value it cannot bound is scored exactly against every row.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,6 +55,14 @@ class TrainedModel:
     train_y: np.ndarray | None = None       # NN, label indices
     means: np.ndarray | None = None         # MD/MMD, (n_labels, dim)
     whiten: np.ndarray | None = None        # MMD, lower L with L L^T = precision
+    # MD/MMD: the means as windows are scored against them, whitened once for MMD
+    scored_means: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        means = self.means
+        if self.kind == "mmd":
+            means = np.einsum("nd,de->ne", means, self.whiten)
+        object.__setattr__(self, "scored_means", means)
 
 
 def train(kind: str, vectors: np.ndarray, labels, label_order=None,
@@ -104,26 +112,20 @@ def window_distances(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     regularized total covariance for MMD, which is the Euclidean distance
     between the window and the mean after both are multiplied by
     ``model.whiten``. That product is a two-operand ``einsum``, whose sum
-    for a row does not depend on the other rows in the call. Windows are
-    then scored ``BLOCK`` at a time. Each value depends on its own window
-    only, so how windows are grouped into calls and blocks changes no bit
-    of the result.
+    for a row does not depend on the other rows in the call; the means are
+    multiplied once, when the model is built. All given windows are scored
+    in one broadcast, so a call holds a (windows x labels x dim) temporary:
+    ``classify_excerpts`` passes at most ``BLOCK`` windows at a time. Each
+    value depends on its own window only, so how windows are grouped into
+    calls changes no bit of the result.
     """
     if model.kind not in ("md", "mmd"):
         raise ValueError("window distances are defined for MD/MMD only")
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    means = model.means
     if model.kind == "mmd":
         vectors = np.einsum("nd,de->ne", vectors, model.whiten)
-        means = np.einsum("nd,de->ne", means, model.whiten)
-    out = np.empty((vectors.shape[0], len(model.labels)))
-    diffs = np.empty((min(BLOCK, vectors.shape[0]), *means.shape))  # reused by every block
-    for start in range(0, vectors.shape[0], BLOCK):
-        block = vectors[start:start + BLOCK]
-        squares = np.subtract(block[:, None, :], means, out=diffs[:len(block)])
-        np.multiply(squares, squares, out=squares)
-        np.sum(squares, axis=2, out=out[start:start + BLOCK])
-    return out
+    diffs = vectors[:, None, :] - model.scored_means
+    return np.sum(np.multiply(diffs, diffs, out=diffs), axis=2)
 
 
 def log_posteriors(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
@@ -304,30 +306,28 @@ def classify_excerpts(model: TrainedModel, vectors: np.ndarray, sizes,
     ``rng_for(j)`` gives the generator for excerpt ``j``; it is called
     only when an NN vote ties. Each label equals what ``classify_excerpt``
     gives for that excerpt's windows and generator.
+
+    MD and MMD add each ``BLOCK`` of window distances into the excerpt sums
+    with ``np.add.at``: from +0.0, one window at a time in window order, as
+    ``np.sum(axis=0)`` adds one excerpt's distances (all at least +0.0).
     """
     sizes = np.asarray(sizes, dtype=np.intp)
     n_labels = len(model.labels)
-    starts = np.cumsum(sizes) - sizes
+    owners = np.repeat(np.arange(len(sizes)), sizes)
     if model.kind == "nn":
         winners = nearest_labels(model, vectors)
-        owners = np.repeat(np.arange(len(sizes)), sizes)
         counts = np.bincount(owners * n_labels + winners,
                              minlength=len(sizes) * n_labels).reshape(-1, n_labels)
         picks = counts.argmax(axis=1)
         tied = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) > 1
+        starts = np.cumsum(sizes) - sizes
         for j in np.flatnonzero(tied):
             picks[j] = vote(winners[starts[j]:starts[j] + sizes[j]], n_labels,
                             rng_for(int(j)))
     else:
-        dists = window_distances(model, vectors)
         sums = np.zeros((len(sizes), n_labels))
-        # each excerpt's windows added one at a time in window order, as
-        # np.sum(axis=0) adds them for one excerpt
-        for n in np.unique(sizes[sizes > 0]):
-            group = np.flatnonzero(sizes == n)
-            acc = dists[starts[group]]
-            for w in range(1, n):
-                acc += dists[starts[group] + w]
-            sums[group] = acc
+        for start in range(0, len(owners), BLOCK):
+            np.add.at(sums, owners[start:start + BLOCK],
+                      window_distances(model, vectors[start:start + BLOCK]))
         picks = np.argmax(-0.5 * sums, axis=1)
     return [model.labels[k] for k in picks]

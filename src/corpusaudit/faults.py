@@ -295,8 +295,8 @@ def recording_groups_from_json(entries, corpus: Corpus) -> list[tuple[str, ...]]
 
 def exact_groups_from_csv(path, threshold: float, corpus: Corpus) -> list[tuple[str, ...]]:
     """Exact-repetition groups of an ``audit dupes`` CSV: the connected pairs
-    scoring at least ``threshold``. Every id must be in ``corpus``, and every
-    score a number from 0 to 1, as ``match`` gives."""
+    scoring at least ``threshold``. Every id must be in ``corpus``, every pair
+    two distinct ids, and every score a number from 0 to 1, as ``match`` gives."""
     edges = []
     with open_text(path, "dupes CSV") as fh:
         for lineno, row in enumerate(csv.DictReader(fh), start=2):
@@ -310,6 +310,8 @@ def exact_groups_from_csv(path, threshold: float, corpus: Corpus) -> list[tuple[
             unknown = [eid for eid in pair if eid not in corpus]
             if unknown:
                 raise UnknownExcerptError(f"{path}:{lineno}: unknown excerpt {unknown[0]!r}")
+            if pair[0] == pair[1]:
+                raise ParseError(f"{path}:{lineno}: excerpt {pair[0]!r} is paired with itself")
             if score >= threshold:
                 edges.append(pair)
     return connected_groups(edges)

@@ -365,7 +365,8 @@ def test_nearest_labels_equals_cdist_with_one_unbounded_block(
     pytest.param(kind, dim, id=kind if dim == 3 else f"{kind}-{dim}d")
     for dim in (3, 32) for kind in ("nn", "md", "mmd")])
 def test_classify_excerpts_equals_one_excerpt_at_a_time(kind, dim):
-    """Excerpts of 0 to 40 windows, stacked across block edges, with NN ties.
+    """Excerpts of 0 to 70 windows, stacked across block edges, with NN ties;
+    the 70-window excerpt's distances reach its sums from three blocks.
 
     The window distances are also compared bit for bit: a product whose
     rounding depends on how many rows it is given (BLAS ``@``, say) would
@@ -374,7 +375,7 @@ def test_classify_excerpts_equals_one_excerpt_at_a_time(kind, dim):
     rng = np.random.default_rng(13)
     x, y = toy_training(seed=14, dim=dim, sep=1.0)
     model = train(kind, x, y)
-    sizes = [0, 1, 2, 9, 9, 40, 4, 9, 31, 2, 0, 9]
+    sizes = [0, 1, 2, 9, 9, 40, 4, 9, 31, 2, 0, 70, 9]
     vectors = [x[rng.integers(0, len(x), size=n)] + rng.normal(0, 0.2, size=(n, dim))
                if j % 2 else x[rng.integers(0, len(x), size=n)]  # exact copies
                for j, n in enumerate(sizes)]
@@ -387,6 +388,20 @@ def test_classify_excerpts_equals_one_excerpt_at_a_time(kind, dim):
     if kind != "nn":
         assert np.array_equal(window_distances(model, np.concatenate(vectors)),
                               np.concatenate([window_distances(model, v) for v in vectors]))
+
+
+def test_classify_excerpts_adds_windows_in_window_order(monkeypatch):
+    """Sums whose last bits follow the order of addition. Label b's window
+    distances 2**53, 1, 1 add up to 2**53 in window order, and to 2**53 + 2,
+    a tie that label a wins, in an order that adds the two 1s first.
+    """
+    table = np.array([[0.0, 0.0], [0.0, 2.0**53], [0.0, 1.0], [2.0**53 + 2, 1.0]])
+    monkeypatch.setattr(classify, "window_distances",
+                        lambda model, v: table[np.asarray(v, dtype=np.intp)[:, 0]])
+    model = train("md", np.array([[0.0], [1.0]]), ["a", "b"])
+    vectors = [np.zeros((BLOCK - 4, 1)), np.array([[1.0], [2.0], [3.0]])]
+    got = classify_excerpts(model, np.concatenate(vectors), [BLOCK - 4, 3], None)
+    assert got == [classify_excerpt(model, v) for v in vectors] == ["a", "b"]
 
 
 def reference_log_posteriors(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:

@@ -818,6 +818,10 @@ BAD_INPUTS = {
         f":2: score {score} is not a number from 0 to 1")
        for name, score in (("nan", "nan"), ("inf", "inf"), ("negative", "-0.5"),
                            ("above_one", "1.5"))},
+    "dupes_self_pair": (
+        _text("dupes.csv", "id_a,id_b,score,offset_frames\namber.000,amber.000,0.900000,0\n"),
+        lambda fx, bad: _catalog_build(fx, bad, "--dupes"),
+        ":2: excerpt 'amber.000' is paired with itself"),
     "dupes_id_outside_metadata": (
         _text("dupes.csv", "id_a,id_b,score,offset_frames\namber.000,zzz.9,0.900000,0\n"),
         lambda fx, bad: _catalog_build(fx, bad, "--dupes"), ":2: unknown excerpt 'zzz.9'"),

@@ -261,7 +261,7 @@ def test_run_experiment_equals_per_excerpt_loop():
 
 
 @pytest.mark.parametrize("n_folds, kind, bound", [
-    (2, "nn", 4.0), (2, "md", 2.0), (2, "mmd", 3.5),
+    (2, "nn", 4.0), (2, "md", 1.75), (2, "mmd", 2.6),
     (3, "nn", 6.5), (3, "md", 3.0), (3, "mmd", 5.0)])
 def test_run_experiment_peak_memory_in_fold_matrices(n_folds, kind, bound):
     """The traced allocation peak of one ``run_experiment`` on 400 excerpts of
@@ -269,12 +269,15 @@ def test_run_experiment_peak_memory_in_fold_matrices(n_folds, kind, bound):
 
     With two folds, an NN model keeps its normalized training matrix and its
     test fold is a second one; the rest is the prefilter's float32 copy of the
-    training matrix and its block workspace. MD keeps only class means; its
-    (windows x labels) distances, about a third of a fold matrix here, are
-    summed per excerpt without a copy, and its 32-window differences reuse one
-    workspace. MMD adds the centered training and the whitened test matrix. With three
-    folds, training takes two fold matrices, so a training matrix normalized
-    into a copy, or a test matrix kept into the next fold, passes the bound.
+    training matrix and its block workspace. MD keeps only class means and
+    adds each 32-window block's distances straight into the per-excerpt sums:
+    beside the test matrix, a block holds its differences to the means and
+    numpy's iterator buffers for them, about half a fold matrix here, and no
+    (windows x labels) matrix is kept. MMD adds the centered training matrix
+    while it trains, and whitens the test windows one block at a time. With
+    three folds, training takes two fold matrices, so a training matrix
+    normalized into a copy, or a test matrix kept into the next fold, passes
+    the bound.
     """
     corpus = grid_corpus(n_labels=10, n_per_label=40)
     rng = np.random.default_rng(24)
