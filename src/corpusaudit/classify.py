@@ -50,7 +50,6 @@ PREFILTER_MAX_DIM = 2**20
 class TrainedModel:
     kind: str
     labels: tuple[str, ...]
-    seed: int = 0
     train_x: np.ndarray | None = None       # NN
     train_y: np.ndarray | None = None       # NN, label indices
     means: np.ndarray | None = None         # MD/MMD, (n_labels, dim)
@@ -65,8 +64,7 @@ class TrainedModel:
         object.__setattr__(self, "scored_means", means)
 
 
-def train(kind: str, vectors: np.ndarray, labels, label_order=None,
-          seed: int = 0) -> TrainedModel:
+def train(kind: str, vectors: np.ndarray, labels, label_order=None) -> TrainedModel:
     """Fit a model on training vectors with one label per vector.
 
     An NN model keeps ``np.asarray(vectors, dtype=float)`` itself, not a
@@ -84,8 +82,7 @@ def train(kind: str, vectors: np.ndarray, labels, label_order=None,
     y = np.array([index[label] for label in labels])
 
     if kind == "nn":
-        return TrainedModel(kind=kind, labels=label_order, seed=seed,
-                            train_x=vectors, train_y=y)
+        return TrainedModel(kind=kind, labels=label_order, train_x=vectors, train_y=y)
 
     means = np.empty((len(label_order), vectors.shape[1]))
     for i, label in enumerate(label_order):
@@ -94,14 +91,14 @@ def train(kind: str, vectors: np.ndarray, labels, label_order=None,
             raise EmptyClassError(f"no training vectors for label {label!r}")
         means[i] = vectors[mask].mean(axis=0)
     if kind == "md":
-        return TrainedModel(kind=kind, labels=label_order, seed=seed, means=means)
+        return TrainedModel(kind=kind, labels=label_order, means=means)
 
     centered = vectors - vectors.mean(axis=0)
     denom = max(vectors.shape[0] - 1, 1)
     cov = np.einsum("ni,nj->ij", centered, centered) / denom
     lam = COV_REG_SCALE * np.trace(cov) / cov.shape[0]
     cov_reg = cov + lam * np.eye(cov.shape[0])
-    return TrainedModel(kind=kind, labels=label_order, seed=seed, means=means,
+    return TrainedModel(kind=kind, labels=label_order, means=means,
                         whiten=np.linalg.cholesky(np.linalg.inv(cov_reg)))
 
 
@@ -289,10 +286,11 @@ def vote(label_indices: np.ndarray, n_labels: int, rng: np.random.Generator) -> 
 
 def classify_excerpt(model: TrainedModel, vectors: np.ndarray,
                      rng: np.random.Generator | None = None) -> str:
-    """Label one excerpt from its window vectors."""
+    """Label one excerpt from its window vectors; ``rng`` breaks an NN vote's
+    ties, and MD and MMD do not read it."""
     if model.kind == "nn":
         if rng is None:
-            rng = np.random.default_rng(model.seed)
+            raise ValueError("an NN excerpt needs a generator for its vote's ties")
         winners = nearest_labels(model, vectors)
         return model.labels[vote(winners, len(model.labels), rng)]
     return model.labels[int(np.argmax(log_posteriors(model, vectors)))]

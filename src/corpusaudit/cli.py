@@ -59,11 +59,11 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_audit_dupes(args) -> int:
     corpus = _load_corpus(args)
     hashsets = fingerprint.cached_fingerprints(corpus, args.cache, workers=_worker_count())
-    matches = fingerprint.match_all([hashsets[ex.id] for ex in corpus.excerpts],
-                                    threshold=args.threshold)
-    matches.sort(key=lambda m: tuple(sorted(m.pair)))
+    # id order: pairs come as (id_a, id_b), id_a < id_b, whatever the metadata order
+    ids = sorted(ex.id for ex in corpus.excerpts)
+    matches = fingerprint.match_all([hashsets[eid] for eid in ids], args.threshold)
     write_text(args.out, _csv_text(["id_a", "id_b", "score", "offset_frames"], [
-        [*sorted(m.pair), f"{m.score:.6f}", f"{m.offset_mode}"] for m in matches]))
+        [*m.pair, f"{m.score:.6f}", f"{m.offset_mode}"] for m in matches]))
     return 1 if args.strict and matches else 0
 
 

@@ -220,7 +220,7 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
                    for eid in train_ids for _ in range(len(features[eid]))]
         nmap = fit_normalization(train_x)
         model = train(kind, apply_normalization(nmap, train_x, out=train_x), train_y,
-                      label_order=corpus.labels, seed=seed)
+                      label_order=corpus.labels)
         del train_x  # an NN model keeps it; an MD or MMD model does not need it
         test_ids = sorted(test_fold)
         if not test_ids:

@@ -252,11 +252,14 @@ def excerpt_features(samples: np.ndarray) -> np.ndarray:
     """Full pipeline: samples -> texture vectors, shape (n_blocks, 32).
 
     Only the frames of whole texture windows are computed; the result is
-    ``texture_vectors(frame_features(samples))``.
+    ``texture_vectors(frame_features(samples))``. Fewer frames than one
+    window raise ``texture_vectors``' TooShortError, before any frame is
+    computed.
     """
     n_frames = len(frame_signal(samples))
-    # fewer frames than one window: all of them, for texture_vectors' error
-    used = n_frames // TEXTURE_FRAMES * TEXTURE_FRAMES or n_frames
+    if n_frames < TEXTURE_FRAMES:
+        raise TooShortError(f"need at least {TEXTURE_FRAMES} frames, got {n_frames}")
+    used = n_frames // TEXTURE_FRAMES * TEXTURE_FRAMES
     return texture_vectors(frame_features(np.asarray(samples)[:FRAME_SIZE + (used - 1) * HOP]))
 
 

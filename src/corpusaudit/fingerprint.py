@@ -69,7 +69,6 @@ MAX_DELTA = 64
 
 @dataclass(frozen=True)
 class PeakConstellation:
-    owner: str
     peaks: tuple[tuple[int, int, float], ...]  # (frame, bin, magnitude dB)
 
 
@@ -255,8 +254,7 @@ def _median(values: np.ndarray) -> float:
     return np.mean(middle[low_rank - below:high_rank - below + 1])
 
 
-def find_peaks(samples: np.ndarray, owner: str = "",
-               out: np.ndarray | None = None) -> PeakConstellation:
+def find_peaks(samples: np.ndarray, out: np.ndarray | None = None) -> PeakConstellation:
     """Pick local maxima of the log-magnitude spectrogram.
 
     A bin qualifies when it is the maximum of its ``NEIGHBORHOOD`` x
@@ -272,7 +270,7 @@ def find_peaks(samples: np.ndarray, owner: str = "",
     np.log10(log_mag, out=log_mag)
     log_mag *= 20.0
     if np.isnan(log_mag).any():
-        return PeakConstellation(owner=owner, peaks=())
+        return PeakConstellation(peaks=())
     floor = _median(log_mag) + FLOOR_DB
     frames, bins = np.divmod(_local_maxima(log_mag, NEIGHBORHOOD, floor),
                              log_mag.shape[1])
@@ -283,7 +281,7 @@ def find_peaks(samples: np.ndarray, owner: str = "",
     rank = np.arange(len(order)) - np.searchsorted(frames, frames[order])
     kept = np.sort(order[rank < MAX_PEAKS_PER_FRAME])
     peaks = zip(frames[kept].tolist(), bins[kept].tolist(), magnitudes[kept].tolist())
-    return PeakConstellation(owner=owner, peaks=tuple(peaks))
+    return PeakConstellation(peaks=tuple(peaks))
 
 
 def landmark_hashes(peaks) -> np.ndarray:
@@ -311,7 +309,7 @@ def compute_fingerprint(samples: np.ndarray, owner: str = "",
                         out: np.ndarray | None = None) -> HashSet:
     """The hash set of the clip's ``landmark_hashes``; ``out`` is ``find_peaks``'
     spectrogram buffer."""
-    return HashSet(owner=owner, hashes=landmark_hashes(find_peaks(samples, owner, out=out).peaks))
+    return HashSet(owner=owner, hashes=landmark_hashes(find_peaks(samples, out=out).peaks))
 
 
 def fingerprint_corpus(corpus: Corpus, workers: int = 1) -> dict[str, HashSet]:
@@ -383,13 +381,14 @@ def match(a: HashSet, b: HashSet) -> MatchScore:
     return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
 
 
-def match_all(hashsets: list[HashSet], threshold: float | None = None) -> list[MatchScore]:
-    """All-pairs matching; optionally keep only scores >= threshold."""
+def match_all(hashsets: list[HashSet], threshold: float) -> list[MatchScore]:
+    """``match(hashsets[i], hashsets[j])`` for every ``i < j``, in that order,
+    that scores at least ``threshold``; at 0 or below, every pair."""
     out = []
     for i in range(len(hashsets)):
         for j in range(i + 1, len(hashsets)):
             ms = match(hashsets[i], hashsets[j])
-            if threshold is None or ms.score >= threshold:
+            if ms.score >= threshold:
                 out.append(ms)
     return out
 

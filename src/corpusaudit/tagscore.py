@@ -172,14 +172,12 @@ def flag_rule(own: float, diagonal: float, best_other: float,
 
 def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
                         profiles: list[LabelProfile],
-                        matrix: ScoreMatrix | None = None) -> list[MislabelVerdict]:
+                        matrix: ScoreMatrix) -> list[MislabelVerdict]:
     """Score every identified, tagged excerpt and flag suspected mislabelings.
 
     Unidentified or untagged excerpts are skipped. The verdict keeps the
     full per-label score vector so downstream consumers can reuse it.
     """
-    if matrix is None:
-        matrix = score_matrix(profiles)
     by_label = {p.label: p for p in profiles}
     verdicts = []
     for ex in corpus.excerpts:

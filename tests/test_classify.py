@@ -108,6 +108,13 @@ def test_nn_unanimous_windows():
     assert classify_excerpt(model, vecs, np.random.default_rng(0)) == "a"
 
 
+def test_nn_excerpt_without_a_generator_is_refused():
+    """Even a unanimous vote needs one: there is no seed in the model to fall back on."""
+    x, y = toy_training()
+    with pytest.raises(ValueError, match="generator"):
+        classify_excerpt(train("nn", x, y), np.zeros((9, x.shape[1])))
+
+
 def test_nn_tie_break_frequency():
     """A 4/4/1 window split picks each modal label about half the time."""
     model = train("nn", np.array([[0.0], [10.0], [20.0]]), ["a", "b", "c"])

@@ -176,6 +176,29 @@ def test_audit_dupes_at_threshold_zero_or_below_writes_every_pair(tmp_path):
     assert float(scores["a.000", "b.001"][0]) > 0.25
 
 
+def test_audit_dupes_offset_does_not_depend_on_the_metadata_order(tmp_path):
+    """``a`` is ``b`` four hops later, so id_a's frames are 4 past id_b's, whichever
+    clip the metadata lists first."""
+    b = tone_cloud(np.random.default_rng(0), duration=5.0)
+    audio = tmp_path / "audio"
+    audio.mkdir()
+    for eid, sig in (("a", np.roll(b, 4 * 512)), ("b", b)):
+        wavfile.write(audio / f"{eid}.wav", SR, sig.astype(np.float32))
+    outputs = []
+    for order in ("ab", "ba"):
+        metadata = tmp_path / f"metadata_{order}.csv"
+        metadata.write_text("id,label,artist,title\n" + "".join(f"{eid},x,,\n" for eid in order))
+        for threshold in ("0.25", "0"):
+            cache = tmp_path / f"prints_{order}{threshold}.bin"
+            for run in ("cold", "warm"):
+                out = tmp_path / f"dupes_{order}{threshold}{run}.csv"
+                assert dispatch(["audit", "dupes", "--metadata", str(metadata),
+                                 "--audio-dir", str(audio), "--cache", str(cache),
+                                 "--threshold", threshold, "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+    assert outputs == [b"id_a,id_b,score,offset_frames\na,b,1.000000,4\n"] * 8
+
+
 def test_ids_holding_commas_and_quotes_round_trip(tmp_path):
     """Ids and labels that need CSV quoting come back whole from both audit CSVs."""
     rng = np.random.default_rng(5)

@@ -211,7 +211,7 @@ def per_excerpt_predictions(corpus, partition, kind, features, seed):
         train_y = [corpus.get(eid).label for eid in train_ids for _ in features[eid]]
         nmap = fit_normalization(train_x)
         model = train(kind, apply_normalization(nmap, train_x), train_y,
-                      label_order=corpus.labels, seed=seed)
+                      label_order=corpus.labels)
         for j, eid in enumerate(sorted(test_fold)):
             vecs = apply_normalization(nmap, features[eid])
             rng = np.random.default_rng([seed, partition.realization, i, j])

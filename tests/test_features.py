@@ -143,6 +143,16 @@ def test_excerpt_features_equal_texture_vectors_of_every_frame(n_frames, remaind
         assert excerpt_features(samples).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n_frames", [1, 129])
+def test_excerpt_features_computes_no_frame_of_a_clip_too_short(monkeypatch, n_frames):
+    def no_frames(samples):
+        raise AssertionError("frame_features called")
+
+    monkeypatch.setattr(features, "frame_features", no_frames)
+    with pytest.raises(TooShortError, match=f"^need at least 130 frames, got {n_frames}$"):
+        excerpt_features(signed_zeros_signal(n_frames, HOP - 1))
+
+
 def test_frame_features_shape_and_determinism():
     rng = np.random.default_rng(0)
     x = rng.normal(size=SR * 2)

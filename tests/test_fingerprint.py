@@ -72,7 +72,7 @@ def reference_match(a: HashSet, b: HashSet) -> MatchScore:
     return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
 
 
-def reference_find_peaks(samples: np.ndarray, owner: str = "") -> PeakConstellation:
+def reference_find_peaks(samples: np.ndarray) -> PeakConstellation:
     """The ``maximum_filter``/``np.median`` formulation of ``find_peaks``, kept as its oracle.
     It reads the same module constants as ``find_peaks``, when it runs."""
     mag = stft_magnitude(samples)
@@ -90,7 +90,7 @@ def reference_find_peaks(samples: np.ndarray, owner: str = "") -> PeakConstellat
         strongest = sorted(by_frame[frame], reverse=True)[:fingerprint.MAX_PEAKS_PER_FRAME]
         for magnitude, fbin in sorted(strongest, key=lambda p: p[1]):
             peaks.append((frame, fbin, magnitude))
-    return PeakConstellation(owner=owner, peaks=tuple(peaks))
+    return PeakConstellation(peaks=tuple(peaks))
 
 
 def reference_landmark_hashes(peaks) -> list[tuple[int, int]]:
@@ -197,7 +197,7 @@ def test_pack_key_injective_on_ranges():
 
 def test_match_all_pairs(clouds):
     fps = [compute_fingerprint(s, owner=f"c{i}") for i, s in enumerate(clouds[:3])]
-    results = match_all(fps)
+    results = match_all(fps, 0.0)
     assert len(results) == 3
     assert {tuple(sorted(r.pair)) for r in results} == {
         ("c0", "c1"), ("c0", "c2"), ("c1", "c2")}
@@ -448,8 +448,8 @@ def peak_inputs():
 @pytest.mark.parametrize("name,samples,neighborhood", peak_inputs())
 def test_find_peaks_equals_reference(monkeypatch, name, samples, neighborhood):
     monkeypatch.setattr(fingerprint, "NEIGHBORHOOD", neighborhood)
-    got = find_peaks(samples, owner=name)
-    assert got == reference_find_peaks(samples, owner=name)
+    got = find_peaks(samples)
+    assert got == reference_find_peaks(samples)
     if name in ("nan_sample", "silence"):
         assert got.peaks == ()
     elif name.startswith(("cloud", "copy")):
@@ -608,7 +608,7 @@ def test_match_all_equals_pairwise_reference(clouds):
     fps = [compute_fingerprint(s, owner=f"c{i}") for i, s in enumerate(signals)]
     expected = [reference_match(fps[i], fps[j])
                 for i in range(len(fps)) for j in range(i + 1, len(fps))]
-    assert match_all(fps) == expected
+    assert match_all(fps, 0.0) == expected
     assert sum(ms.score >= DEFAULT_THRESHOLD for ms in expected) >= 3
     assert match_all(fps, DEFAULT_THRESHOLD) == [
         ms for ms in expected if ms.score >= DEFAULT_THRESHOLD]

@@ -197,7 +197,7 @@ def test_detect_mislabelings_skips_unidentified():
     corpus, tags = tagged_corpus()
     profiles = [label_profile("one", [tags["one.0"], tags["one.1"]]),
                 label_profile("two", [tags["two.0"]])]
-    verdicts = detect_mislabelings(corpus, tags, profiles)
+    verdicts = detect_mislabelings(corpus, tags, profiles, score_matrix(profiles))
     assert {v.excerpt_id for v in verdicts} == {"one.0", "one.1", "two.0"}
 
 
@@ -212,7 +212,7 @@ def test_detect_mislabelings_perfect_excerpt_not_flagged():
     }
     profiles = [label_profile("one", [tags["one.0"]]),
                 label_profile("two", [tags["two.0"]])]
-    verdicts = detect_mislabelings(corpus, tags, profiles)
+    verdicts = detect_mislabelings(corpus, tags, profiles, score_matrix(profiles))
     assert all(not v.flagged for v in verdicts)
 
 
