@@ -144,17 +144,18 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     exact distances, and only to their candidates.
 
     Prefilter. The windows and training rows are rounded to float32. For
-    window a and training row x, an sgemm and one float32 addition give
-    p = ||x||^2 - 2 a.x, which is ||a - x||^2 minus ||a||^2, a constant per
-    window. A window's candidates are the rows whose p lies within 2B of
-    its smallest p, with B = 4(d + 5) eps (||a||^2 + max ||x||^2) +
-    4(d + 5) t, where eps = 2u = 2**-23 is float32's epsilon, t = 2**-126
-    its smallest normal number and d the dimension; the norms and B are
-    computed in float64. The limit, smallest p plus 2B, is rounded to
-    float32 and then moved up one float32 step, so it is never below its
-    float64 value. The block's kept rows are the union of its windows'
-    candidates; each window's own candidates are read from its row of the
-    ``<=`` mask at the kept columns, in index order.
+    window a and training row x, one sgemm gives p = ||x||^2 - 2 a.x, which
+    is ||a - x||^2 minus ||a||^2, a constant per window: each window gets a
+    (d + 1)-th coordinate 1, and ``-2 train_x^T`` a (d + 1)-th row, each
+    ||x||^2 summed in float64 and rounded to float32. A window's candidates
+    are the rows whose p lies within 2B of its smallest p, with B = 4(d + 5)
+    eps (||a||^2 + max ||x||^2) + 4(d + 5) t, where eps = 2u = 2**-23 is
+    float32's epsilon, t = 2**-126 its smallest normal number and d the
+    dimension; the norms and B are computed in float64. The limit, smallest
+    p plus 2B, is rounded to float32 and then moved up one float32 step, so
+    it is never below its float64 value. The block's kept rows are the union
+    of its windows' candidates; each window's own candidates are read from
+    its row of the ``<=`` mask at the kept columns, in index order.
 
     Why every cdist minimizer is a candidate of its window. Let s = ||a||^2
     + ||x||^2, D = ||a - x||^2 and q = D - ||a||^2 in exact arithmetic.
@@ -163,23 +164,24 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
       is flushed to zero, and reading such an input as zero (DAZ) stays
       within t as well. A term t|v| is at most u v^2 + u t. So using the
       rounded a and x moves 2 a.x by at most 4u s + 4d u t < 4u s + t.
-    - A float32 sum of d products, in any order, blocked or threaded,
-      with or without FMA, is within gamma_d = du/(1 - du) of the sum of
-      their absolute values, which is s or less up to the rounding
-      above (2|a.x| <= s). Each product and each addition that
-      underflows adds at most t more, with or without flush-to-zero:
-      2d t in all.
     - ||x||^2, summed in float64 and rounded to float32, is within
-      1.01u ||x||^2 + t; adding it to the product costs u |p| + t,
-      with |p| <= 2s.
-    So the computed p is within gamma_{d+8} s + (2d + 3) t of q. cdist
+      1.01u ||x||^2 + t <= 1.01u s + t.
+    - A float32 sum of d + 1 products, in any order, blocked or threaded,
+      with or without FMA, is within gamma_{d+1} = (d + 1)u/(1 - (d + 1)u)
+      of the sum of their absolute values: the d products of -2 a.x, whose
+      absolute values add to s or less (2|a.x| <= s), and 1 times the
+      rounded ||x||^2, also s or less, so 2s up to the rounding above.
+      Each product and each addition that underflows adds at most t more,
+      with or without flush-to-zero: 2(d + 1) t in all.
+    So the computed p is within 2 gamma_{d+1} s + 5.01u s + (2d + 4) t <=
+    gamma_{2d+8} s + (2d + 4) t of q. cdist
     rounds each difference, square and partial sum in float64 and then
     takes the square root, so its value c has |c^2 - D| <= gamma'_{d+5} D
     <= 2 gamma'_{d+5} s, with gamma' float64's gamma; its underflow is
     far below t. If row j minimizes c, then c_j^2 <= c_k^2 for every row
-    k, and chaining these bounds gives p_j <= p_k + (gamma_{d+8} +
-    2 gamma'_{d+5}) (s_j + s_k) + (4d + 7) t, which is at most
-    4(d + 8) u (||a||^2 + max ||x||^2) + (4d + 7) t while (d + 8) u <= 1/2.
+    k, and chaining these bounds gives p_j <= p_k + (gamma_{2d+8} +
+    2 gamma'_{d+5}) (s_j + s_k) + (4d + 8) t, which is at most
+    8(d + 5) u (||a||^2 + max ||x||^2) + (4d + 8) t while (2d + 8) u <= 1/2.
     2B is twice that or more. The rest absorbs the float64 rounding of
     the norms, of B and of the limit, and a flush to zero of the limit
     or of a p, which moves it by less than t. Taking k as the row with
@@ -189,7 +191,7 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     a window with a single candidate needs no distance at all.
 
     The bounds need finite values whose float32 squares and d-term sums
-    cannot overflow, and (d + 8) u <= 1/2. The training matrix is checked
+    cannot overflow, and (2d + 8) u <= 1/2. The training matrix is checked
     once, and each block of windows on its own. A value that is not finite
     or exceeds ``PREFILTER_MAX_ABS`` in magnitude turns the prefilter off
     for every block if the training matrix holds it, and for its own block
@@ -199,11 +201,12 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
     neither on the BLAS thread count nor on how windows are blocked; only
     the kept sets may.
 
-    Memory: besides ``-2 train_x^T`` in float32, the prefilter allocates
-    one workspace per call, reused by every block: the block's windows in
-    float32, its p block and that block's ``<=`` mask. The range checks
-    take each row's ``min`` and ``max`` and copy no matrix. A block without
-    the prefilter holds one window's differences to every row at a time.
+    Memory: besides ``-2 train_x^T`` and its row of norms in float32, the
+    prefilter allocates one workspace per call, reused by every block: the
+    block's windows and their 1s in float32, its p block and that block's
+    ``<=`` mask. The range checks take each row's ``min`` and ``max`` and
+    copy no matrix. A block without the prefilter holds one window's
+    differences to every row at a time.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
     train_x = model.train_x
@@ -216,10 +219,13 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
         # inf or nan for a window out of range, whose block does not use it
         bound = 4 * (dim + 5) * (eps * (np.einsum("ij,ij->i", vectors, vectors)
                                         + train_sq.max(initial=0.0)) + tiny)
-        train_sq32 = train_sq.astype(np.float32)
-        minus_2xt = np.multiply(train_x.T, -2.0, dtype=np.float32, order="C")
+        # -2 x^T, then a row of ||x||^2 that each window's constant 1 picks up
+        minus_2xt = np.empty((dim + 1, n_train), dtype=np.float32)
+        np.multiply(train_x.T, -2.0, out=minus_2xt[:dim], dtype=np.float32)
+        minus_2xt[dim] = train_sq
         rows = min(BLOCK, vectors.shape[0])
-        block32 = np.empty((rows, dim), dtype=np.float32)
+        block32 = np.empty((rows, dim + 1), dtype=np.float32)
+        block32[:, dim] = 1.0
         partial = np.empty((rows, n_train), dtype=np.float32)
         close = np.empty((rows, n_train), dtype=bool)
         any_close = np.empty(n_train, dtype=bool)
@@ -233,9 +239,8 @@ def nearest_labels(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
                     out[start + i] = np.argmin(_euclidean(window - train_x))
             continue
         m = len(block)
-        block32[:m] = block
+        block32[:m, :dim] = block
         p = np.matmul(block32[:m], minus_2xt, out=partial[:m])
-        p += train_sq32
         limit = _candidate_limit(p.min(axis=1), bound[start:start + m])
         np.less_equal(p, limit[:, None], out=close[:m])
         kept = np.flatnonzero(np.logical_or.reduce(close[:m], axis=0, out=any_close))

@@ -166,9 +166,13 @@ def _merit_json(key: str, matrix, fom: evaluate.FiguresOfMerit) -> dict:
             "precision": fom.precision, "fscore": fom.fscore, "accuracy": fom.accuracy}
 
 
-def _fold_json(table: evaluate.ConfusionTable) -> dict:
-    fom = evaluate.figures_of_merit(table)
-    return _merit_json("confusion", fom.confusion, fom)
+def _folds_json(results) -> tuple[list[list[dict]], float, float]:
+    """Each realization's per-fold report dicts, then the mean and standard deviation
+    of the fold accuracies, as ``evaluate.accuracy_summary`` gives them; each fold's
+    figures of merit are computed once."""
+    figures = [[evaluate.figures_of_merit(t) for t in res.tables] for res in results]
+    mean, std = evaluate.accuracy_mean_std([f.accuracy for fs in figures for f in fs])
+    return [[_merit_json("confusion", f.confusion, f) for f in fs] for fs in figures], mean, std
 
 
 def cmd_eval_run(args) -> int:
@@ -182,7 +186,7 @@ def cmd_eval_run(args) -> int:
         results = evaluate.run_realizations(
             corpus, args.scheme, args.classifier, feats, seed=args.seed,
             realizations=args.realizations, catalog=catalog, artist_folds=artist_folds)
-    mean, std = evaluate.accuracy_summary(results)
+    folds, mean, std = _folds_json(results)
     write_json(args.out, {
         "scheme": args.scheme,
         "classifier": args.classifier,
@@ -191,11 +195,11 @@ def cmd_eval_run(args) -> int:
         "accuracy_mean": mean,
         "accuracy_std": std,
         "realizations": [
-            {"folds": [_fold_json(t) for t in res.tables],
+            {"folds": fold_dicts,
              "predictions": [{"id": p.excerpt_id, "true": p.true_label,
                               "predicted": p.predicted_label, "fold": p.fold}
                              for p in res.predictions]}
-            for res in results],
+            for res, fold_dicts in zip(results, folds)],
     })
     return 0
 
@@ -243,12 +247,12 @@ def cmd_eval_relabel(args) -> int:
     realizations = _read_predictions(args.predictions)
     with in_file(args.predictions):
         results = [faults.relabeled_result(catalog, preds) for preds in realizations]
-        mean, std = evaluate.accuracy_summary(results)
+        folds, mean, std = _folds_json(results)
     write_json(args.out, {
         "relabeled": sorted(faults.relabel_map(catalog)),
         "accuracy_mean": mean,
         "accuracy_std": std,
-        "realizations": [{"folds": [_fold_json(t) for t in res.tables]} for res in results],
+        "realizations": [{"folds": fold_dicts} for fold_dicts in folds],
     })
     return 0
 

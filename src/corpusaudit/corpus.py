@@ -14,12 +14,15 @@ safe to share across workers.
 """
 
 import csv
+import functools
 import json
 import os
 import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +162,95 @@ def write_text(path, text: str, what: str = "output") -> None:
 
 
 def write_json(path, obj, what: str = "output") -> None:
-    """Write ``obj`` as every JSON output is written: indent 2, sorted keys, final newline."""
-    write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n", what)
+    """Write ``obj`` as every JSON output is written: indent 2, sorted keys, final
+    newline; the bytes of ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``."""
+    write_text(path, _json_text(obj) + "\n", what)
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, for ``obj`` whose first line
+    starts after ``pad``, the indentation of its enclosing container's items.
+
+    ``json.dumps`` with an indent never runs CPython's C encoder. Here the C
+    encoder writes each flat container (one holding no non-empty list, tuple
+    or dict) in one call, with the newline and indentation in its item
+    separator, and each list of non-empty flat dicts, or of non-empty flat
+    lists, in one call too (``_flat_items_text``). Any other container is
+    written item by item.
+    """
+    if not (obj and isinstance(obj, _CONTAINERS)):
+        return _scalar_text(obj)
+    inner = pad + "  "
+    values = list(obj.values()) if isinstance(obj, dict) else obj
+    if not _holds_container(values):
+        text = _encoder(",\n" + inner).encode(obj)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if isinstance(obj, dict):
+        items = [f"{_json_key(k)}: {_json_text(v, inner)}" for k, v in sorted(obj.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    kinds = set(map(type, values))
+    if all(values) and all(issubclass(k, dict) for k in kinds):
+        brackets, parts = "{}", chain.from_iterable(map(dict.values, values))
+    elif all(values) and all(issubclass(k, (list, tuple)) for k in kinds):
+        brackets, parts = "[]", chain.from_iterable(values)
+    else:
+        brackets, parts = None, ()
+    if brackets and not _holds_container_type(parts):
+        return _flat_items_text(obj, *brackets, pad)
+    return "[\n" + inner + (",\n" + inner).join(_json_text(v, inner) for v in values) + \
+        "\n" + pad + "]"
+
+
+def _flat_items_text(obj, open_: str, close: str, pad: str) -> str:
+    """``_json_text`` of a list of non-empty flat containers, each opening with
+    ``open_`` and closing with ``close``, in one C encoder call.
+
+    Every item separator is ``",\\x00"``, which JSON with ``ensure_ascii`` never
+    holds otherwise (it writes a NUL as ``\\u0000``). Once they are indented, a
+    ``close`` followed by a separator is one of the list's own, since no
+    scalar's text ends in ``}`` or ``]`` and no string's holds a raw newline.
+    """
+    inner, deeper = pad + "  ", pad + "    "
+    body = _encoder(",\x00").encode(obj)[2:-2].replace(",\x00", ",\n" + deeper)
+    body = body.replace(f"{close},\n{deeper}{open_}",
+                        f"\n{inner}{close},\n{inner}{open_}\n{deeper}")
+    return f"[\n{inner}{open_}\n{deeper}{body}\n{inner}{close}\n{pad}]"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.lru_cache(maxsize=64)
+def _encoder(item_separator: str) -> json.JSONEncoder:
+    """The encoder of ``json.dumps(..., separators=(item_separator, ": "), sort_keys=True)``;
+    without an indent, it runs the C encoder."""
+    return json.JSONEncoder(separators=(item_separator, ": "), sort_keys=True)
+
+
+def _holds_container_type(values) -> bool:
+    """Some value is a list, tuple or dict, empty or not."""
+    return any(issubclass(k, _CONTAINERS) for k in set(map(type, values)))
+
+
+def _holds_container(values) -> bool:
+    """Some value of the list ``values`` is a non-empty list, tuple or dict."""
+    return (_holds_container_type(values)
+            and any(v for v in values if isinstance(v, _CONTAINERS)))
+
+
+def _scalar_text(value) -> str:
+    """A scalar's or an empty container's JSON text, as ``json.dumps`` writes it."""
+    return encode_basestring_ascii(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _json_key(key) -> str:
+    """A dict key's JSON text: a string's, or that of a number, bool or None's JSON
+    text; any other key is a TypeError, as in ``json``."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def write_records(path, what: str, header: bytes, arrays: dict[str, np.ndarray],
@@ -285,6 +375,7 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
         raise ParseError(f"{path}: expected a JSON array")
 
     result: dict[str, TagCountSet] = {}
+    normalized: dict[str, str] = {}  # each distinct tag text, normalized once
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry:
             raise ParseError(f"{path}: entry {i} is not an object with an 'id'")
@@ -304,7 +395,10 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
         for tag_obj in tag_objs:
             if not isinstance(tag_obj, dict) or not {"tag", "count"} <= tag_obj.keys():
                 raise ParseError(f"{path}: entry {i}: tag object needs a 'tag' and a 'count'")
-            tag = normalize_text(str(tag_obj["tag"]))
+            text = str(tag_obj["tag"])
+            tag = normalized.get(text)
+            if tag is None:
+                tag = normalized[text] = normalize_text(text)
             count = tag_obj["count"]
             if not isinstance(count, int) or isinstance(count, bool):
                 raise ParseError(f"{path}: entry {i}: non-integer count {count!r}")

@@ -3,8 +3,10 @@
 Partition schemes, each of two folds: ``st`` (two uniform random
 halves), ``st-prime`` (the same after removing the catalog's
 exclusions), ``af`` (whole artist groups assigned greedily to two folds,
-minimizing per-class imbalance) and ``af-prime`` (``af`` minus
-exclusions). ``run_experiment`` accepts any number of folds.
+minimizing per-class imbalance; given a catalog, each exact or recording
+group joins the artist groups it touches, so no repetition is split) and
+``af-prime`` (``af`` minus exclusions). ``run_experiment`` accepts any
+number of folds.
 
 Figures of merit per fold: confusion fractions (count over per-class
 test size), per-class recall and precision, F-score, and normalized
@@ -33,6 +35,7 @@ from .errors import (
     ParseError,
 )
 from .features import apply_normalization, fit_normalization
+from .fingerprint import connected_groups
 
 SCHEMES = ("st", "st-prime", "af", "af-prime")
 
@@ -95,6 +98,28 @@ def _artist_groups(corpus: Corpus, included: set[str]) -> dict[str, list[str]]:
     return groups
 
 
+def _merge_repetitions(groups: dict[str, list[str]],
+                       repetitions) -> tuple[dict[str, list[str]], dict[str, str]]:
+    """``groups``' atoms after joining every atom that an exact or recording group
+    among ``repetitions`` touches with the others it touches, and each old atom's
+    key -> its new atom's key. A joined atom takes the smallest key among its atoms
+    and their members in key order; members outside ``groups`` are ignored."""
+    key_of = {eid: key for key, members in groups.items() for eid in members}
+    edges = []
+    for group in repetitions:
+        if group.kind in ("exact", "recording"):
+            keys = sorted({key_of[eid] for eid in group.members if eid in key_of})
+            edges += [(keys[0], key) for key in keys[1:]]
+    atom_of = dict(zip(groups, groups))
+    for component in connected_groups(edges):
+        for key in component:
+            atom_of[key] = component[0]
+    merged: dict[str, list[str]] = {}
+    for key in sorted(groups):
+        merged.setdefault(atom_of[key], []).extend(groups[key])
+    return merged, atom_of
+
+
 def _greedy_assign(groups: dict[str, list[str]], corpus: Corpus,
                    preassigned: dict[str, int] | None = None) -> tuple[list[str], list[str]]:
     """Assign whole groups to two folds, minimizing per-class imbalance.
@@ -152,7 +177,12 @@ def read_artist_folds(artist_folds) -> dict[str, int]:
 
 def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
                    artist_folds=None, realization: int = 0) -> Partition:
-    """Build a partition of the corpus under the requested scheme."""
+    """Build a partition of the corpus under the requested scheme.
+
+    Under ``af`` and ``af-prime``, ``artist_folds`` pins artists to folds; an
+    atom joined by a catalog repetition whose artists are pinned to both
+    folds is an ``ArtistLeakError``.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     included = {ex.id for ex in corpus.excerpts}
@@ -167,12 +197,18 @@ def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
         cut = (len(ids) + 1) // 2
         folds = (tuple(ids[:cut]), tuple(ids[cut:]))
     else:  # af, af-prime
-        groups = _artist_groups(corpus, included)
+        groups, atom_of = _merge_repetitions(_artist_groups(corpus, included),
+                                             catalog.repetitions if catalog else ())
         preassigned = None
         if artist_folds is not None:
-            assignment = read_artist_folds(artist_folds)
+            preassigned = {}
             # names absent from the corpus are ignored
-            preassigned = {k: v for k, v in assignment.items() if k in groups}
+            for key, fold in sorted(read_artist_folds(artist_folds).items()):
+                atom = atom_of.get(key)
+                if atom is not None and preassigned.setdefault(atom, fold) != fold:
+                    raise ArtistLeakError(
+                        f"artist folds pin excerpts that share a recording to both folds: "
+                        f"{sorted(groups[atom])}")
         fold_lists = _greedy_assign(groups, corpus, preassigned)
         folds = (tuple(sorted(fold_lists[0])), tuple(sorted(fold_lists[1])))
         leak = set(folds[0]) & set(folds[1])
@@ -312,10 +348,16 @@ def figures_of_merit(table: ConfusionTable) -> FiguresOfMerit:
 
 def accuracy_summary(results) -> tuple[float, float]:
     """Mean and one standard deviation of per-fold normalized accuracies."""
-    accs = [figures_of_merit(t).accuracy for res in results for t in res.tables]
-    if not accs:
+    return accuracy_mean_std([figures_of_merit(t).accuracy
+                              for res in results for t in res.tables])
+
+
+def accuracy_mean_std(accuracies) -> tuple[float, float]:
+    """Mean and one standard deviation (0 for one) of per-fold accuracies."""
+    if not accuracies:
         raise DegenerateClassError("no fold holds a prediction to summarize")
-    return float(np.mean(accs)), float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
+    return (float(np.mean(accuracies)),
+            float(np.std(accuracies, ddof=1)) if len(accuracies) > 1 else 0.0)
 
 
 def binomial_significance(n: int, t12: int) -> SignificanceResult:

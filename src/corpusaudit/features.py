@@ -15,6 +15,7 @@ type-II DCT, coefficients 0-12. The DCT is numpy's own copy of the one
 
 import csv
 import hashlib
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -337,20 +338,33 @@ def write_feature_cache(path, features: dict[str, np.ndarray]) -> None:
         if len(shape) != 2 or shape[1] != N_TEXTURE_DIMS:
             raise ValueError(f"features for {eid!r}: expected shape "
                              f"(n, {N_TEXTURE_DIMS}), got {shape}")
-    with writing(path, "feature CSV"), path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "window_index"] + [f"f{i}" for i in range(N_TEXTURE_DIMS)])
+    # the bytes csv.writer writes: excel dialect, \r\n line ends, an id quoted
+    # only where it needs it, each value its float's repr; hashed as written
+    digest = hashlib.sha256()
+    field = io.StringIO()
+    quote = csv.writer(field)
+    with writing(path, "feature CSV"), path.open("wb") as fh:
+        def write(text: str) -> None:
+            data = text.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+
+        write("id,window_index," + ",".join(f"f{i}" for i in range(N_TEXTURE_DIMS)) + "\r\n")
         for eid in sorted(features):
-            # float() on the Python scalars of tolist() is far cheaper than on numpy's
-            for w, vec in enumerate(np.asarray(features[eid]).tolist()):
-                writer.writerow([eid, w, *map(repr, map(float, vec))])
+            field.seek(0)
+            field.truncate()
+            quote.writerow([eid, ""])
+            prefix = field.getvalue()[:-2]  # the id field and its comma
+            # repr on the Python floats of tolist() is far cheaper than on numpy's
+            write("".join(f"{prefix}{w},{','.join(map(repr, vec))}\r\n" for w, vec
+                          in enumerate(np.asarray(features[eid], dtype=float).tolist())))
     windows = {eid: np.asarray(v, dtype=float) for eid, v in features.items() if len(v)}
     for eid, values in windows.items():
         if np.isnan(values).any():  # a copy: the caller's arrays keep their nans
             windows[eid] = np.where(np.isnan(values), np.nan, values)
     try:
         write_records(companion_path(path), "feature companion",
-                      COMPANION_MAGIC + _csv_digest(path), windows, "<f8")
+                      COMPANION_MAGIC + digest.digest(), windows, "<f8")
     except ValueError:
         pass  # an id too long for a record; readers parse the CSV
 

@@ -115,8 +115,9 @@ class HashSet:
         order = np.argsort(hashes[:, 0])
         keys = hashes[order, 0]
         marked = np.zeros(1 << PROBE_BITS, dtype=bool)
-        marked[_probe_slots(np.concatenate([keys - 1, keys, keys + 1]))] = True
-        slots = _probe_slots(keys)
+        probed = _probe_slots(np.concatenate([keys - 1, keys, keys + 1]))
+        marked[probed] = True
+        slots = probed[len(keys):2 * len(keys)]  # the keys' own slots
         derived = {
             "hashes": hashes,
             "keys": keys,

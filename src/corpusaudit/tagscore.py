@@ -124,7 +124,10 @@ def label_score(excerpt_tags: dict[str, float], profile: LabelProfile) -> float:
     ``excerpt_tags`` maps tags to normalized counts. Only the profile's
     top tags participate; disjoint tags score 0.
     """
-    return sum(d * excerpt_tags.get(tag, 0.0) for tag, d in profile.top.pairs)
+    score = 0.0  # added left to right; Python 3.12's sum() would compensate
+    for tag, d in profile.top.pairs:
+        score += d * excerpt_tags.get(tag, 0.0)
+    return score
 
 
 def delta_g(row) -> float:
@@ -175,37 +178,60 @@ def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
                         matrix: ScoreMatrix) -> list[MislabelVerdict]:
     """Score every identified, tagged excerpt and flag suspected mislabelings.
 
-    Unidentified or untagged excerpts are skipped. The verdict keeps the
-    full per-label score vector so downstream consumers can reuse it.
+    Unidentified or untagged excerpts are skipped, and so are excerpts whose
+    label has no profile. The verdict keeps the full per-label score vector
+    so downstream consumers can reuse it.
+
+    The scores are ``label_score`` of ``normalize_counts``, bit for bit, for
+    all excerpts at once: a top-tag x excerpt matrix holds ``count / total``,
+    and each label's scores add its top tags' ``d * x`` rows in top-tag order,
+    from +0.0. The best other label is the first of the highest others, in
+    matrix order.
     """
     by_label = {p.label: p for p in profiles}
-    verdicts = []
+    labels = [label for label in matrix.labels if label in by_label]
+    index = {label: r for r, label in enumerate(labels)}
+    columns: dict[str, int] = {}  # every profile's top tags
+    for label in labels:
+        for tag, _ in by_label[label].top.pairs:
+            columns.setdefault(tag, len(columns))
+    scored, cells, shares = [], [], []
     for ex in corpus.excerpts:
-        if not ex.identified:
-            continue
-        tcs = tags.get(ex.id)
+        tcs = tags.get(ex.id) if ex.identified else None
         if tcs is None or not tcs.pairs:
             continue
-        x = normalize_counts(tcs)
-        scores = {label: label_score(x, by_label[label])
-                  for label in matrix.labels if label in by_label}
-        if ex.label not in scores:
-            continue
-        g = matrix.index(ex.label)
-        own = scores[ex.label]
-        diagonal = matrix.scores[g, g]
-        delta = matrix.deltas[g]
-        others = [(label, s) for label, s in scores.items() if label != ex.label]
-        if others:
-            best_other_label, best_other_score = max(others, key=lambda p: p[1])
-        else:
-            best_other_label, best_other_score = None, 0.0
-        rule = flag_rule(own, diagonal, best_other_score, delta)
+        total = sum(c for _, c in tcs.pairs)
+        if total <= 0:
+            raise EmptyTagsError("tag counts must be positive")
+        if ex.label in index:
+            # a tag listed twice keeps its last share, as normalize_counts does
+            row = {columns[t]: c / total for t, c in tcs.pairs if t in columns}
+            cells += [(col, len(scored)) for col in row]
+            shares += row.values()
+            scored.append(ex)
+    x = np.zeros((len(columns), len(scored)))  # [top tag, excerpt]
+    x[tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)] = shares
+    scores = np.zeros((len(labels), len(scored)))
+    for r, label in enumerate(labels):
+        for tag, d in by_label[label].top.pairs:
+            scores[r] += d * x[columns[tag]]
+    own = np.array([index[ex.label] for ex in scored], dtype=np.intp)
+    others = scores.copy()
+    others[own, np.arange(len(scored))] = -np.inf
+    best = others.argmax(axis=0) if len(labels) > 1 else np.zeros(len(scored), dtype=np.intp)
+
+    margins = {label: (matrix.scores[m, m], matrix.deltas[m])
+               for m, label in enumerate(matrix.labels)}
+    verdicts = []
+    for ex, row, g, b in zip(scored, scores.T.tolist(), own.tolist(), best.tolist()):
+        best_other_label, best_other_score = (labels[b], row[b]) if b != g else (None, 0.0)
+        diagonal, delta = margins[ex.label]
+        rule = flag_rule(row[g], diagonal, best_other_score, delta)
         verdicts.append(MislabelVerdict(
             excerpt_id=ex.id,
             label=ex.label,
-            own_score=own,
-            scores=scores,
+            own_score=row[g],
+            scores=dict(zip(labels, row)),
             best_other_label=best_other_label,
             best_other_score=best_other_score,
             flagged=rule != "none",

@@ -18,6 +18,7 @@ from corpusaudit.corpus import (
     load_tags,
     normalize_text,
     read_json,
+    write_json,
 )
 from corpusaudit.errors import (
     AuditError,
@@ -504,3 +505,35 @@ def test_read_json_raises_only_toolkit_errors(tmp_path_factory, data):
         read_json(path, "JSON file")
     except AuditError:
         pass
+
+
+# write_json's scalars: strings with a NUL, the characters that close JSON containers
+# or separate their items, a newline and non-ASCII text; every float, -0.0 and the
+# non-finite ones among them; integers far beyond 64 bits
+WRITE_TEXT = st.text(st.sampled_from('\x00}],{[:"\\\n aé☃\U0001f600'), max_size=5)
+WRITE_SCALARS = (st.none() | st.booleans() | st.floats() | st.integers(-10**40, 10**40)
+                 | WRITE_TEXT)
+# flat containers, holding only scalars or also empty containers, and records of them
+WRITE_FLAT = (st.lists(WRITE_SCALARS, min_size=1, max_size=4)
+              | st.dictionaries(WRITE_TEXT, WRITE_SCALARS, min_size=1, max_size=4))
+WRITE_LEAVES = WRITE_SCALARS | st.sampled_from([[], {}, ()]) | WRITE_FLAT
+WRITE_VALUES = st.recursive(
+    WRITE_LEAVES,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(WRITE_TEXT, children, max_size=4)
+                      | st.lists(WRITE_FLAT, min_size=1, max_size=4)
+                      | st.lists(st.dictionaries(WRITE_TEXT, WRITE_LEAVES, min_size=1,
+                                                 max_size=3), min_size=1, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WRITE_VALUES)
+@example([{"id": "a,\x00}", "fold": 0}, {"id": "é", "fold": -0.0}])
+@example([[float("nan"), float("inf")], [-float("inf"), 10**30]])
+@example({"a": [{"b": []}, {"c": 1}], "d": [[1, {}], [2]], "e": [[]]})
+@example([{"members": ["a.0", "a.1"], "kind": "exact"}, {"x": {"y": [1]}}])
+def test_write_json_writes_the_bytes_of_json_dumps(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    write_json(path, value)
+    assert path.read_bytes() == (json.dumps(value, indent=2, sort_keys=True) + "\n").encode()

@@ -113,6 +113,44 @@ def test_af_unidentified_are_singletons():
     assert fold_of["x.0"] == fold_of["x.1"]
 
 
+def repetition_corpus():
+    """Two labels of unidentified singletons and one artist; under ``af`` without a
+    catalog, fold 0 is x.2, x.a, y.1, y.3 and y.a, fold 1 the rest."""
+    return Corpus(labels=("x", "y"), excerpts=(
+        *(Excerpt(id=f"x.{i}", label="x") for i in range(4)),
+        *(Excerpt(id=f"y.{i}", label="y") for i in range(4)),
+        Excerpt(id="x.a", label="x", artist="A"), Excerpt(id="y.a", label="y", artist="A"),
+    ))
+
+
+def test_af_keeps_every_catalog_repetition_in_one_fold():
+    """An exact group of two singletons, and a recording group that joins a
+    singleton to artist A's atom: without the catalog both straddle the folds,
+    and with it no group does, artist groups included."""
+    corpus = repetition_corpus()
+    catalog = build_catalog(corpus, exact_groups=[("x.1", "x.2")],
+                            recording_groups=[("y.0", "y.a")])
+    folds = [set(f) for f in make_partition(corpus, "af", catalog=catalog).folds]
+    assert folds[0] | folds[1] == {ex.id for ex in corpus.excerpts}
+    for group in catalog.repetitions:
+        assert set(group.members) <= folds[0] or set(group.members) <= folds[1], group
+    plain = [set(f) for f in make_partition(corpus, "af").folds]
+    for group in ({"x.1", "x.2"}, {"y.0", "y.a"}):
+        assert not (group <= plain[0] or group <= plain[1])
+
+
+def test_af_catalog_join_pinned_to_both_folds_is_refused():
+    corpus = grid_corpus(n_per_label=6, artists_per_label=3)
+    catalog = build_catalog(corpus, exact_groups=[("l0.000", "l0.001")])
+    manual = {"fold1": ["l0-artist0"], "fold2": ["l0-artist1"]}
+    with pytest.raises(ArtistLeakError, match="share a recording"):
+        make_partition(corpus, "af", artist_folds=manual, catalog=catalog)
+    # pinned to one fold, the joined atom goes there whole
+    manual = {"fold1": ["l0-artist0"]}
+    part = make_partition(corpus, "af", artist_folds=manual, catalog=catalog)
+    assert {"l0.000", "l0.001", "l0.003", "l0.004"} <= set(part.folds[0])
+
+
 def test_af_manual_folds_respected():
     corpus = grid_corpus(n_per_label=6, artists_per_label=3)
     manual = {"fold1": ["l0-artist0"], "fold2": ["l0-artist1"]}

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import re
 import struct
 import warnings
@@ -444,6 +446,37 @@ def test_feature_cache_round_trip_keeps_every_bit(tmp_path_factory, features):
         # repr writes every nan as "nan", which reads back as the canonical nan
         expected = np.where(np.isnan(vectors), float("nan"), vectors)
         assert loaded[eid].view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def reference_feature_csv(features) -> bytes:
+    """The feature CSV as a ``csv.writer`` writes it, one row at a time: the oracle
+    of ``write_feature_cache``'s text."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["id", "window_index"] + [f"f{i}" for i in range(N_TEXTURE_DIMS)])
+    for eid in sorted(features):
+        for w, vec in enumerate(np.asarray(features[eid]).tolist()):
+            writer.writerow([eid, w, *map(repr, map(float, vec))])
+    return text.getvalue().encode("utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.text(alphabet='ab.0,"\n\r \u00e9;', max_size=6),
+    st.integers(0, 3).flatmap(
+        lambda n: hnp.arrays(float, (n, N_TEXTURE_DIMS), elements=texture_values)),
+    max_size=3))
+@example({'a,"b': np.array([EDGE_VALUES * 3 + [1.0, -1.0]]), "": np.full((1, 32), -0.0),
+          " \u00e9\r\n": np.zeros((0, 32))})
+@example({"ints": np.arange(2**53 - 16, 2**53 + 48, dtype=np.int64).reshape(2, 32),
+          "f32": np.linspace(-1, 1, 32, dtype=np.float32)[None]})
+def test_feature_csv_equals_the_csv_writer_rows(tmp_path_factory, features):
+    """Ids that need quoting, special floats, integer and float32 windows: the
+    CSV holds a ``csv.writer``'s bytes, and the companion their SHA-256."""
+    path = tmp_path_factory.mktemp("cache") / "features.csv"
+    write_feature_cache(path, features)
+    assert path.read_bytes() == reference_feature_csv(features)
+    assert companion_path(path).read_bytes()[5:37] == hashlib.sha256(path.read_bytes()).digest()
 
 
 @pytest.mark.parametrize("row", ["a.000,1,0.5", "a.000,1,0.5,0.5,0.5", "a.000,1,0.5,x",

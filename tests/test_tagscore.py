@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from corpusaudit.corpus import Corpus, Excerpt, TagCountSet
@@ -10,6 +10,7 @@ from corpusaudit.errors import DegenerateRowError, EmptyTagsError
 from corpusaudit.tagscore import (
     delta_g,
     detect_mislabelings,
+    flag_rule,
     label_profile,
     label_score,
     normalize_counts,
@@ -248,3 +249,61 @@ def test_matching_tag_increases_unnormalized_overlap():
     base = {"c": 1.0}
     more = {"c": 1.0, "a": 0.5}
     assert label_score(more, profile) > label_score(base, profile)
+
+
+def oracle_verdicts(corpus, tags, profiles, matrix):
+    """``detect_mislabelings`` one excerpt at a time, each score a ``label_score``
+    of ``normalize_counts``: the fields of each verdict, in corpus order."""
+    by_label = {p.label: p for p in profiles}
+    out = []
+    for ex in corpus.excerpts:
+        tcs = tags.get(ex.id)
+        if not ex.identified or tcs is None or not tcs.pairs:
+            continue
+        x = normalize_counts(tcs)
+        scores = {label: label_score(x, by_label[label])
+                  for label in matrix.labels if label in by_label}
+        if ex.label not in scores:
+            continue
+        g = matrix.index(ex.label)
+        others = [(label, s) for label, s in scores.items() if label != ex.label]
+        best_label, best = max(others, key=lambda p: p[1]) if others else (None, 0.0)
+        rule = flag_rule(scores[ex.label], matrix.scores[g, g], best, matrix.deltas[g])
+        out.append((ex.id, ex.label, scores[ex.label], scores, best_label, best,
+                    rule != "none", rule))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_detect_mislabelings_equals_label_score_per_excerpt(data):
+    """Random tag sets over a few shared tags, so scores tie; some excerpts
+    unidentified or untagged, and one label's profile sometimes left out. Every
+    score is the oracle's to the bit (compared by repr), and so is the best
+    other label, the first of the highest."""
+    labels = ("a", "b", "c")
+    excerpts, tags = [], {}
+    for i in range(data.draw(st.integers(3, 14))):
+        eid = f"{labels[i % 3]}.{i}"
+        identified = data.draw(st.integers(0, 4)) > 0
+        excerpts.append(Excerpt(id=eid, label=labels[i % 3], artist="A" if identified else None))
+        pairs = data.draw(st.dictionaries(st.sampled_from(["rock", "pop", "jazz", "folk", "x"]),
+                                          st.integers(1, 9), max_size=4))
+        if data.draw(st.integers(0, 5)) > 0:
+            tags[eid] = TagCountSet(owner=eid, pairs=tuple(sorted(pairs.items())))
+    corpus = Corpus(labels=labels, excerpts=tuple(excerpts))
+    profiles = []
+    for label in labels[data.draw(st.integers(0, 1)):]:
+        sets = [tags[ex.id] for ex in corpus.with_label(label)
+                if ex.identified and ex.id in tags and tags[ex.id].pairs]
+        if sets:
+            profiles.append(label_profile(label, sets))
+    assume(len(profiles) >= 2)
+    try:
+        matrix = score_matrix(profiles)
+    except DegenerateRowError:
+        assume(False)
+    verdicts = detect_mislabelings(corpus, tags, profiles, matrix)
+    got = [(v.excerpt_id, v.label, v.own_score, v.scores, v.best_other_label,
+            v.best_other_score, v.flagged, v.rule) for v in verdicts]
+    assert repr(got) == repr(oracle_verdicts(corpus, tags, profiles, matrix))
