@@ -64,8 +64,9 @@ class TrainedModel:
         object.__setattr__(self, "scored_means", means)
 
 
-def train(kind: str, vectors: np.ndarray, labels, label_order=None) -> TrainedModel:
-    """Fit a model on training vectors with one label per vector.
+def train(kind: str, vectors: np.ndarray, y, labels) -> TrainedModel:
+    """Fit a model on training vectors; ``y`` holds each vector's label as an
+    index into ``labels``.
 
     An NN model keeps ``np.asarray(vectors, dtype=float)`` itself, not a
     copy: a float array passed in is shared, and changing it changes the model.
@@ -73,32 +74,27 @@ def train(kind: str, vectors: np.ndarray, labels, label_order=None) -> TrainedMo
     if kind not in KINDS:
         raise ValueError(f"unknown classifier kind {kind!r}")
     vectors = np.asarray(vectors, dtype=float)
-    labels = list(labels)
-    if label_order is None:
-        label_order = tuple(dict.fromkeys(labels))
-    else:
-        label_order = tuple(label_order)
-    index = {label: i for i, label in enumerate(label_order)}
-    y = np.array([index[label] for label in labels])
+    y = np.asarray(y, dtype=np.intp)
+    labels = tuple(labels)
+    if y.shape != vectors.shape[:1] or not np.all((0 <= y) & (y < len(labels))):
+        raise ValueError("y must hold one index into labels per training vector")
 
     if kind == "nn":
-        return TrainedModel(kind=kind, labels=label_order, train_x=vectors, train_y=y)
+        return TrainedModel(kind=kind, labels=labels, train_x=vectors, train_y=y)
 
-    means = np.empty((len(label_order), vectors.shape[1]))
-    for i, label in enumerate(label_order):
-        mask = y == i
-        if not np.any(mask):
-            raise EmptyClassError(f"no training vectors for label {label!r}")
-        means[i] = vectors[mask].mean(axis=0)
+    counts = np.bincount(y, minlength=len(labels))
+    if not counts.all():
+        raise EmptyClassError(f"no training vectors for label {labels[np.argmin(counts)]!r}")
+    means = np.array([vectors[y == i].mean(axis=0) for i in range(len(labels))])
     if kind == "md":
-        return TrainedModel(kind=kind, labels=label_order, means=means)
+        return TrainedModel(kind=kind, labels=labels, means=means)
 
     centered = vectors - vectors.mean(axis=0)
     denom = max(vectors.shape[0] - 1, 1)
     cov = np.einsum("ni,nj->ij", centered, centered) / denom
     lam = COV_REG_SCALE * np.trace(cov) / cov.shape[0]
     cov_reg = cov + lam * np.eye(cov.shape[0])
-    return TrainedModel(kind=kind, labels=label_order, means=means,
+    return TrainedModel(kind=kind, labels=labels, means=means,
                         whiten=np.linalg.cholesky(np.linalg.inv(cov_reg)))
 
 

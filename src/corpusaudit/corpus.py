@@ -86,19 +86,19 @@ class Corpus:
     labels: tuple[str, ...]
     excerpts: tuple[Excerpt, ...]
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _label_of: dict = field(init=False, repr=False, compare=False)  # id -> label index
 
     def __post_init__(self):
         self.labels = tuple(self.labels)
         self.excerpts = tuple(self.excerpts)
-        by_id = {}
-        label_set = set(self.labels)
+        index = {label: i for i, label in enumerate(self.labels)}
+        self._by_id, self._label_of = {}, {}
         for ex in self.excerpts:
-            if ex.id in by_id:
+            if ex.id in self._by_id:
                 raise DuplicateIdError(f"duplicate excerpt id {ex.id!r}")
-            if ex.label not in label_set:
+            if ex.label not in index:
                 raise LabelError(f"excerpt {ex.id!r} has unknown label {ex.label!r}")
-            by_id[ex.id] = ex
-        self._by_id = by_id
+            self._by_id[ex.id], self._label_of[ex.id] = ex, index[ex.label]
 
     def __len__(self) -> int:
         return len(self.excerpts)
@@ -111,6 +111,13 @@ class Corpus:
             return self._by_id[excerpt_id]
         except KeyError:
             raise UnknownExcerptError(f"unknown excerpt id {excerpt_id!r}") from None
+
+    def label_indices(self, excerpt_ids) -> np.ndarray:
+        """Each excerpt's label as its position in ``labels``, in the order given."""
+        try:
+            return np.array([self._label_of[eid] for eid in excerpt_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownExcerptError(f"unknown excerpt id {exc.args[0]!r}") from None
 
     def with_label(self, label: str) -> list[Excerpt]:
         return [ex for ex in self.excerpts if ex.label == label]
@@ -395,15 +402,14 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
         for tag_obj in tag_objs:
             if not isinstance(tag_obj, dict) or not {"tag", "count"} <= tag_obj.keys():
                 raise ParseError(f"{path}: entry {i}: tag object needs a 'tag' and a 'count'")
-            text = str(tag_obj["tag"])
+            text, count = tag_obj["tag"], tag_obj["count"]
+            if not isinstance(text, str):
+                raise ParseError(f"{path}: entry {i}: tag {text!r} is not a string")
+            if type(count) is not int or count < 0:  # bool is an int subclass
+                raise ParseError(f"{path}: entry {i}: count {count!r} is not an integer >= 0")
             tag = normalized.get(text)
             if tag is None:
                 tag = normalized[text] = normalize_text(text)
-            count = tag_obj["count"]
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise ParseError(f"{path}: entry {i}: non-integer count {count!r}")
-            if count < 0:
-                raise ParseError(f"{path}: entry {i}: negative count {count}")
             if count == 0 or not tag:
                 continue
             merged[tag] = merged.get(tag, 0) + count

@@ -124,38 +124,30 @@ def _greedy_assign(groups: dict[str, list[str]], corpus: Corpus,
                    preassigned: dict[str, int] | None = None) -> tuple[list[str], list[str]]:
     """Assign whole groups to two folds, minimizing per-class imbalance.
 
-    Groups are processed largest first (ties by group key); each goes to
-    the fold that minimizes the summed per-class absolute imbalance, with
-    remaining ties going to the smaller fold, then fold 1.
+    The ``preassigned`` groups go to their folds first, in key order. The
+    others follow largest first (ties by group key); each goes to the fold
+    that minimizes the summed per-class absolute imbalance, with remaining
+    ties going to the smaller fold, then fold 1.
     """
-    label_index = {label: i for i, label in enumerate(corpus.labels)}
     per_class = np.zeros((2, len(corpus.labels)), dtype=int)
     folds: tuple[list[str], list[str]] = ([], [])
-
-    def place(key: str, fold: int):
-        for eid in groups[key]:
-            folds[fold].append(eid)
-            per_class[fold, label_index[corpus.get(eid).label]] += 1
-
     preassigned = preassigned or {}
-    for key, fold in sorted(preassigned.items()):
-        place(key, fold)
-
     order = sorted((k for k in groups if k not in preassigned),
                    key=lambda k: (-len(groups[k]), k))
-    for key in order:
-        counts = np.zeros(len(corpus.labels), dtype=int)
-        for eid in groups[key]:
-            counts[label_index[corpus.get(eid).label]] += 1
+    for key in sorted(preassigned) + order:
+        counts = np.bincount(corpus.label_indices(groups[key]), minlength=len(corpus.labels))
         cost0 = np.abs(per_class[0] + counts - per_class[1]).sum()
         cost1 = np.abs(per_class[0] - counts - per_class[1]).sum()
-        if cost0 < cost1:
+        if key in preassigned:
+            fold = preassigned[key]
+        elif cost0 < cost1:
             fold = 0
         elif cost1 < cost0:
             fold = 1
         else:
             fold = 0 if len(folds[0]) <= len(folds[1]) else 1
-        place(key, fold)
+        folds[fold].extend(groups[key])
+        per_class[fold] += counts
     return folds
 
 
@@ -252,11 +244,11 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
             raise EmptyClassError(f"fold {i} leaves no excerpts to train on")
         train_x = np.concatenate([features[eid] for eid in train_ids], dtype=float)
         _check_finite(train_x, train_ids, features)
-        train_y = [corpus.get(eid).label
-                   for eid in train_ids for _ in range(len(features[eid]))]
+        train_y = np.repeat(corpus.label_indices(train_ids),
+                            [len(features[eid]) for eid in train_ids])
         nmap = fit_normalization(train_x)
         model = train(kind, apply_normalization(nmap, train_x, out=train_x), train_y,
-                      label_order=corpus.labels)
+                      corpus.labels)
         del train_x  # an NN model keeps it; an MD or MMD model does not need it
         test_ids = sorted(test_fold)
         if not test_ids:

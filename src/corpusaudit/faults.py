@@ -220,8 +220,12 @@ def check_catalog(catalog: FaultCatalog, corpus: Corpus | None = None) -> FaultC
     set and only its ids; else the first breach, naming a group by kind and index."""
     labels = set(catalog.labels)
     if set(catalog.label_counts) != labels or not all(
-            _number(n, 0) for n in catalog.label_counts.values()):
-        raise ParseError("label_counts must map exactly the catalog labels to counts >= 0")
+            type(n) is int and 0 <= n <= 2**53 for n in catalog.label_counts.values()):
+        raise ParseError("label_counts must map exactly the catalog labels to integer counts "
+                         "from 0 to 2**53")  # float64 holds each exactly
+    for label, d in catalog.deltas.items():
+        if not _number(d, 0):
+            raise ParseError(f"delta for label {label!r} must be a finite number >= 0, got {d!r}")
     if corpus is not None and labels != set(corpus.labels):
         raise ParseError(f"catalog labels {', '.join(catalog.labels)} differ from the "
                          f"metadata labels {', '.join(corpus.labels)}")
@@ -337,7 +341,7 @@ def catalog_from_json(data: dict, corpus: Corpus | None = None) -> FaultCatalog:
     try:
         return check_catalog(FaultCatalog(
             labels=tuple(data["labels"]),
-            label_counts={k: int(v) for k, v in data["label_counts"].items()},
+            label_counts=dict(data["label_counts"].items()),  # an object, not pairs
             repetitions=[RepetitionGroup(kind=g["kind"],
                                          members=_excerpt_ids("repetition", i, g["members"]),
                                          evidence=g["evidence"])
@@ -350,7 +354,7 @@ def catalog_from_json(data: dict, corpus: Corpus | None = None) -> FaultCatalog:
                 flagged=v["flagged"], rule=v["rule"])
                 for v in data["mislabelings"]],
             distortions=distortions_from_json(data["distortions"]),
-            deltas={k: float(v) for k, v in data.get("deltas", {}).items()},
+            deltas=dict(data.get("deltas", {}).items()),
         ), corpus)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed catalog JSON: {exc}") from None

@@ -67,9 +67,9 @@ MIN_DELTA = 1             # frames
 MAX_DELTA = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakConstellation:
-    peaks: tuple[tuple[int, int, float], ...]  # (frame, bin, magnitude dB)
+    peaks: np.ndarray  # (n, 2) int64 rows of (frame, bin)
 
 
 # log2 of the probe table's size in bits: 32 KiB per hash set. Read when a
@@ -271,7 +271,7 @@ def find_peaks(samples: np.ndarray, out: np.ndarray | None = None) -> PeakConste
     np.log10(log_mag, out=log_mag)
     log_mag *= 20.0
     if np.isnan(log_mag).any():
-        return PeakConstellation(peaks=())
+        return PeakConstellation(peaks=np.empty((0, 2), dtype=np.int64))
     floor = _median(log_mag) + FLOOR_DB
     frames, bins = np.divmod(_local_maxima(log_mag, NEIGHBORHOOD, floor),
                              log_mag.shape[1])
@@ -281,8 +281,7 @@ def find_peaks(samples: np.ndarray, out: np.ndarray | None = None) -> PeakConste
     order = np.lexsort((-bins, -magnitudes, frames))
     rank = np.arange(len(order)) - np.searchsorted(frames, frames[order])
     kept = np.sort(order[rank < MAX_PEAKS_PER_FRAME])
-    peaks = zip(frames[kept].tolist(), bins[kept].tolist(), magnitudes[kept].tolist())
-    return PeakConstellation(peaks=tuple(peaks))
+    return PeakConstellation(peaks=np.column_stack([frames[kept], bins[kept]]).astype(np.int64))
 
 
 def landmark_hashes(peaks) -> np.ndarray:
@@ -290,12 +289,12 @@ def landmark_hashes(peaks) -> np.ndarray:
     pairs with up to ``FAN_OUT`` later peaks ``MIN_DELTA`` to ``MAX_DELTA``
     frames on, in peak order.
 
-    ``peaks`` are (frame, bin, ...) in frame order, as ``find_peaks`` gives
+    ``peaks`` are (frame, bin) rows in frame order, as ``find_peaks`` gives
     them, so an anchor's targets are one run of the peaks after it: from
     the first at least ``MIN_DELTA`` frames on, up to ``FAN_OUT`` of those at
     most ``MAX_DELTA`` frames on.
     """
-    frames, bins = np.array([p[:2] for p in peaks], dtype=np.int64).reshape(-1, 2).T
+    frames, bins = np.asarray(peaks, dtype=np.int64).reshape(-1, 2).T
     first = np.maximum(np.arange(1, len(frames) + 1),
                        np.searchsorted(frames, frames + MIN_DELTA))
     stop = np.searchsorted(frames, frames + MAX_DELTA, side="right")

@@ -38,36 +38,50 @@ def toy_training(seed=0, n=20, dim=4, sep=3.0):
     xa = rng.normal(0.0, 1.0, size=(n, dim))
     xb = rng.normal(sep, 1.0, size=(n, dim))
     x = np.vstack([xa, xb])
-    y = ["a"] * n + ["b"] * n
+    y = np.repeat([0, 1], n)  # indices into AB
     return x, y
+
+
+AB = ("a", "b")
+
+
+def row_labels(n):
+    """One label per training row, for NN tests that read neighbor indices."""
+    return np.arange(n), tuple(f"r{i:03d}" for i in range(n))
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        train("svm", np.zeros((2, 2)), ["a", "b"])
+        train("svm", np.zeros((2, 2)), [0, 1], AB)
 
 
 def test_md_means_equal_single_vectors():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    model = train("md", x, ["a", "b"])
+    model = train("md", x, [0, 1], AB)
     assert np.array_equal(model.means, x)
 
 
 def test_nn_stores_duplicates():
     x = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-    model = train("nn", x, ["a", "a", "b"])
+    model = train("nn", x, [0, 0, 1], AB)
     assert model.train_x.shape == (3, 2)
 
 
 def test_empty_class_error():
     with pytest.raises(EmptyClassError):
-        train("md", np.zeros((2, 2)), ["a", "a"], label_order=("a", "b"))
+        train("md", np.zeros((2, 2)), [0, 0], AB)
+
+
+@pytest.mark.parametrize("y", [[0, 2], [-1, 0], [0], [[0, 1]]])
+def test_train_refuses_y_that_is_not_one_label_index_per_vector(y):
+    with pytest.raises(ValueError, match="one index into labels per training vector"):
+        train("nn", np.zeros((2, 2)), y, AB)
 
 
 def test_mmd_covariance_oracle():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 5))
-    model = train("mmd", x, ["a"] * 15 + ["b"] * 15)
+    model = train("mmd", x, [0] * 15 + [1] * 15, AB)
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
     lam = COV_REG_SCALE * np.trace(cov) / cov.shape[0]
@@ -79,13 +93,13 @@ def test_mmd_covariance_spd_even_when_singular():
     # rank-deficient training data still inverts after regularization
     x = np.zeros((10, 4))
     x[:, 0] = np.arange(10.0)
-    model = train("mmd", x, ["a"] * 5 + ["b"] * 5)
+    model = train("mmd", x, [0] * 5 + [1] * 5, AB)
     eigvals = np.linalg.eigvalsh(np.linalg.inv(model.whiten @ model.whiten.T))
     assert np.all(eigvals > 0)
 
 
 def test_md_simple_example():
-    model = train("md", np.array([[0.0, 0.0], [1.0, 1.0]]), ["a", "b"])
+    model = train("md", np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 1], AB)
     vecs = np.tile([0.1, 0.1], (9, 1))
     assert classify_excerpt(model, vecs) == "a"
 
@@ -93,7 +107,7 @@ def test_md_simple_example():
 def test_md_equals_mmd_under_identity_covariance():
     rng = np.random.default_rng(2)
     x, y = toy_training(seed=3)
-    md = train("md", x, y)
+    md = train("md", x, y, AB)
     mmd = TrainedModel(kind="mmd", labels=md.labels, means=md.means,
                        whiten=np.eye(x.shape[1]))
     for _ in range(50):
@@ -103,7 +117,7 @@ def test_md_equals_mmd_under_identity_covariance():
 
 def test_nn_unanimous_windows():
     x, y = toy_training()
-    model = train("nn", x, y)
+    model = train("nn", x, y, AB)
     vecs = np.zeros((9, x.shape[1]))
     assert classify_excerpt(model, vecs, np.random.default_rng(0)) == "a"
 
@@ -112,12 +126,12 @@ def test_nn_excerpt_without_a_generator_is_refused():
     """Even a unanimous vote needs one: there is no seed in the model to fall back on."""
     x, y = toy_training()
     with pytest.raises(ValueError, match="generator"):
-        classify_excerpt(train("nn", x, y), np.zeros((9, x.shape[1])))
+        classify_excerpt(train("nn", x, y, AB), np.zeros((9, x.shape[1])))
 
 
 def test_nn_tie_break_frequency():
     """A 4/4/1 window split picks each modal label about half the time."""
-    model = train("nn", np.array([[0.0], [10.0], [20.0]]), ["a", "b", "c"])
+    model = train("nn", np.array([[0.0], [10.0], [20.0]]), [0, 1, 2], ("a", "b", "c"))
     vecs = np.array([[0.0]] * 4 + [[10.0]] * 4 + [[20.0]])
     rng = np.random.default_rng(123)
     picks = [classify_excerpt(model, vecs, rng) for _ in range(10000)]
@@ -131,19 +145,19 @@ def test_nn_tie_break_frequency():
 def test_nn_duplicate_across_split_is_recovered():
     rng = np.random.default_rng(4)
     x, y = toy_training(seed=5)
-    model = train("nn", x, y)
+    model = train("nn", x, y, AB)
     dup = x[3] + 0.0
-    assert classify_excerpt(model, np.tile(dup, (9, 1)), rng) == y[3]
+    assert classify_excerpt(model, np.tile(dup, (9, 1)), rng) == AB[y[3]]
 
 
 def test_nn_distance_tie_breaks_by_training_index():
-    model = train("nn", np.array([[0.0], [0.0]]), ["a", "b"])
+    model = train("nn", np.array([[0.0], [0.0]]), [0, 1], AB)
     assert nearest_labels(model, np.array([[0.0]]))[0] == 0
 
 
 def test_determinism_fixed_seed():
     x, y = toy_training(seed=6)
-    model = train("nn", x, y)
+    model = train("nn", x, y, AB)
     vecs = np.array([[0.0]] * 4 + [[3.0]] * 4 + [[1.5]])
     vecs = np.tile(vecs, (1, x.shape[1]))
     a = [classify_excerpt(model, vecs, np.random.default_rng(77)) for _ in range(20)]
@@ -153,7 +167,7 @@ def test_determinism_fixed_seed():
 
 def test_log_posterior_shift_invariance():
     x, y = toy_training(seed=7)
-    model = train("mmd", x, y)
+    model = train("mmd", x, y, AB)
     rng = np.random.default_rng(8)
     vecs = rng.normal(size=(9, x.shape[1]))
     lp = log_posteriors(model, vecs)
@@ -169,7 +183,7 @@ def test_separated_classes_high_accuracy():
     x, y = toy_training(seed=10, sep=6.0)
     rng = np.random.default_rng(11)
     for kind in ("nn", "md", "mmd"):
-        model = train(kind, x, y)
+        model = train(kind, x, y, AB)
         correct = 0
         for _ in range(40):
             label = "a" if rng.random() < 0.5 else "b"
@@ -214,7 +228,7 @@ def _nn_case(seed, dim, n_train, n_test, offset, step):
 @example(9, 5, 60, 70, 1e-50, 1e-50)
 def test_nearest_labels_equals_reference(seed, dim, n_train, n_test, offset, step):
     train_x, test_x, y = _nn_case(seed, dim, n_train, n_test, offset, step)
-    model = train("nn", train_x, [f"l{k}" for k in y], label_order=("l0", "l1", "l2"))
+    model = train("nn", train_x, y, ("l0", "l1", "l2"))
     assert np.array_equal(nearest_labels(model, test_x), reference_nearest(model, test_x))
 
 
@@ -233,7 +247,7 @@ def test_nearest_labels_without_prefilter_equals_reference(special, where):
         test_x[[0, 33], 2] = special
     if where == "test_block":  # every window of the first block
         test_x[:BLOCK] = special
-    model = train("nn", train_x, [f"r{i:02d}" for i in range(40)])  # one label per row
+    model = train("nn", train_x, *row_labels(40))
     assert np.array_equal(nearest_labels(model, test_x), reference_nearest(model, test_x))
 
 
@@ -249,7 +263,7 @@ def test_nearest_labels_separates_what_float32_cannot(radius):
     units /= np.linalg.norm(units, axis=2, keepdims=True)
     radii = radius * (1 + 1e-6 * rng.permuted(np.tile(np.arange(200.0), (3, 1)), axis=1))
     train_x = (windows[:, None, :] + radii[:, :, None] * units).reshape(600, 32)
-    model = train("nn", train_x, [f"r{i:03d}" for i in range(600)])  # one label per row
+    model = train("nn", train_x, *row_labels(600))
     expected = np.argmin(radii, axis=1) + [0, 200, 400]
     assert np.array_equal(reference_nearest(model, windows), expected)
     assert np.array_equal(nearest_labels(model, windows), expected)
@@ -296,11 +310,11 @@ def test_nearest_labels_prefilter_prunes():
     x, y = toy_training(seed=18, n=1125, dim=32)
     rng = np.random.default_rng(19)
     windows = x[rng.integers(0, len(x), size=500)] + rng.normal(0.0, 0.5, size=(500, 32))
-    model = train("nn", x, y)
+    model = train("nn", x, y, AB)
     got, calls = scored_nearest(model, windows)
     assert calls == []
     assert np.array_equal(got, reference_nearest(model, windows))
-    model = train("nn", np.repeat(x, 2, axis=0), np.repeat(y, 2))
+    model = train("nn", np.repeat(x, 2, axis=0), np.repeat(y, 2), AB)
     got, calls = scored_nearest(model, windows)
     assert len(calls) == -(-len(windows) // BLOCK)
     assert sum(map(len, calls)) <= 2.5 * len(windows)
@@ -316,8 +330,7 @@ def test_nearest_labels_workspace_edges(n_train, n_test):
     training row appears twice, so every window is scored, and the copies'
     exact tie goes to the earlier one."""
     train_x, test_x, _ = _nn_case(30 + n_test, 32, n_train, n_test, 0.0, 1.0)
-    model = train("nn", np.repeat(train_x, 2, axis=0),
-                  [f"r{i:03d}" for i in range(2 * n_train)])  # one label per row
+    model = train("nn", np.repeat(train_x, 2, axis=0), *row_labels(2 * n_train))
     got, whole_call = scored_nearest(model, test_x)
     assert np.array_equal(got, reference_nearest(model, test_x))
     alone = [call for start in range(0, n_test, BLOCK)
@@ -353,7 +366,7 @@ def test_nearest_labels_equals_cdist_with_one_unbounded_block(
     bad_block = data.draw(st.integers(0, (n_test - 1) // BLOCK))
     bad_window = data.draw(st.integers(bad_block * BLOCK, min(n_test, (bad_block + 1) * BLOCK) - 1))
     test_x[bad_window, data.draw(st.integers(0, dim - 1))] = special
-    model = train("nn", train_x, [f"r{i:02d}" for i in range(n_train + 1)])  # one label per row
+    model = train("nn", train_x, *row_labels(n_train + 1))
 
     got, calls = scored_nearest(model, test_x)
     assert np.array_equal(got, reference_nearest(model, test_x))
@@ -381,7 +394,7 @@ def test_classify_excerpts_equals_one_excerpt_at_a_time(kind, dim):
     """
     rng = np.random.default_rng(13)
     x, y = toy_training(seed=14, dim=dim, sep=1.0)
-    model = train(kind, x, y)
+    model = train(kind, x, y, AB)
     sizes = [0, 1, 2, 9, 9, 40, 4, 9, 31, 2, 0, 70, 9]
     vectors = [x[rng.integers(0, len(x), size=n)] + rng.normal(0, 0.2, size=(n, dim))
                if j % 2 else x[rng.integers(0, len(x), size=n)]  # exact copies
@@ -405,7 +418,7 @@ def test_classify_excerpts_adds_windows_in_window_order(monkeypatch):
     table = np.array([[0.0, 0.0], [0.0, 2.0**53], [0.0, 1.0], [2.0**53 + 2, 1.0]])
     monkeypatch.setattr(classify, "window_distances",
                         lambda model, v: table[np.asarray(v, dtype=np.intp)[:, 0]])
-    model = train("md", np.array([[0.0], [1.0]]), ["a", "b"])
+    model = train("md", np.array([[0.0], [1.0]]), [0, 1], AB)
     vectors = [np.zeros((BLOCK - 4, 1)), np.array([[1.0], [2.0], [3.0]])]
     got = classify_excerpts(model, np.concatenate(vectors), [BLOCK - 4, 3], None)
     assert got == [classify_excerpt(model, v) for v in vectors] == ["a", "b"]
@@ -432,7 +445,7 @@ def einsum_log_posteriors(means: np.ndarray, precision: np.ndarray,
 @pytest.mark.parametrize("n_windows", [1, 9, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_log_posteriors_blocking_changes_no_bit(kind, n_windows):
     x, y = toy_training(seed=15, dim=32)
-    model = train(kind, x, y)
+    model = train(kind, x, y, AB)
     vectors = np.random.default_rng(16).normal(1.0, 2.0, size=(n_windows, 32))
     assert np.array_equal(log_posteriors(model, vectors),
                           reference_log_posteriors(model, vectors))
@@ -462,7 +475,7 @@ def test_mmd_log_posteriors_equal_einsum_oracle(seed, dim, n_windows, n_labels):
     y = np.repeat(np.arange(n_labels), per_label)
     vectors = (centers[rng.integers(0, n_labels, size=n_windows)]
                + rng.normal(0.0, 1.5, size=(n_windows, dim)) @ mix)
-    model = train("mmd", x, [f"l{k}" for k in y], label_order=[f"l{k}" for k in range(n_labels)])
+    model = train("mmd", x, y, [f"l{k}" for k in range(n_labels)])
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (len(x) - 1)
     lam = COV_REG_SCALE * np.trace(cov) / dim
@@ -486,7 +499,7 @@ def test_mmd_whiten_same_bytes_for_any_blas_thread_count():
         "rng = np.random.default_rng(17)\n"
         "z = rng.normal(size=(4500, 32))\n"
         "x = z + 0.5 * np.roll(z, 1, axis=1)\n"  # correlated, without a BLAS product
-        "model = train('mmd', x, [f'l{k % 10}' for k in range(4500)])\n"
+        "model = train('mmd', x, np.arange(4500) % 10, [f'l{k}' for k in range(10)])\n"
         "dists = window_distances(model, x[:999])\n"
         "print(hashlib.sha256(model.whiten.tobytes()).hexdigest(),\n"
         "      hashlib.sha256(dists.tobytes()).hexdigest())\n")

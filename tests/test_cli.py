@@ -791,6 +791,16 @@ BAD_INPUTS = {
     "catalog_flagged_label_without_delta": (
         _damaged_catalog(lambda d: d["deltas"].pop("slate")),
         lambda fx, bad: ["report", "perfect", "--catalog", bad], "'slate'"),
+    **{f"catalog_count_{name}": (
+        _damaged_catalog(lambda d, count=count: d["label_counts"].update(amber=count)),
+        lambda fx, bad: ["report", "perfect", "--catalog", bad], "integer counts from 0")
+       for name, count in (("fraction", 2.9), ("string", "2"), ("bool", True),
+                           ("huge", 10**300))},
+    **{f"catalog_delta_{name}": (
+        _damaged_catalog(lambda d, delta=delta: d["deltas"].update(slate=delta)),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad],
+        "delta for label 'slate' must be a finite number >= 0")
+       for name, delta in (("string", "0.1"), ("nan", float("nan")), ("negative", -1))},
     "report_label_outside_catalog": (
         _text("report.json", json.dumps({"realizations": [{"predictions": [
             {"id": "amber.000", "true": "amber", "predicted": "violet", "fold": 0}]}]})),
@@ -817,6 +827,12 @@ BAD_INPUTS = {
         _report_with(fold=-1), _relabel, "'fold' is not a non-negative integer"),
     "report_fold_a_bool": (
         _report_with(fold=True), _relabel, "'fold' is not a non-negative integer"),
+    **{f"tags_tag_{name}": (
+        _text("tags.json", json.dumps([{"id": "amber.000", "tags": [{"tag": "x", "count": 1}]},
+                                       {"id": "amber.001", "tags": [{"tag": tag, "count": 1}]}])),
+        lambda fx, bad: ["audit", "labels", "--metadata", fx["metadata"], "--tags", bad],
+        f"entry 1: tag {tag!r} is not a string")
+       for name, tag in (("null", None), ("number", 5), ("list", ["x"]), ("bool", True))},
     "missing_recordings": (
         _absent("recordings.json"),
         lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "not found"),

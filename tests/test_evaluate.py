@@ -160,6 +160,16 @@ def test_af_manual_folds_respected():
     assert fold_of["l0.001"] == 1
 
 
+def test_af_balances_the_other_artists_around_the_pinned_ones():
+    """Pinned artists are placed first, so the greedy assignment counts them: every
+    other artist goes to the fold that the pinned one left short."""
+    corpus = Corpus(labels=("x",), excerpts=tuple(
+        Excerpt(id=f"x.{i}", label="x", artist="pinned" if i < 4 else f"solo{i}")
+        for i in range(8)))
+    part = make_partition(corpus, "af", artist_folds={"fold1": ["pinned"]})
+    assert part.folds == (("x.0", "x.1", "x.2", "x.3"), ("x.4", "x.5", "x.6", "x.7"))
+
+
 def test_af_manual_folds_double_assignment():
     corpus = grid_corpus()
     manual = {"fold1": ["l0-artist0"], "fold2": ["L0-Artist0"]}
@@ -246,10 +256,10 @@ def per_excerpt_predictions(corpus, partition, kind, features, seed):
     for i, test_fold in enumerate(partition.folds):
         train_ids = [eid for j, fold in enumerate(partition.folds) if j != i for eid in fold]
         train_x = np.concatenate([features[eid] for eid in train_ids])
-        train_y = [corpus.get(eid).label for eid in train_ids for _ in features[eid]]
+        train_y = [corpus.labels.index(corpus.get(eid).label)
+                   for eid in train_ids for _ in features[eid]]
         nmap = fit_normalization(train_x)
-        model = train(kind, apply_normalization(nmap, train_x), train_y,
-                      label_order=corpus.labels)
+        model = train(kind, apply_normalization(nmap, train_x), train_y, corpus.labels)
         for j, eid in enumerate(sorted(test_fold)):
             vecs = apply_normalization(nmap, features[eid])
             rng = np.random.default_rng([seed, partition.realization, i, j])
