@@ -28,13 +28,13 @@ def main():
         print(f"  {eid}: {len(hashsets[eid].hashes)} landmark hashes")
 
     print("\nall pairwise match scores above 0.05:")
-    for ms in fingerprint.match_all(list(hashsets.values()), threshold=0.05):
+    for ms in fingerprint.match_all(hashsets.values(), threshold=0.05):
         frames = f"{ms.offset_mode:+d} frames"
         print(f"  {ms.pair[0]} vs {ms.pair[1]}: score {ms.score:.3f}, "
               f"modal offset {frames} ({ms.offset_mode * 512 / SR:+.2f} s)")
 
-    groups = fingerprint.find_exact_repetitions(
-        None, threshold=fingerprint.DEFAULT_THRESHOLD, hashsets=hashsets)
+    groups = fingerprint.find_exact_repetitions(hashsets.values(),
+                                                threshold=fingerprint.DEFAULT_THRESHOLD)
     print(f"\nrepetition groups at threshold {fingerprint.DEFAULT_THRESHOLD}:")
     for g in groups:
         print(f"  {' == '.join(g)}")

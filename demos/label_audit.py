@@ -9,7 +9,7 @@ planted excerpt being flagged by the high_other rule.
 import numpy as np
 
 from corpusaudit import tagscore
-from corpusaudit.corpus import Corpus, Excerpt, TagCountSet
+from corpusaudit.corpus import Corpus, Excerpt
 
 SEED = 11
 
@@ -20,12 +20,12 @@ VOCAB = {
 }
 
 
-def fake_tags(rng, eid, vocab):
-    """A tag-count set dominated by the given vocabulary plus stray tags."""
+def fake_tags(rng, vocab):
+    """(tag, count) pairs dominated by the given vocabulary plus stray tags."""
     pairs = [(t, int(rng.integers(40, 100))) for t in vocab]
     for stray in rng.choice(["live", "favorite", "loud"], size=2, replace=False):
         pairs.append((str(stray), int(rng.integers(1, 10))))
-    return TagCountSet(owner=eid, pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 def main():
@@ -35,12 +35,9 @@ def main():
         for i in range(5):
             eid = f"{label}.{i:03d}"
             excerpts.append(Excerpt(id=eid, label=label, artist=f"artist {eid}"))
-            tags[eid] = fake_tags(rng, eid, vocab)
+            tags[eid] = fake_tags(rng, vocab)
     # the plant: carries slate's label, mostly amber's tags, a few of its own
-    planted = fake_tags(rng, "slate.004", VOCAB["amber"])
-    tags["slate.004"] = TagCountSet(
-        owner="slate.004",
-        pairs=planted.pairs + (("electronic", 30), ("ambient", 20)))
+    tags["slate.004"] = fake_tags(rng, VOCAB["amber"]) + (("electronic", 30), ("ambient", 20))
     corpus = Corpus(labels=tuple(VOCAB), excerpts=tuple(excerpts))
 
     profiles = []

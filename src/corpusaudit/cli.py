@@ -59,9 +59,9 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_audit_dupes(args) -> int:
     corpus = _load_corpus(args)
     hashsets = fingerprint.cached_fingerprints(corpus, args.cache, workers=_worker_count())
-    # id order: pairs come as (id_a, id_b), id_a < id_b, whatever the metadata order
-    ids = sorted(ex.id for ex in corpus.excerpts)
-    matches = fingerprint.match_all([hashsets[eid] for eid in ids], args.threshold)
+    # only the corpus's own excerpts: a cache may hold ids the metadata lacks
+    matches = fingerprint.match_all([hashsets[ex.id] for ex in corpus.excerpts],
+                                    args.threshold)
     write_text(args.out, _csv_text(["id_a", "id_b", "score", "offset_frames"], [
         [*m.pair, f"{m.score:.6f}", f"{m.offset_mode}"] for m in matches]))
     return 1 if args.strict and matches else 0
@@ -125,12 +125,9 @@ def cmd_catalog_show(args) -> int:
     return 0
 
 
-def _read_artist_folds(path):
-    """The ``--artist-folds`` mapping, checked on reading so errors name the file."""
-    def check(artist_folds):
-        evaluate.read_artist_folds(artist_folds)
-        return artist_folds
-    return read_json(path, "artist folds", check) if path else None
+def _read_artist_folds(path) -> dict[str, int] | None:
+    """The ``--artist-folds`` file as ``evaluate.read_artist_folds`` normalizes it."""
+    return read_json(path, "artist folds", evaluate.read_artist_folds) if path else None
 
 
 def cmd_partition_make(args) -> int:
@@ -205,13 +202,20 @@ def cmd_eval_run(args) -> int:
 
 
 def _read_predictions(path) -> list[list[evaluate.PredictionRecord]]:
-    """Each realization's predictions from an ``eval run`` report."""
+    """Each realization's predictions from an ``eval run`` report, each excerpt once."""
     report = read_json(path, "report")
     try:
-        return [[_prediction(p) for p in realization["predictions"]]
-                for realization in report["realizations"]]
+        realizations = [[_prediction(p) for p in realization["predictions"]]
+                        for realization in report["realizations"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed report: {exc!r}") from None
+    for i, predictions in enumerate(realizations):
+        seen = set()
+        for p in predictions:
+            if p.excerpt_id in seen:
+                raise ParseError(f"{path}: realization {i} repeats excerpt {p.excerpt_id!r}")
+            seen.add(p.excerpt_id)
+    return realizations
 
 
 def _prediction(p) -> evaluate.PredictionRecord:

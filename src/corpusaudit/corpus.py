@@ -45,6 +45,9 @@ METADATA_HEADER = ["id", "label", "artist", "title"]
 
 TAG_SOURCES = ("song", "artist")
 
+# one excerpt's tags as (tag, count) pairs; load_tags sorts them by tag, each tag once
+TagPairs = tuple[tuple[str, int], ...]
+
 
 def normalize_text(s: str) -> str:
     """Lower-case, trim, and collapse internal whitespace."""
@@ -69,14 +72,6 @@ class Excerpt:
     def artist_key(self) -> str | None:
         """The normalized artist, None if unknown or blank; one artist's excerpts share it."""
         return normalize_text(self.artist or "") or None
-
-
-@dataclass(frozen=True)
-class TagCountSet:
-    """Tag->count pairs for one excerpt, already normalized and merged."""
-
-    owner: str
-    pairs: tuple[tuple[str, int], ...]
 
 
 @dataclass
@@ -370,8 +365,9 @@ def load_metadata(path) -> Corpus:
                   excerpts=tuple(excerpts))
 
 
-def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
-    """Read a tag snapshot JSON file keyed by excerpt id.
+def load_tags(path, corpus: Corpus) -> dict[str, TagPairs]:
+    """Read a tag snapshot JSON file into each excerpt's (tag, count) pairs,
+    sorted by tag.
 
     Tags are lower-cased and whitespace-collapsed; zero-count entries are
     dropped; duplicate tags are merged by summing counts. An entry's
@@ -381,7 +377,7 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
     if not isinstance(entries, list):
         raise ParseError(f"{path}: expected a JSON array")
 
-    result: dict[str, TagCountSet] = {}
+    result: dict[str, TagPairs] = {}
     normalized: dict[str, str] = {}  # each distinct tag text, normalized once
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "id" not in entry:
@@ -398,7 +394,7 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
         if not isinstance(tag_objs, list):
             raise ParseError(f"{path}: entry {i}: 'tags' is not an array")
         # duplicate snapshot entries for one excerpt merge into one set
-        merged: dict[str, int] = dict(result[eid].pairs) if eid in result else {}
+        merged: dict[str, int] = dict(result.get(eid, ()))
         for tag_obj in tag_objs:
             if not isinstance(tag_obj, dict) or not {"tag", "count"} <= tag_obj.keys():
                 raise ParseError(f"{path}: entry {i}: tag object needs a 'tag' and a 'count'")
@@ -413,7 +409,7 @@ def load_tags(path, corpus: Corpus) -> dict[str, TagCountSet]:
             if count == 0 or not tag:
                 continue
             merged[tag] = merged.get(tag, 0) + count
-        result[eid] = TagCountSet(owner=eid, pairs=tuple(sorted(merged.items())))
+        result[eid] = tuple(sorted(merged.items()))
     return result
 
 

@@ -171,9 +171,10 @@ def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
                    artist_folds=None, realization: int = 0) -> Partition:
     """Build a partition of the corpus under the requested scheme.
 
-    Under ``af`` and ``af-prime``, ``artist_folds`` pins artists to folds; an
-    atom joined by a catalog repetition whose artists are pinned to both
-    folds is an ``ArtistLeakError``.
+    Under ``af`` and ``af-prime``, ``artist_folds``, an {artist key: fold}
+    mapping as ``read_artist_folds`` gives it, pins artists to folds; an atom
+    joined by a catalog repetition whose artists are pinned to both folds is
+    an ``ArtistLeakError``.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -195,7 +196,7 @@ def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
         if artist_folds is not None:
             preassigned = {}
             # names absent from the corpus are ignored
-            for key, fold in sorted(read_artist_folds(artist_folds).items()):
+            for key, fold in sorted(artist_folds.items()):
                 atom = atom_of.get(key)
                 if atom is not None and preassigned.setdefault(atom, fold) != fold:
                     raise ArtistLeakError(
@@ -377,8 +378,8 @@ def significance_test(realizations_1, realizations_2) -> SignificanceResult:
     Inputs are sequences of realizations, each an iterable of
     PredictionRecord; an observation is one excerpt in one realization, so
     the two systems must hold equally many realizations, and realization i
-    of each must classify the same excerpts. Only observations where
-    exactly one system is correct count.
+    of each must classify the same excerpts, with the same true labels.
+    Only observations where exactly one system is correct count.
     """
     if len(realizations_1) != len(realizations_2):
         raise AuditError(f"the two systems ran {len(realizations_1)} and "
@@ -391,7 +392,10 @@ def significance_test(realizations_1, realizations_2) -> SignificanceResult:
             raise AuditError(f"the two systems classified different observation sets "
                              f"in realization {i}")
         for eid, (true, pred1) in m1.items():
-            pred2 = m2[eid][1]
+            true2, pred2 = m2[eid]
+            if true2 != true:
+                raise AuditError(f"the two systems give excerpt {eid!r} the true labels "
+                                 f"{true!r} and {true2!r} in realization {i}")
             ok1, ok2 = pred1 == true, pred2 == true
             if ok1 != ok2:
                 n += 1

@@ -224,6 +224,8 @@ def check_catalog(catalog: FaultCatalog, corpus: Corpus | None = None) -> FaultC
         raise ParseError("label_counts must map exactly the catalog labels to integer counts "
                          "from 0 to 2**53")  # float64 holds each exactly
     for label, d in catalog.deltas.items():
+        if label not in labels:
+            raise ParseError(f"delta for label {label!r}, which is not a catalog label")
         if not _number(d, 0):
             raise ParseError(f"delta for label {label!r} must be a finite number >= 0, got {d!r}")
     if corpus is not None and labels != set(corpus.labels):

@@ -381,9 +381,11 @@ def match(a: HashSet, b: HashSet) -> MatchScore:
     return MatchScore(pair=pair, aligned_hits=aligned, offset_mode=offset, score=score)
 
 
-def match_all(hashsets: list[HashSet], threshold: float) -> list[MatchScore]:
-    """``match(hashsets[i], hashsets[j])`` for every ``i < j``, in that order,
-    that scores at least ``threshold``; at 0 or below, every pair."""
+def match_all(hashsets, threshold: float) -> list[MatchScore]:
+    """``match(a, b)`` for every two hash sets, ``a`` before ``b`` in owner order,
+    that scores at least ``threshold``, in that order; at 0 or below, every pair.
+    Neither the pairs nor their orientation depend on the order of ``hashsets``."""
+    hashsets = sorted(hashsets, key=lambda hs: hs.owner)
     out = []
     for i in range(len(hashsets)):
         for j in range(i + 1, len(hashsets)):
@@ -417,19 +419,11 @@ def connected_groups(edges) -> list[tuple[str, ...]]:
     return sorted(tuple(sorted(g)) for g in groups.values() if len(g) > 1)
 
 
-def find_exact_repetitions(corpus: Corpus, threshold: float = DEFAULT_THRESHOLD,
-                           hashsets: dict[str, HashSet] | None = None) -> list[tuple[str, ...]]:
-    """Connected components of the match graph at the given threshold.
-
-    Fingerprints are computed from corpus audio unless precomputed hash
-    sets are supplied; supplied sets are grouped by their dict keys.
-    Groups and their members are sorted lexicographically.
-    """
-    if hashsets is None:
-        hashsets = fingerprint_corpus(corpus)
-    named = [hs if hs.owner == eid else HashSet(owner=eid, hashes=hs.hashes)
-             for eid, hs in sorted(hashsets.items())]
-    return connected_groups(ms.pair for ms in match_all(named, threshold))
+def find_exact_repetitions(hashsets,
+                           threshold: float = DEFAULT_THRESHOLD) -> list[tuple[str, ...]]:
+    """The owners of ``hashsets`` in connected components of the match graph at
+    the given threshold. Groups and their members are sorted lexicographically."""
+    return connected_groups(ms.pair for ms in match_all(hashsets, threshold))
 
 
 def write_cache(path, hashsets: dict[str, HashSet]) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Corpus, TagCountSet
+from .corpus import Corpus, TagPairs
 from .errors import DegenerateRowError, EmptyTagsError
 
 
@@ -59,22 +59,15 @@ class MislabelVerdict:
     rule: str  # "low_own" | "high_other" | "none"
 
 
-def _as_pairs(tags) -> list[tuple[str, float]]:
-    if isinstance(tags, TagCountSet):
-        return list(tags.pairs)
-    return list(tags)
-
-
 def top_tags(tags) -> TopTags:
-    """Select the top tags of a tag-count set.
+    """Select the top tags of a sequence of (tag, count) pairs.
 
-    Accepts a TagCountSet or a sequence of (tag, count) pairs; counts may
-    be raw integers or normalized floats. The result is the shortest
+    Counts may be raw integers or normalized floats. The result is the shortest
     descending-sorted prefix that ends at a strict count drop and covers
     a strict majority of the total; when no proper prefix qualifies, the
     whole set is returned.
     """
-    pairs = _as_pairs(tags)
+    pairs = list(tags)
     if not pairs:
         raise EmptyTagsError("no tag-count pairs")
     if any(c <= 0 for _, c in pairs):
@@ -91,25 +84,24 @@ def top_tags(tags) -> TopTags:
 
 
 def normalize_counts(tags) -> dict[str, float]:
-    """Counts divided by their total; the per-excerpt normalization."""
-    pairs = _as_pairs(tags)
-    if not pairs:
+    """(tag, count) pairs' counts divided by their total; the per-excerpt normalization."""
+    if not tags:
         raise EmptyTagsError("no tag-count pairs")
-    total = sum(c for _, c in pairs)
+    total = sum(c for _, c in tags)
     if total <= 0:
         raise EmptyTagsError("tag counts must be positive")
-    return {t: c / total for t, c in pairs}
+    return {t: c / total for t, c in tags}
 
 
 def label_profile(label: str, tag_sets) -> LabelProfile:
-    """Pool raw counts over the label's tag sets and extract top tags.
+    """Pool raw counts over the label's (tag, count) pair sequences and extract top tags.
 
     Pooled counts are summed per unique tag, normalized so they sum to 1,
     and the top-tag rule is applied to the normalized pairs.
     """
     pooled: dict[str, float] = {}
     for tags in tag_sets:
-        for tag, count in _as_pairs(tags):
+        for tag, count in tags:
             pooled[tag] = pooled.get(tag, 0) + count
     if not pooled:
         raise EmptyTagsError(f"label {label!r} has no tags")
@@ -173,7 +165,7 @@ def flag_rule(own: float, diagonal: float, best_other: float,
     return "none"
 
 
-def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
+def detect_mislabelings(corpus: Corpus, tags: dict[str, TagPairs],
                         profiles: list[LabelProfile],
                         matrix: ScoreMatrix) -> list[MislabelVerdict]:
     """Score every identified, tagged excerpt and flag suspected mislabelings.
@@ -197,15 +189,15 @@ def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
             columns.setdefault(tag, len(columns))
     scored, cells, shares = [], [], []
     for ex in corpus.excerpts:
-        tcs = tags.get(ex.id) if ex.identified else None
-        if tcs is None or not tcs.pairs:
+        pairs = tags.get(ex.id) if ex.identified else None
+        if not pairs:
             continue
-        total = sum(c for _, c in tcs.pairs)
+        total = sum(c for _, c in pairs)
         if total <= 0:
             raise EmptyTagsError("tag counts must be positive")
         if ex.label in index:
             # a tag listed twice keeps its last share, as normalize_counts does
-            row = {columns[t]: c / total for t, c in tcs.pairs if t in columns}
+            row = {columns[t]: c / total for t, c in pairs if t in columns}
             cells += [(col, len(scored)) for col in row]
             shares += row.values()
             scored.append(ex)
@@ -241,7 +233,7 @@ def detect_mislabelings(corpus: Corpus, tags: dict[str, TagCountSet],
 
 
 def audit_labels(corpus: Corpus,
-                 tags: dict[str, TagCountSet]) -> tuple[ScoreMatrix, list[MislabelVerdict]]:
+                 tags: dict[str, TagPairs]) -> tuple[ScoreMatrix, list[MislabelVerdict]]:
     """Profile each label from its identified, tagged excerpts, then score and flag.
 
     Labels without such excerpts get no profile and drop out of the matrix.
@@ -249,14 +241,14 @@ def audit_labels(corpus: Corpus,
     profiles = []
     for label in corpus.labels:
         sets = [tags[ex.id] for ex in corpus.with_label(label)
-                if ex.identified and ex.id in tags and tags[ex.id].pairs]
+                if ex.identified and tags.get(ex.id)]
         if sets:
             profiles.append(label_profile(label, sets))
     matrix = score_matrix(profiles)
     return matrix, detect_mislabelings(corpus, tags, profiles, matrix)
 
 
-def catalog_inputs(corpus: Corpus, tags: dict[str, TagCountSet]) -> tuple[list, dict]:
+def catalog_inputs(corpus: Corpus, tags: dict[str, TagPairs]) -> tuple[list, dict]:
     """``audit_labels``' flagged verdicts and label deltas, as ``build_catalog`` takes them."""
     matrix, verdicts = audit_labels(corpus, tags)
     return ([v for v in verdicts if v.flagged],

@@ -23,11 +23,12 @@ from corpusaudit.evaluate import (
     binomial_significance,
     figures_of_merit,
     make_partition,
+    read_artist_folds,
     run_experiment,
 )
 from corpusaudit.faults import build_catalog, load_catalog
 from corpusaudit.features import frame_features, texture_vectors
-from corpusaudit.fingerprint import find_exact_repetitions
+from corpusaudit.fingerprint import find_exact_repetitions, fingerprint_corpus
 from corpusaudit.synth import delayed_copy, tone_cloud, two_class_feature_corpus
 from corpusaudit.tagscore import delta_g, flag_rule, top_tags
 
@@ -215,7 +216,7 @@ def test_criterion_06_fingerprint_planted_duplicates(tmp_path):
     corpus = Corpus(labels=("x",), excerpts=tuple(excerpts))
 
     t0 = time.perf_counter()
-    groups = find_exact_repetitions(corpus)
+    groups = find_exact_repetitions(fingerprint_corpus(corpus).values())
     elapsed = time.perf_counter() - t0
     assert sorted(groups) == sorted(expected)
     assert elapsed < 60.0
@@ -289,7 +290,7 @@ def test_criterion_09_artist_filter_soundness():
     corpus = _random_balanced_corpus(np.random.default_rng(77))
     artists = sorted({ex.artist for ex in corpus.excerpts})
     manual = {"fold1": artists[0::2], "fold2": artists[1::2]}
-    part = make_partition(corpus, "af", seed=0, artist_folds=manual)
+    part = make_partition(corpus, "af", seed=0, artist_folds=read_artist_folds(manual))
     expected = (
         tuple(sorted(ex.id for ex in corpus.excerpts if ex.artist in manual["fold1"])),
         tuple(sorted(ex.id for ex in corpus.excerpts if ex.artist in manual["fold2"])),

@@ -692,6 +692,25 @@ def _absent(name):
     return lambda fx, tmp: tmp / name
 
 
+def _damaged_report(mutate):
+    """The good report with ``mutate`` applied to its first realization's predictions."""
+    def build(fx, tmp):
+        data = json.loads(fx["report"].read_text())
+        mutate(data["realizations"][0]["predictions"])
+        path = tmp / "damaged-report.json"
+        path.write_text(json.dumps(data))
+        return path
+    return build
+
+
+def _repeat_slate_004(predictions):
+    predictions.append(dict(next(p for p in predictions if p["id"] == "slate.004")))
+
+
+def _relabel_slate_004(predictions):
+    next(p for p in predictions if p["id"] == "slate.004")["true"] = "amber"
+
+
 def _slate_003(data):
     return next(v for v in data["mislabelings"] if v["id"] == "slate.003")
 
@@ -801,6 +820,22 @@ BAD_INPUTS = {
         lambda fx, bad: ["catalog", "show", "--catalog", bad],
         "delta for label 'slate' must be a finite number >= 0")
        for name, delta in (("string", "0.1"), ("nan", float("nan")), ("negative", -1))},
+    "catalog_delta_for_a_label_outside_labels": (
+        _damaged_catalog(lambda d: d["deltas"].update(violet=0.5)),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad],
+        "delta for label 'violet', which is not a catalog label"),
+    "report_repeating_an_excerpt_on_compare": (
+        _damaged_report(_repeat_slate_004),
+        lambda fx, bad: ["eval", "compare", fx["report"], bad],
+        "realization 0 repeats excerpt 'slate.004'"),
+    "report_repeating_an_excerpt_on_relabel": (
+        _damaged_report(_repeat_slate_004),
+        lambda fx, bad: ["eval", "relabel", "--catalog", fx["catalog"], "--predictions", bad],
+        "realization 0 repeats excerpt 'slate.004'"),
+    "reports_with_two_true_labels_for_one_excerpt": (
+        _damaged_report(_relabel_slate_004),
+        lambda fx, bad: ["eval", "compare", fx["report"], bad],
+        "excerpt 'slate.004' the true labels 'slate' and 'amber' in realization 0"),
     "report_label_outside_catalog": (
         _text("report.json", json.dumps({"realizations": [{"predictions": [
             {"id": "amber.000", "true": "amber", "predicted": "violet", "fold": 0}]}]})),

@@ -12,7 +12,6 @@ from scipy.io import wavfile
 from corpusaudit.corpus import (
     Corpus,
     Excerpt,
-    TagCountSet,
     load_audio,
     load_metadata,
     load_tags,
@@ -133,7 +132,7 @@ def test_load_tags_merges_normalized_duplicates(tmp_path):
         "tags": [{"tag": "Blues", "count": 100}, {"tag": "blues ", "count": 1}],
     }])
     tags = load_tags(path, corpus)
-    assert tags["a.0"].pairs == (("blues", 101),)
+    assert tags["a.0"] == (("blues", 101),)
 
 
 def test_load_tags_merges_entries_for_one_excerpt(tmp_path):
@@ -145,8 +144,8 @@ def test_load_tags_merges_entries_for_one_excerpt(tmp_path):
          "tags": [{"tag": "Blues", "count": 2}, {"tag": "ROCK", "count": 3}]},
     ])
     tags = load_tags(path, corpus)
-    assert tags["a.0"] == TagCountSet(owner="a.0", pairs=(("blues", 2), ("rock", 7)))
-    assert tags["b.0"].pairs == (("jazz", 1),)
+    assert tags["a.0"] == (("blues", 2), ("rock", 7))
+    assert tags["b.0"] == (("jazz", 1),)
 
 
 def test_load_tags_drops_zero_counts(tmp_path):
@@ -156,7 +155,7 @@ def test_load_tags_drops_zero_counts(tmp_path):
         "tags": [{"tag": "rock", "count": 3}, {"tag": "noise", "count": 0}],
     }])
     tags = load_tags(path, corpus)
-    assert tags["a.0"].pairs == (("rock", 3),)
+    assert tags["a.0"] == (("rock", 3),)
 
 
 def test_load_tags_negative_count(tmp_path):
@@ -181,7 +180,7 @@ def test_load_tags_checks_the_source(tmp_path):
         {"id": "a.0", "source": "song", "tags": [{"tag": "rock", "count": 1}]},
         {"id": "b.0", "source": "artist", "tags": [{"tag": "rock", "count": 1}]},
     ])
-    assert [t.pairs for t in load_tags(path, corpus).values()] == [(("rock", 1),)] * 2
+    assert list(load_tags(path, corpus).values()) == [(("rock", 1),)] * 2
     path = write_tags(tmp_path, [{"id": "a.0", "source": "album", "tags": []}])
     with pytest.raises(ParseError, match="entry 0: bad source 'album'"):
         load_tags(path, corpus)

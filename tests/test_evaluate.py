@@ -22,6 +22,7 @@ from corpusaudit.evaluate import (
     binomial_significance,
     figures_of_merit,
     make_partition,
+    read_artist_folds,
     run_experiment,
     significance_test,
 )
@@ -144,17 +145,17 @@ def test_af_catalog_join_pinned_to_both_folds_is_refused():
     catalog = build_catalog(corpus, exact_groups=[("l0.000", "l0.001")])
     manual = {"fold1": ["l0-artist0"], "fold2": ["l0-artist1"]}
     with pytest.raises(ArtistLeakError, match="share a recording"):
-        make_partition(corpus, "af", artist_folds=manual, catalog=catalog)
+        make_partition(corpus, "af", artist_folds=read_artist_folds(manual), catalog=catalog)
     # pinned to one fold, the joined atom goes there whole
     manual = {"fold1": ["l0-artist0"]}
-    part = make_partition(corpus, "af", artist_folds=manual, catalog=catalog)
+    part = make_partition(corpus, "af", artist_folds=read_artist_folds(manual), catalog=catalog)
     assert {"l0.000", "l0.001", "l0.003", "l0.004"} <= set(part.folds[0])
 
 
 def test_af_manual_folds_respected():
     corpus = grid_corpus(n_per_label=6, artists_per_label=3)
     manual = {"fold1": ["l0-artist0"], "fold2": ["l0-artist1"]}
-    part = make_partition(corpus, "af", seed=0, artist_folds=manual)
+    part = make_partition(corpus, "af", seed=0, artist_folds=read_artist_folds(manual))
     fold_of = {eid: i for i, fold in enumerate(part.folds) for eid in fold}
     assert fold_of["l0.000"] == 0
     assert fold_of["l0.001"] == 1
@@ -166,7 +167,7 @@ def test_af_balances_the_other_artists_around_the_pinned_ones():
     corpus = Corpus(labels=("x",), excerpts=tuple(
         Excerpt(id=f"x.{i}", label="x", artist="pinned" if i < 4 else f"solo{i}")
         for i in range(8)))
-    part = make_partition(corpus, "af", artist_folds={"fold1": ["pinned"]})
+    part = make_partition(corpus, "af", artist_folds=read_artist_folds({"fold1": ["pinned"]}))
     assert part.folds == (("x.0", "x.1", "x.2", "x.3"), ("x.4", "x.5", "x.6", "x.7"))
 
 
@@ -174,12 +175,12 @@ def test_af_manual_folds_double_assignment():
     corpus = grid_corpus()
     manual = {"fold1": ["l0-artist0"], "fold2": ["L0-Artist0"]}
     with pytest.raises(ArtistLeakError):
-        make_partition(corpus, "af", seed=0, artist_folds=manual)
+        make_partition(corpus, "af", seed=0, artist_folds=read_artist_folds(manual))
 
 
 def test_af_manual_folds_malformed():
     with pytest.raises(ParseError):
-        make_partition(grid_corpus(), "af", seed=0, artist_folds={"a": []})
+        make_partition(grid_corpus(), "af", seed=0, artist_folds=read_artist_folds({"a": []}))
 
 
 def test_unknown_scheme():
@@ -436,6 +437,15 @@ def test_significance_test_mismatched_sets():
     preds = [PredictionRecord("e1", "a", "a", 0)]
     with pytest.raises(AuditError, match="ran 2 and 1 realizations"):
         significance_test([preds, preds], [preds])
+
+
+def test_significance_test_refuses_two_true_labels_for_one_excerpt():
+    preds = [PredictionRecord(f"e{i}", "a", "a", 0) for i in range(4)]
+    other = [PredictionRecord(f"e{i}", "b" if i == 2 else "a", "b", 0) for i in range(4)]
+    assert significance_test([preds, preds], [preds, list(preds)]).n == 0
+    with pytest.raises(AuditError, match="excerpt 'e2' the true labels 'a' and 'b' in "
+                                         "realization 1"):
+        significance_test([preds, preds], [preds, other])
 
 
 def test_significance_test_counts_every_realization():

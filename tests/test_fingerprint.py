@@ -232,19 +232,19 @@ def planted_corpus(tmp_path, rng):
 def test_find_exact_repetitions_recovers_planted_pairs(tmp_path):
     rng = np.random.default_rng(11)
     corpus = planted_corpus(tmp_path, rng)
-    groups = find_exact_repetitions(corpus)
+    groups = find_exact_repetitions(fingerprint_corpus(corpus).values())
     assert [sorted(g) for g in groups] == [["g.000", "g.001"], ["g.002", "g.003"]]
 
 
 def test_threshold_monotonicity(tmp_path):
     rng = np.random.default_rng(12)
-    corpus = planted_corpus(tmp_path, rng)
-    loose = find_exact_repetitions(corpus, threshold=0.05)
-    strict = find_exact_repetitions(corpus, threshold=0.99)
+    hashsets = fingerprint_corpus(planted_corpus(tmp_path, rng)).values()
+    loose = find_exact_repetitions(hashsets, threshold=0.05)
+    strict = find_exact_repetitions(hashsets, threshold=0.99)
     loose_members = {m for g in loose for m in g}
     strict_members = {m for g in strict for m in g}
     assert strict_members <= loose_members
-    default = find_exact_repetitions(corpus, threshold=DEFAULT_THRESHOLD)
+    default = find_exact_repetitions(hashsets, threshold=DEFAULT_THRESHOLD)
     assert len(default) == 2
 
 
@@ -278,7 +278,7 @@ def test_find_exact_repetitions_names_an_excerpt_without_audio(tmp_path):
     corpus = dataclasses.replace(
         corpus, excerpts=corpus.excerpts + (Excerpt(id="g.006", label="g"),))
     with pytest.raises(IoError, match="'g.006'"):
-        find_exact_repetitions(corpus)
+        find_exact_repetitions(fingerprint_corpus(corpus).values())
 
 
 def test_cache_round_trip(tmp_path, clouds):
@@ -616,6 +616,22 @@ def test_match_all_equals_pairwise_reference(clouds):
         ms for ms in expected if ms.score >= DEFAULT_THRESHOLD]
 
 
+def test_match_all_scores_pairs_in_owner_order_whatever_the_input_order(clouds):
+    signals = list(clouds) + [delayed_copy(clouds[2], 0.7, 0.6, SR),
+                              delayed_copy(clouds[4], 1.3, 0.9, SR)]
+    fps = [compute_fingerprint(s, owner=f"c{i}") for i, s in enumerate(signals)]
+    in_order = match_all(fps, 0.0)
+    assert [ms.pair for ms in in_order] == [(a.owner, b.owner)
+                                            for i, a in enumerate(fps) for b in fps[i + 1:]]
+    assert any(ms.offset_mode != 0 for ms in in_order if ms.score >= DEFAULT_THRESHOLD)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        shuffled = [fps[i] for i in rng.permutation(len(fps))]
+        assert match_all(shuffled, 0.0) == in_order
+        assert match_all(reversed(shuffled), DEFAULT_THRESHOLD) == [
+            ms for ms in in_order if ms.score >= DEFAULT_THRESHOLD]
+
+
 def test_connected_groups():
     edges = [("e", "d"), ("c", "b"), ("a", "b"), ("f", "f"), ("x", "c")]
     assert connected_groups(edges) == [("a", "b", "c", "x"), ("d", "e")]
@@ -674,11 +690,11 @@ def test_cache_io_errors_name_the_file(tmp_path):
         read_cache(tmp_path)
 
 
-def test_find_exact_repetitions_groups_supplied_sets_by_key(clouds):
+def test_find_exact_repetitions_groups_sets_by_owner(clouds):
     copy = delayed_copy(clouds[1], 0.3, 0.5, SR)
-    hashsets = {"x": compute_fingerprint(clouds[1]), "y": compute_fingerprint(copy),
-                "z": compute_fingerprint(clouds[2])}
-    assert find_exact_repetitions(None, hashsets=hashsets) == [("x", "y")]
+    hashsets = [compute_fingerprint(clouds[2], owner="z"), compute_fingerprint(copy, owner="x"),
+                compute_fingerprint(clouds[1], owner="y")]
+    assert find_exact_repetitions(hashsets) == [("x", "y")]
 
 
 # (id, hashes): a key or frame outside u4, or an id too long for its <H length

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from corpusaudit.corpus import Corpus, Excerpt, TagCountSet
+from corpusaudit.corpus import Corpus, Excerpt
 from corpusaudit.errors import DegenerateRowError, EmptyTagsError
 from corpusaudit.tagscore import (
     delta_g,
@@ -186,10 +186,10 @@ def tagged_corpus():
     )
     corpus = Corpus(labels=labels, excerpts=excerpts)
     tags = {
-        "one.0": TagCountSet(owner="one.0", pairs=(("uno", 90), ("dos", 10))),
-        "one.1": TagCountSet(owner="one.1", pairs=(("dos", 100),)),
-        "two.0": TagCountSet(owner="two.0", pairs=(("dos", 80), ("tres", 20))),
-        "two.1": TagCountSet(owner="two.1", pairs=(("dos", 50),)),
+        "one.0": (("uno", 90), ("dos", 10)),
+        "one.1": (("dos", 100),),
+        "two.0": (("dos", 80), ("tres", 20)),
+        "two.1": (("dos", 50),),
     }
     return corpus, tags
 
@@ -208,8 +208,8 @@ def test_detect_mislabelings_perfect_excerpt_not_flagged():
         Excerpt(id="two.0", label="two", artist="B"),
     ))
     tags = {
-        "one.0": TagCountSet(owner="one.0", pairs=(("uno", 10),)),
-        "two.0": TagCountSet(owner="two.0", pairs=(("dos", 10),)),
+        "one.0": (("uno", 10),),
+        "two.0": (("dos", 10),),
     }
     profiles = [label_profile("one", [tags["one.0"]]),
                 label_profile("two", [tags["two.0"]])]
@@ -257,10 +257,10 @@ def oracle_verdicts(corpus, tags, profiles, matrix):
     by_label = {p.label: p for p in profiles}
     out = []
     for ex in corpus.excerpts:
-        tcs = tags.get(ex.id)
-        if not ex.identified or tcs is None or not tcs.pairs:
+        pairs = tags.get(ex.id)
+        if not ex.identified or not pairs:
             continue
-        x = normalize_counts(tcs)
+        x = normalize_counts(pairs)
         scores = {label: label_score(x, by_label[label])
                   for label in matrix.labels if label in by_label}
         if ex.label not in scores:
@@ -290,12 +290,12 @@ def test_detect_mislabelings_equals_label_score_per_excerpt(data):
         pairs = data.draw(st.dictionaries(st.sampled_from(["rock", "pop", "jazz", "folk", "x"]),
                                           st.integers(1, 9), max_size=4))
         if data.draw(st.integers(0, 5)) > 0:
-            tags[eid] = TagCountSet(owner=eid, pairs=tuple(sorted(pairs.items())))
+            tags[eid] = tuple(sorted(pairs.items()))
     corpus = Corpus(labels=labels, excerpts=tuple(excerpts))
     profiles = []
     for label in labels[data.draw(st.integers(0, 1)):]:
         sets = [tags[ex.id] for ex in corpus.with_label(label)
-                if ex.identified and ex.id in tags and tags[ex.id].pairs]
+                if ex.identified and tags.get(ex.id)]
         if sets:
             profiles.append(label_profile(label, sets))
     assume(len(profiles) >= 2)
