@@ -57,7 +57,7 @@ def main():
         print(f"{label:>8}{row}   {matrix.deltas[g]:.4f}")
 
     print("\nscoring every excerpt against every profile:")
-    verdicts = tagscore.detect_mislabelings(corpus, tags, profiles, matrix)
+    verdicts = tagscore.detect_mislabelings(corpus, tags, matrix)
     flagged = [v for v in verdicts if v.flagged]
     for v in flagged:
         print(f"  FLAG {v.excerpt_id} ({v.label}): own score {v.own_score:.3f}, "

@@ -7,7 +7,8 @@ generator; MD and MMD sum equal-prior Gaussian log posteriors over the
 windows and take the argmax, breaking ties by label order. MD uses an
 identity covariance (negative squared Euclidean distance); MMD uses the
 total covariance of the training set, regularized by lambda*I with
-lambda = 1e-6 * trace / dim.
+lambda = 1e-6 * trace / dim; a zero covariance, every training feature
+constant, has no such regularization and is refused.
 
 MMD is MD on whitened vectors. With P = inv(cov + lambda*I) = L L^T, L
 its lower Cholesky factor, the Mahalanobis distance (x - mu)^T P (x - mu)
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyClassError
+from .errors import EmptyClassError, IncompleteFeaturesError
 
 KINDS = ("nn", "md", "mmd")
 
@@ -93,6 +94,9 @@ def train(kind: str, vectors: np.ndarray, y, labels) -> TrainedModel:
     denom = max(vectors.shape[0] - 1, 1)
     cov = np.einsum("ni,nj->ij", centered, centered) / denom
     lam = COV_REG_SCALE * np.trace(cov) / cov.shape[0]
+    if not lam > 0:  # cov + lam * I is positive definite only when lam is
+        raise IncompleteFeaturesError("every training feature is constant, so MMD has "
+                                      "no covariance to invert")
     cov_reg = cov + lam * np.eye(cov.shape[0])
     return TrainedModel(kind=kind, labels=labels, means=means,
                         whiten=np.linalg.cholesky(np.linalg.inv(cov_reg)))

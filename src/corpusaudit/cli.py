@@ -59,9 +59,7 @@ def _csv_text(header: list[str], rows) -> str:
 def cmd_audit_dupes(args) -> int:
     corpus = _load_corpus(args)
     hashsets = fingerprint.cached_fingerprints(corpus, args.cache, workers=_worker_count())
-    # only the corpus's own excerpts: a cache may hold ids the metadata lacks
-    matches = fingerprint.match_all([hashsets[ex.id] for ex in corpus.excerpts],
-                                    args.threshold)
+    matches = fingerprint.match_all(hashsets.values(), args.threshold)
     write_text(args.out, _csv_text(["id_a", "id_b", "score", "offset_frames"], [
         [*m.pair, f"{m.score:.6f}", f"{m.offset_mode}"] for m in matches]))
     return 1 if args.strict and matches else 0

@@ -60,8 +60,10 @@ class IncompleteVerdictError(AuditError):
 
 
 class IncompleteFeaturesError(AuditError):
-    """An excerpt in the partition has no cached feature vectors, or one that
-    holds a nan or an infinity."""
+    """Features that cannot be classified: an excerpt in the partition with no
+    cached feature vectors or one that holds a nan or an infinity, a feature
+    file with no feature column, or MMD training vectors whose every feature is
+    constant (a zero covariance)."""
 
 
 @contextmanager

@@ -100,14 +100,14 @@ def _artist_groups(corpus: Corpus, included: set[str]) -> dict[str, list[str]]:
 
 def _merge_repetitions(groups: dict[str, list[str]],
                        repetitions) -> tuple[dict[str, list[str]], dict[str, str]]:
-    """``groups``' atoms after joining every atom that an exact or recording group
+    """``groups``' atoms after joining every atom that a same-recording group
     among ``repetitions`` touches with the others it touches, and each old atom's
     key -> its new atom's key. A joined atom takes the smallest key among its atoms
     and their members in key order; members outside ``groups`` are ignored."""
     key_of = {eid: key for key, members in groups.items() for eid in members}
     edges = []
     for group in repetitions:
-        if group.kind in ("exact", "recording"):
+        if group.same_recording:
             keys = sorted({key_of[eid] for eid in group.members if eid in key_of})
             edges += [(keys[0], key) for key in keys[1:]]
     atom_of = dict(zip(groups, groups))
@@ -212,15 +212,15 @@ def make_partition(corpus: Corpus, scheme: str, seed: int = 0, catalog=None,
 
 
 def run_experiment(corpus: Corpus, partition: Partition, kind: str,
-                   features: dict[str, np.ndarray], seed: int = 0) -> ExperimentResult:
+                   features: dict[str, np.ndarray]) -> ExperimentResult:
     """Cross-validate one classifier over the partition's folds.
 
     Each fold serves as the test set once, with the model trained on the
     union of the others; normalization is fitted on the training windows
     and applied unchanged to the test windows. Original labels are kept.
-    A fold's test excerpts are scored together, in sorted id order; the
-    ``j``-th one draws NN vote ties from ``default_rng([seed, realization,
-    fold, j])``, so each label equals ``classify_excerpt`` on its own.
+    A fold's test excerpts are scored together, in sorted id order; the ``j``-th one
+    draws NN vote ties from ``default_rng([seed, realization, fold, j])`` of the
+    partition, so each label equals ``classify_excerpt`` on its own.
 
     Every window must be finite: a nan or an infinity is an
     ``IncompleteFeaturesError`` naming the excerpt, the window and the
@@ -258,7 +258,7 @@ def run_experiment(corpus: Corpus, partition: Partition, kind: str,
         predicted = classify_excerpts(
             model, apply_normalization(nmap, test_x, out=test_x),
             [len(features[eid]) for eid in test_ids],
-            lambda j: np.random.default_rng([seed, partition.realization, i, j]))
+            lambda j: np.random.default_rng([partition.seed, partition.realization, i, j]))
         del test_x  # not kept while the next fold trains
         predictions += [PredictionRecord(excerpt_id=eid, true_label=corpus.get(eid).label,
                                          predicted_label=label, fold=i)
@@ -292,7 +292,7 @@ def run_realizations(corpus: Corpus, scheme: str, kind: str, features, seed: int
                          f"realization, so it takes 1 realization, not {realizations}")
     return [run_experiment(corpus, make_partition(corpus, scheme, seed=seed, catalog=catalog,
                                                   artist_folds=artist_folds, realization=r),
-                           kind, features, seed=seed)
+                           kind, features)
             for r in range(realizations)]
 
 

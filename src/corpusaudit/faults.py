@@ -37,6 +37,11 @@ class RepetitionGroup:
     members: tuple[str, ...]    # sorted, >= 2
     evidence: str               # fingerprint | metadata | manual
 
+    @property
+    def same_recording(self) -> bool:
+        """Its members are one recording: an exact or recording group."""
+        return self.kind in ("exact", "recording")
+
 
 @dataclass(frozen=True)
 class Distortion:
@@ -61,14 +66,9 @@ class FaultCatalog:
 
     def exclusions(self) -> frozenset[str]:
         """Ids removed by fault filtering; one representative per group stays."""
-        out = set()
-        for group in self.repetitions:
-            if group.kind in ("exact", "recording"):
-                out.update(sorted(group.members)[1:])
-        for d in self.distortions:
-            if d.excluded:
-                out.add(d.excerpt_id)
-        return frozenset(out)
+        repeated = {eid for g in self.repetitions if g.same_recording
+                    for eid in sorted(g.members)[1:]}
+        return frozenset(repeated | {d.excerpt_id for d in self.distortions if d.excluded})
 
 
 def _metadata_groups(corpus: Corpus, key_fn, kind: str) -> list[RepetitionGroup]:
@@ -96,8 +96,8 @@ def build_catalog(corpus: Corpus, exact_groups=(), verdicts=(), distortions=(),
                                                  ("recording", "manual", recording_groups))
                    for members in sorted(tuple(sorted(g)) for g in given)]
 
-    same_recording = [set(g.members) for g in repetitions]
     repetitions += _metadata_groups(corpus, lambda ex: ex.artist_key, "artist")
+    same_recording = [set(g.members) for g in repetitions if g.same_recording]
     for group in _metadata_groups(
             corpus, lambda ex: normalize_text(ex.title) if ex.title else None, "version"):
         if not any(set(group.members) <= members for members in same_recording):
@@ -258,7 +258,8 @@ def check_catalog(catalog: FaultCatalog, corpus: Corpus | None = None) -> FaultC
                              f"finite number >= 0, got {d.usable_prefix_seconds!r}")
         check_known("distortion", [d.excerpt_id])
     for v in catalog.mislabelings:
-        if v.label not in labels or not set(v.scores) <= labels:
+        if (v.label not in labels or not set(v.scores) <= labels
+                or v.best_other_label not in (None, *catalog.labels)):
             raise ParseError(f"mislabeling {v.excerpt_id!r} names a label outside "
                              "the catalog labels")
         if not (isinstance(v.excerpt_id, str) and isinstance(v.flagged, bool) and all(

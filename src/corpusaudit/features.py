@@ -401,6 +401,8 @@ def _parse_feature_csv(path) -> dict[str, np.ndarray]:
         header = next(reader, None)
         if header is None or header[:2] != ["id", "window_index"]:
             raise IncompleteFeaturesError(f"{path}: not a feature cache")
+        if len(header) < 3:
+            raise IncompleteFeaturesError(f"{path}: no feature columns after id,window_index")
         rows = []  # (id, window index, field count, line) per data row
 
         def value_fields():

@@ -448,8 +448,8 @@ def read_cache(path) -> dict[str, HashSet]:
 
 
 def cached_fingerprints(corpus: Corpus, cache=None, workers: int = 1) -> dict[str, HashSet]:
-    """Hash sets read from ``cache`` if it exists and covers the corpus (else
-    ParseError), or fingerprinted on ``workers`` threads and written to ``cache``."""
+    """The corpus's hash sets by id, in corpus order: from ``cache`` if it exists and
+    covers the corpus (else ParseError), else fingerprinted and written to ``cache``."""
     if cache and Path(cache).exists():
         hashsets = read_cache(cache)
         missing = [ex.id for ex in corpus.excerpts if ex.id not in hashsets]
@@ -457,7 +457,7 @@ def cached_fingerprints(corpus: Corpus, cache=None, workers: int = 1) -> dict[st
             raise ParseError(f"{cache}: no fingerprints for excerpt {missing[0]!r}"
                              f" ({len(missing)} of {len(corpus.excerpts)} missing);"
                              " delete the cache to rebuild it")
-        return hashsets
+        return {ex.id: hashsets[ex.id] for ex in corpus.excerpts}
     hashsets = fingerprint_corpus(corpus, workers=workers)
     if cache:
         write_cache(cache, hashsets)

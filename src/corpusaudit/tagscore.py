@@ -13,6 +13,7 @@ label's significance margin of the self score (rule ``high_other``).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,11 +38,15 @@ class LabelProfile:
 
 @dataclass(frozen=True)
 class ScoreMatrix:
-    """Paired label scores and per-label significance margins."""
+    """Paired label scores of ``profiles`` and per-label significance margins."""
 
-    labels: tuple[str, ...]
+    profiles: tuple[LabelProfile, ...]
     scores: np.ndarray  # [g, r] = score of label g's top tags against label r
     deltas: np.ndarray
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(p.label for p in self.profiles)
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -137,17 +142,31 @@ def delta_g(row) -> float:
     return spread / 10.0
 
 
+def _profile_scores(profiles, rows: list[dict[str, float]]) -> np.ndarray:
+    """``label_score`` of each of ``rows`` (tag -> share) against each profile, bit for
+    bit, as a [profile, row] matrix: a top-tag x row matrix holds the shares, and each
+    profile's scores add its top tags' ``d * x`` rows in top-tag order, from +0.0."""
+    columns: dict[str, int] = {}  # every profile's top tags
+    for p in profiles:
+        for tag, _ in p.top.pairs:
+            columns.setdefault(tag, len(columns))
+    x = np.zeros((len(columns), len(rows)))  # [top tag, row]
+    for j, row in enumerate(rows):
+        for tag, share in row.items():
+            if tag in columns:
+                x[columns[tag], j] = share
+    scores = np.zeros((len(profiles), len(rows)))
+    for r, p in enumerate(profiles):
+        for tag, d in p.top.pairs:
+            scores[r] += d * x[columns[tag]]
+    return scores
+
+
 def score_matrix(profiles: list[LabelProfile]) -> ScoreMatrix:
     """Score every label's top tags against every profile."""
-    labels = tuple(p.label for p in profiles)
-    n = len(profiles)
-    scores = np.zeros((n, n))
-    for g, pg in enumerate(profiles):
-        own = dict(pg.top.pairs)
-        for r, pr in enumerate(profiles):
-            scores[g, r] = label_score(own, pr)
-    deltas = np.array([delta_g(scores[g]) for g in range(n)])
-    return ScoreMatrix(labels=labels, scores=scores, deltas=deltas)
+    scores = _profile_scores(profiles, [dict(p.top.pairs) for p in profiles]).T
+    return ScoreMatrix(profiles=tuple(profiles), scores=scores,
+                       deltas=np.array([delta_g(row) for row in scores]))
 
 
 def flag_rule(own: float, diagonal: float, best_other: float,
@@ -166,28 +185,20 @@ def flag_rule(own: float, diagonal: float, best_other: float,
 
 
 def detect_mislabelings(corpus: Corpus, tags: dict[str, TagPairs],
-                        profiles: list[LabelProfile],
                         matrix: ScoreMatrix) -> list[MislabelVerdict]:
     """Score every identified, tagged excerpt and flag suspected mislabelings.
 
     Unidentified or untagged excerpts are skipped, and so are excerpts whose
-    label has no profile. The verdict keeps the full per-label score vector
-    so downstream consumers can reuse it.
+    label is not in the matrix. The verdict keeps the full per-label score
+    vector so downstream consumers can reuse it.
 
-    The scores are ``label_score`` of ``normalize_counts``, bit for bit, for
-    all excerpts at once: a top-tag x excerpt matrix holds ``count / total``,
-    and each label's scores add its top tags' ``d * x`` rows in top-tag order,
-    from +0.0. The best other label is the first of the highest others, in
-    matrix order.
+    The scores are ``label_score`` of ``normalize_counts`` against the matrix's
+    profiles, bit for bit, for all excerpts at once (``_profile_scores``). The
+    best other label is the first of the highest others, in matrix order.
     """
-    by_label = {p.label: p for p in profiles}
-    labels = [label for label in matrix.labels if label in by_label]
+    labels = matrix.labels
     index = {label: r for r, label in enumerate(labels)}
-    columns: dict[str, int] = {}  # every profile's top tags
-    for label in labels:
-        for tag, _ in by_label[label].top.pairs:
-            columns.setdefault(tag, len(columns))
-    scored, cells, shares = [], [], []
+    scored, rows = [], []
     for ex in corpus.excerpts:
         pairs = tags.get(ex.id) if ex.identified else None
         if not pairs:
@@ -197,28 +208,18 @@ def detect_mislabelings(corpus: Corpus, tags: dict[str, TagPairs],
             raise EmptyTagsError("tag counts must be positive")
         if ex.label in index:
             # a tag listed twice keeps its last share, as normalize_counts does
-            row = {columns[t]: c / total for t, c in pairs if t in columns}
-            cells += [(col, len(scored)) for col in row]
-            shares += row.values()
+            rows.append({t: c / total for t, c in pairs})
             scored.append(ex)
-    x = np.zeros((len(columns), len(scored)))  # [top tag, excerpt]
-    x[tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)] = shares
-    scores = np.zeros((len(labels), len(scored)))
-    for r, label in enumerate(labels):
-        for tag, d in by_label[label].top.pairs:
-            scores[r] += d * x[columns[tag]]
+    scores = _profile_scores(matrix.profiles, rows)
     own = np.array([index[ex.label] for ex in scored], dtype=np.intp)
     others = scores.copy()
     others[own, np.arange(len(scored))] = -np.inf
     best = others.argmax(axis=0) if len(labels) > 1 else np.zeros(len(scored), dtype=np.intp)
 
-    margins = {label: (matrix.scores[m, m], matrix.deltas[m])
-               for m, label in enumerate(matrix.labels)}
     verdicts = []
     for ex, row, g, b in zip(scored, scores.T.tolist(), own.tolist(), best.tolist()):
         best_other_label, best_other_score = (labels[b], row[b]) if b != g else (None, 0.0)
-        diagonal, delta = margins[ex.label]
-        rule = flag_rule(row[g], diagonal, best_other_score, delta)
+        rule = flag_rule(row[g], matrix.scores[g, g], best_other_score, matrix.deltas[g])
         verdicts.append(MislabelVerdict(
             excerpt_id=ex.id,
             label=ex.label,
@@ -245,7 +246,7 @@ def audit_labels(corpus: Corpus,
         if sets:
             profiles.append(label_profile(label, sets))
     matrix = score_matrix(profiles)
-    return matrix, detect_mislabelings(corpus, tags, profiles, matrix)
+    return matrix, detect_mislabelings(corpus, tags, matrix)
 
 
 def catalog_inputs(corpus: Corpus, tags: dict[str, TagPairs]) -> tuple[list, dict]:

@@ -315,7 +315,7 @@ def test_criterion_10_repetition_bias():
                 corpus,
                 make_partition(corpus, scheme, seed=10, catalog=catalog,
                                realization=r),
-                kind, features, seed=10)
+                kind, features)
                 for r in range(10)]
             means[scheme] = accuracy_summary(results)[0]
         gaps[kind] = means["st"] - means["st-prime"]
@@ -360,7 +360,7 @@ def test_criterion_11_reference_dataset_conditional():
                 corpus,
                 make_partition(corpus, scheme, seed=11, catalog=catalog,
                                realization=r),
-                kind, features, seed=11)
+                kind, features)
                 for r in range(5)]
             means[scheme] = accuracy_summary(results)[0]
         drops[kind] = means["st"] - means["af"]

@@ -23,7 +23,7 @@ from corpusaudit.classify import (
     vote,
     window_distances,
 )
-from corpusaudit.errors import EmptyClassError
+from corpusaudit.errors import EmptyClassError, IncompleteFeaturesError
 
 
 def reference_nearest(model: TrainedModel, vectors: np.ndarray) -> np.ndarray:
@@ -96,6 +96,16 @@ def test_mmd_covariance_spd_even_when_singular():
     model = train("mmd", x, [0] * 5 + [1] * 5, AB)
     eigvals = np.linalg.eigvalsh(np.linalg.inv(model.whiten @ model.whiten.T))
     assert np.all(eigvals > 0)
+
+
+def test_mmd_refuses_a_zero_covariance():
+    """With every feature constant, lambda = 1e-6 * trace / dim is 0 as well, and
+    cov + lambda * I is the zero matrix; md and nn still train."""
+    x = np.full((4, 2), 0.5)
+    with pytest.raises(IncompleteFeaturesError, match="every training feature is constant"):
+        train("mmd", x, [0, 0, 1, 1], AB)
+    for kind in ("md", "nn"):
+        train(kind, x, [0, 0, 1, 1], AB)
 
 
 def test_md_simple_example():

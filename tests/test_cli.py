@@ -760,6 +760,17 @@ def _features_with(eid, window, feature, value):
     return build
 
 
+def _constant_features(fx, tmp):
+    """A feature CSV, with no companion, giving every excerpt two windows of two
+    features that all equal 0.5."""
+    with fx["metadata"].open(newline="") as fh:
+        ids = [row["id"] for row in csv.DictReader(fh)]
+    path = tmp / "constant.csv"
+    path.write_text("id,window_index,f0,f1\n"
+                    + "".join(f"{eid},{w},0.5,0.5\n" for eid in ids for w in (0, 1)))
+    return path
+
+
 def _report_with(**fields):
     """An ``eval run`` report of one prediction whose fields ``fields`` replace."""
     prediction = {"id": "amber.000", "true": "amber", "predicted": "amber", "fold": 0}
@@ -803,6 +814,12 @@ BAD_INPUTS = {
     "catalog_label_outside_labels": (
         _damaged_catalog(lambda d: _slate_003(d).update(label="violet")),
         lambda fx, bad: ["report", "perfect", "--catalog", bad], "'slate.003'"),
+    "catalog_best_other_label_outside_labels": (
+        _damaged_catalog(lambda d: _slate_003(d).update(best_other_label="violet")),
+        lambda fx, bad: ["report", "perfect", "--catalog", bad], "'slate.003'"),
+    "catalog_best_other_label_a_number": (
+        _damaged_catalog(lambda d: _slate_003(d).update(best_other_label=5)),
+        lambda fx, bad: ["catalog", "show", "--catalog", bad], "'slate.003'"),
     "catalog_score_key_outside_labels": (
         _damaged_catalog(lambda d: _slate_003(d)["scores"].update(violet=0.5)),
         lambda fx, bad: ["eval", "relabel", "--catalog", bad,
@@ -957,6 +974,14 @@ BAD_INPUTS = {
         _text("features.csv",
               "id,window_index,f0,f1\namber.000,0,0.5,0.5\namber.000,1,0.5,n/a\n"),
         lambda fx, bad: _eval_run(fx, bad), ":3:"),
+    "features_without_feature_columns": (
+        _text("features.csv", "id,window_index\namber.000,0\nslate.000,0\n"),
+        lambda fx, bad: _eval_run(fx, bad, "--scheme", "st", "--classifier", "nn"),
+        "no feature columns"),
+    "mmd_on_constant_features": (
+        _constant_features,
+        lambda fx, bad: _eval_run(fx, bad, "--scheme", "st", "--classifier", "mmd"),
+        "every training feature is constant"),
     "unknown_recording_id": (
         _text("recordings.json", json.dumps([["amber.000", "nope.999"]])),
         lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "'nope.999'"),

@@ -201,7 +201,7 @@ def test_run_experiment_echo_classifier_is_diagonal():
     features = echo_features(corpus)
     part = make_partition(corpus, "st", seed=5)
     for kind in ("nn", "md", "mmd"):
-        result = run_experiment(corpus, part, kind, features, seed=5)
+        result = run_experiment(corpus, part, kind, features)
         for table in result.tables:
             assert np.array_equal(table.counts, np.diag(np.diag(table.counts)))
         assert all(p.predicted_label == p.true_label for p in result.predictions)
@@ -243,12 +243,12 @@ def test_run_experiment_deterministic():
     corpus, features, _ = two_class_feature_corpus(n_per_class=20,
                                                    n_duplicate_pairs=0, seed=6)
     part = make_partition(corpus, "st", seed=6)
-    a = run_experiment(corpus, part, "nn", features, seed=6)
-    b = run_experiment(corpus, part, "nn", features, seed=6)
+    a = run_experiment(corpus, part, "nn", features)
+    b = run_experiment(corpus, part, "nn", features)
     assert a.predictions == b.predictions
 
 
-def per_excerpt_predictions(corpus, partition, kind, features, seed):
+def per_excerpt_predictions(corpus, partition, kind, features):
     """``run_experiment`` one excerpt at a time, kept as its oracle.
 
     Also counts the NN votes that tie, so a test can see it reached them.
@@ -263,7 +263,7 @@ def per_excerpt_predictions(corpus, partition, kind, features, seed):
         model = train(kind, apply_normalization(nmap, train_x), train_y, corpus.labels)
         for j, eid in enumerate(sorted(test_fold)):
             vecs = apply_normalization(nmap, features[eid])
-            rng = np.random.default_rng([seed, partition.realization, i, j])
+            rng = np.random.default_rng([partition.seed, partition.realization, i, j])
             out.append(PredictionRecord(excerpt_id=eid, true_label=corpus.get(eid).label,
                                         predicted_label=classify_excerpt(model, vecs, rng),
                                         fold=i))
@@ -302,11 +302,40 @@ def test_run_experiment_equals_per_excerpt_loop():
                   Partition(scheme="thirds", folds=thirds, seed=23)]
     for part in partitions:
         for kind in ("nn", "md", "mmd"):
-            expected, ties = per_excerpt_predictions(corpus, part, kind, features, seed=9)
-            assert run_experiment(corpus, part, kind, features, seed=9).predictions \
+            expected, ties = per_excerpt_predictions(corpus, part, kind, features)
+            assert run_experiment(corpus, part, kind, features).predictions \
                 == tuple(expected)
             if part is partitions[0] and kind == "nn":
                 assert ties >= len(planted)
+
+
+def test_run_experiment_draws_vote_ties_from_the_partition_seed():
+    """Two partitions with the same folds and different seeds: each excerpt's NN
+    vote is a tie between l0 and l1 (one window copies an l0 training window of
+    the other fold, one an l1 window), and each partition draws its own."""
+    rng = np.random.default_rng(31)
+    base = grid_corpus(n_labels=2, n_per_label=10)
+    features = {ex.id: rng.normal(size=(1, 3)) for ex in base.excerpts}
+    halves = make_partition(base, "st", seed=31).folds
+    planted = {0: [], 1: []}
+    for fold, other in ((0, 1), (1, 0)):
+        sources = {label: [eid for eid in halves[other] if eid.startswith(label)]
+                   for label in base.labels}
+        for k, pair in enumerate(zip(sources["l0"], sources["l1"])):
+            eid = f"l0.9{fold}{k}"
+            features[eid] = np.concatenate([features[src] for src in pair])
+            planted[fold].append(eid)
+    corpus = Corpus(labels=base.labels, excerpts=base.excerpts + tuple(
+        Excerpt(id=eid, label="l0", artist=f"planted-{eid}")
+        for fold in (0, 1) for eid in planted[fold]))
+    folds = tuple(tuple(sorted(halves[f] + tuple(planted[f]))) for f in (0, 1))
+    parts = [Partition(scheme="st", folds=folds, seed=seed, realization=2) for seed in (3, 4)]
+    got = [run_experiment(corpus, part, "nn", features).predictions for part in parts]
+    for part, predictions in zip(parts, got):
+        expected, ties = per_excerpt_predictions(corpus, part, "nn", features)
+        assert predictions == tuple(expected)
+        assert ties == len(planted[0]) + len(planted[1]) >= 8
+    assert got[0] != got[1]
 
 
 @pytest.mark.parametrize("n_folds, kind, bound", [
@@ -474,14 +503,14 @@ def test_repetition_bias_property():
                 corpus,
                 make_partition(corpus, scheme, seed=seed, catalog=catalog,
                                realization=r),
-                kind, features, seed=seed)
+                kind, features)
                 for r in range(3) for kind in ("nn",)]
             accs[("nn", scheme)] = accuracy_summary(results)[0]
             results = [run_experiment(
                 corpus,
                 make_partition(corpus, scheme, seed=seed, catalog=catalog,
                                realization=r),
-                "md", features, seed=seed)
+                "md", features)
                 for r in range(3)]
             accs[("md", scheme)] = accuracy_summary(results)[0]
         nn_gaps.append(accs[("nn", "st")] - accs[("nn", "st-prime")])

@@ -16,6 +16,7 @@ from corpusaudit.errors import (
     UnknownExcerptError,
 )
 from corpusaudit.faults import (
+    REPETITION_KINDS,
     Distortion,
     FaultCatalog,
     RepetitionGroup,
@@ -58,6 +59,20 @@ def test_version_groups_exclude_same_recording(small_corpus):
     # the same pair declared an exact repetition suppresses the version group
     catalog = build_catalog(small_corpus, exact_groups=[("alpha.000", "beta.000")])
     assert not [g for g in catalog.repetitions if g.kind == "version"]
+
+
+def test_only_same_recording_groups_suppress_a_version_group():
+    """An artist group holding a version group's members leaves it in place; an
+    exact or a recording group over them removes it."""
+    assert [RepetitionGroup(kind, ("a", "b"), "manual").same_recording
+            for kind in REPETITION_KINDS] == [True, True, False, False]
+    corpus = Corpus(labels=("x",), excerpts=(Excerpt(id="a", label="x", artist="Ann", title="S"),
+                                             Excerpt(id="b", label="x", artist="Ann", title="S")))
+    assert [g.kind for g in build_catalog(corpus).repetitions] == ["artist", "version"]
+    for kind in ("exact", "recording"):
+        catalog = build_catalog(corpus, **{f"{kind}_groups": [("a", "b")]})
+        assert [g.kind for g in catalog.repetitions] == [kind, "artist"]
+        assert catalog.exclusions() == {"b"}
 
 
 def test_exclusions_keep_smallest_member(small_corpus):

@@ -31,6 +31,7 @@ from corpusaudit.fingerprint import (
     HashSet,
     MatchScore,
     PeakConstellation,
+    cached_fingerprints,
     compute_fingerprint,
     connected_groups,
     find_exact_repetitions,
@@ -688,6 +689,19 @@ def test_cache_io_errors_name_the_file(tmp_path):
         write_cache(path, HAND_BUILT)
     with pytest.raises(IoError, match="cannot read fingerprint cache"):
         read_cache(tmp_path)
+
+
+def test_cached_fingerprints_returns_only_the_corpus_excerpts(tmp_path):
+    """A cache may hold ids the metadata lacks; they are left out, and the
+    corpus's sets come in corpus order."""
+    path = tmp_path / "prints.bin"
+    write_cache(path, HAND_BUILT)
+    corpus = Corpus(labels=("x",), excerpts=(Excerpt(id="b.01", label="x"),
+                                             Excerpt(id="a", label="x")))
+    hashsets = cached_fingerprints(corpus, path)
+    assert list(hashsets) == ["b.01", "a"]
+    assert all(hashsets[eid].hashes.tobytes() == read_cache(path)[eid].hashes.tobytes()
+               for eid in hashsets)
 
 
 def test_find_exact_repetitions_groups_sets_by_owner(clouds):

@@ -156,6 +156,25 @@ def test_score_matrix_shared_tag_symmetric():
     assert np.all(m.scores >= 0) and np.all(m.scores <= 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.dictionaries(st.sampled_from(["rock", "pop", "jazz", "folk", "x"]),
+                                         st.integers(1, 97), min_size=1, max_size=4),
+                         min_size=1, max_size=3),
+                min_size=2, max_size=5))
+def test_score_matrix_cells_equal_label_score(tag_sets_per_label):
+    """Every cell [g, r] is ``label_score`` of label g's own top tags against
+    label r's profile, to the bit (compared by repr)."""
+    profiles = [label_profile(f"l{i}", [tuple(sorted(tags.items())) for tags in sets])
+                for i, sets in enumerate(tag_sets_per_label)]
+    try:
+        m = score_matrix(profiles)
+    except DegenerateRowError:
+        assume(False)
+    assert m.labels == tuple(p.label for p in profiles)
+    assert repr(m.scores.tolist()) == repr(
+        [[label_score(dict(pg.top.pairs), pr) for pr in profiles] for pg in profiles])
+
+
 @pytest.mark.parametrize("label", sorted(REFERENCE_ROWS))
 def test_delta_reproduces_reference_margins(label):
     row, expected = REFERENCE_ROWS[label]
@@ -198,7 +217,7 @@ def test_detect_mislabelings_skips_unidentified():
     corpus, tags = tagged_corpus()
     profiles = [label_profile("one", [tags["one.0"], tags["one.1"]]),
                 label_profile("two", [tags["two.0"]])]
-    verdicts = detect_mislabelings(corpus, tags, profiles, score_matrix(profiles))
+    verdicts = detect_mislabelings(corpus, tags, score_matrix(profiles))
     assert {v.excerpt_id for v in verdicts} == {"one.0", "one.1", "two.0"}
 
 
@@ -213,7 +232,7 @@ def test_detect_mislabelings_perfect_excerpt_not_flagged():
     }
     profiles = [label_profile("one", [tags["one.0"]]),
                 label_profile("two", [tags["two.0"]])]
-    verdicts = detect_mislabelings(corpus, tags, profiles, score_matrix(profiles))
+    verdicts = detect_mislabelings(corpus, tags, score_matrix(profiles))
     assert all(not v.flagged for v in verdicts)
 
 
@@ -303,7 +322,7 @@ def test_detect_mislabelings_equals_label_score_per_excerpt(data):
         matrix = score_matrix(profiles)
     except DegenerateRowError:
         assume(False)
-    verdicts = detect_mislabelings(corpus, tags, profiles, matrix)
+    verdicts = detect_mislabelings(corpus, tags, matrix)
     got = [(v.excerpt_id, v.label, v.own_score, v.scores, v.best_other_label,
             v.best_other_score, v.flagged, v.rule) for v in verdicts]
     assert repr(got) == repr(oracle_verdicts(corpus, tags, profiles, matrix))
