@@ -13,7 +13,6 @@ label's significance margin of the self score (rule ``high_other``).
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +43,7 @@ class ScoreMatrix:
     scores: np.ndarray  # [g, r] = score of label g's top tags against label r
     deltas: np.ndarray
 
-    @cached_property
+    @property
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.profiles)
 

@@ -2,23 +2,26 @@
 
 Usage::
 
-    python3 tools/equivalence.py PARENT_TREE CHANGE_TREE [--seeds 5 8] [--work DIR]
+    python3 tools/equivalence.py PARENT_TREE CHANGE_TREE [--work DIR]
 
 Each tree is a checkout of this repository; its ``src/`` and ``demos/`` are run.
-The inputs are built once, by this checkout's ``perfbench.inputs`` at each seed
-(with the benchmark's seed keys): a 16-clip audio corpus of 30 s clips with planted
-re-cuts, and the eval-grid files (1000 excerpts, tags, dupes, distortions).
+The inputs are built once, by this checkout's ``perfbench.inputs`` at seeds 5 and
+8 (with the benchmark's seed keys): a 16-clip audio corpus of 30 s clips with
+planted re-cuts, and the eval-grid files (1000 excerpts, tags, dupes, distortions).
+To these the tool adds two manual recording groups and an artist-fold file.
 
 Every command runs in a fresh interpreter, with ``PYTHONPATH`` set to the tree's
 ``src``, and writes into a directory of its own; a command that reads an earlier
 command's output reads that tree's own. The commands are ``audit dupes`` cold and
 warm (also from a cache that holds ids the metadata lacks) at ``AUDIT_THREADS`` 1
-and 2, ``features extract``, ``audit labels``, ``catalog build`` and ``show``,
+and 2, ``features extract``, ``audit labels``, ``catalog build`` (with the
+recording groups, and again with them alone, without the dupes) and ``show``,
 ``partition make`` for each scheme, ``eval run`` for each scheme and classifier at
 1 and 2 BLAS threads (and for ``st`` from a feature CSV without its binary
-companion), ``eval compare``, ``eval relabel``, ``report perfect`` as text and
-JSON, and the three demos. Both trees run in the same directory, one after the
-other, so output paths are the same for both.
+companion), ``partition make`` for ``af`` and ``af-prime`` and ``eval run`` for
+``af`` with the artist folds, ``eval compare``, ``eval relabel``, ``report
+perfect`` as text and JSON, and the three demos. Both trees run in the same
+directory, one after the other, so output paths are the same for both.
 
 For each command the exit code, stdout, stderr (the tree's path replaced by
 ``<tree>``) and the SHA-256 of every file it wrote are compared, and one line is
@@ -29,7 +32,9 @@ give a sound comparison; no golden digests are kept.
 """
 
 import argparse
+import csv
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -47,14 +52,15 @@ AUDIO_CLIPS = 16
 SCHEMES = ("st", "st-prime", "af", "af-prime")
 CLASSIFIERS = ("nn", "md", "mmd")
 THREADS = (1, 2)
+SEEDS = (5, 8)
 EVAL_SEED = 7
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_inputs(root: Path, seed: int) -> dict[str, Path]:
     """The audio corpus and eval-grid files of one seed, plus the audio metadata
-    without its first three rows and reversed, and a copy of the feature CSV with
-    no companion."""
+    without its first three rows and reversed, a copy of the feature CSV with no
+    companion, and the recording groups and artist folds of ``manual_evidence``."""
     audio = make_audio_corpus(root / "audio", [seed, 1], AUDIO_CLIPS)
     header, *rows = audio.metadata.read_text(encoding="utf-8").splitlines()
     subset = root / "audio" / "subset.csv"
@@ -63,9 +69,34 @@ def build_inputs(root: Path, seed: int) -> dict[str, Path]:
     plain = root / "eval" / "plain" / "features.csv"
     plain.parent.mkdir()
     shutil.copyfile(ev.features, plain)
+    recordings, artist_folds = root / "eval" / "recordings.json", root / "eval" / "folds.json"
+    for path, value in zip((recordings, artist_folds), manual_evidence(ev.metadata, ev.dupes)):
+        path.write_text(json.dumps(value), encoding="utf-8")
     return {"metadata": audio.metadata, "audio": audio.audio_dir, "subset": subset,
             "eval_metadata": ev.metadata, "features": ev.features, "plain": plain,
-            "tags": ev.tags, "dupes": ev.dupes, "distortions": ev.distortions}
+            "tags": ev.tags, "dupes": ev.dupes, "distortions": ev.distortions,
+            "recordings": recordings, "artist_folds": artist_folds}
+
+
+def manual_evidence(metadata: Path, dupes: Path) -> tuple[list, dict]:
+    """Recording groups and artist folds for the eval-grid corpus.
+
+    The groups are the dupes CSV's first pair, which share a title (so without the
+    dupes, only this group keeps their version group out of the catalog), and the
+    first excerpts of the first label's first two artists (so it joins their atoms
+    under ``af``). The folds pin the first of those artists to fold 1 and the
+    label's third artist to fold 2."""
+    with open(metadata, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(dupes, newline="", encoding="utf-8") as fh:
+        first = next(csv.DictReader(fh))
+    first_of = {}  # artist -> its first excerpt, in metadata order
+    for row in rows:
+        if row["label"] == rows[0]["label"] and row["artist"]:
+            first_of.setdefault(row["artist"], row["id"])
+    artists = list(first_of)
+    groups = [[first["id_a"], first["id_b"]], [first_of[artists[0]], first_of[artists[1]]]]
+    return groups, {"fold1": [artists[0]], "fold2": [artists[2]]}
 
 
 def commands(seed: int, inp: dict[str, Path]) -> list[tuple[str, list, dict]]:
@@ -97,9 +128,12 @@ def commands(seed: int, inp: dict[str, Path]) -> list[tuple[str, list, dict]]:
     catalog = "{catalog-build}/catalog.json"
     add("audit-labels", ["audit", "labels", *metadata, "--tags", inp["tags"],
                          "--out", "{here}/verdicts.csv"])
-    add("catalog-build", ["catalog", "build", *metadata, "--tags", inp["tags"],
-                          "--dupes", inp["dupes"], "--distortions", inp["distortions"],
+    evidence = ["--tags", inp["tags"], "--distortions", inp["distortions"],
+                "--recordings", inp["recordings"]]
+    add("catalog-build", ["catalog", "build", *metadata, *evidence, "--dupes", inp["dupes"],
                           "--out", "{here}/catalog.json"])
+    add("catalog-build-manual", ["catalog", "build", *metadata, *evidence,
+                                 "--out", "{here}/catalog.json"])
     add("catalog-show", ["catalog", "show", "--catalog", catalog, "--out", "{here}/show.txt"])
     for scheme in SCHEMES:
         with_catalog = [] if scheme == "st" else ["--catalog", catalog]
@@ -116,6 +150,14 @@ def commands(seed: int, inp: dict[str, Path]) -> list[tuple[str, list, dict]]:
                     threads=k)
             if scheme == "st":
                 add(f"eval-run-st-{kind}-csv", [*run, "--features", inp["plain"]])
+    folds = ["--catalog", catalog, "--artist-folds", inp["artist_folds"]]
+    for scheme in ("af", "af-prime"):
+        add(f"partition-make-{scheme}-pinned",
+            ["partition", "make", *metadata, "--scheme", scheme, *folds,
+             "--out", "{here}/partition.json"])
+    add("eval-run-af-nn-pinned", ["eval", "run", *metadata, "--scheme", "af", "--classifier",
+                                  "nn", *folds, "--features", inp["features"],
+                                  "--out", "{here}/report.json"])
     report = "{eval-run-st-nn-blas1}/report.json"
     add("eval-compare", ["eval", "compare", report, "{eval-run-st-md-blas1}/report.json",
                          "--out", "{here}/compare.json"])
@@ -183,7 +225,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="the tree to compare against")
     parser.add_argument("change", type=Path, help="the tree under test")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[5, 8])
     parser.add_argument("--work", type=Path,
                         help="an empty directory to keep inputs and outputs in "
                              "(default: a temporary one, removed at the end)")
@@ -196,7 +237,7 @@ def main(argv=None) -> int:
     work = args.work or Path(tempfile.mkdtemp(prefix="equivalence-"))
     try:
         cmds = []
-        for seed in args.seeds:
+        for seed in SEEDS:
             cmds += commands(seed, build_inputs(work / "inputs" / str(seed), seed))
         results = []
         for i, tree in enumerate(trees):
