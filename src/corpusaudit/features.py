@@ -17,16 +17,18 @@ import csv
 import hashlib
 import io
 import math
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import SAMPLE_RATE, open_text, read_records, write_records
-from .errors import (IncompleteFeaturesError, IoError, ParseError, TooShortError, reading,
-                     writing)
+from .corpus import SAMPLE_RATE, Corpus, load_audio, open_text, read_records, write_records
+from .errors import (IncompleteFeaturesError, IoError, ParseError, TooShortError, in_file,
+                     reading, writing)
 
 FRAME_SIZE = 1024  # samples per frame, for the features and the fingerprints
 HOP = 512
@@ -206,13 +208,13 @@ def zero_crossings(samples: np.ndarray, n_frames: int) -> np.ndarray:
     return (within[:-1] + changes[:-1, -1] + within[1:]).astype(float)
 
 
-def frame_features(samples: np.ndarray) -> np.ndarray:
+def frame_features(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Per-frame feature matrix, shape (n_frames, 16).
 
     Columns: MFCC 0-12, zero-crossing count, spectral centroid (Hz),
     spectral rolloff (Hz). ZCR is counted on the raw, unwindowed frame.
-    """
-    mag = stft_magnitude(samples)
+    ``out``, when given, is overwritten as ``stft_magnitude``'s buffer."""
+    mag = stft_magnitude(samples, out=out)
 
     energies = mel_energies(mag)
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
@@ -249,19 +251,42 @@ def texture_vectors(frames: np.ndarray) -> np.ndarray:
     return np.concatenate([blocks.mean(axis=1), blocks.var(axis=1)], axis=1)
 
 
-def excerpt_features(samples: np.ndarray) -> np.ndarray:
+def excerpt_features(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Full pipeline: samples -> texture vectors, shape (n_blocks, 32).
 
     Only the frames of whole texture windows are computed; the result is
     ``texture_vectors(frame_features(samples))``. Fewer frames than one
     window raise ``texture_vectors``' TooShortError, before any frame is
-    computed.
+    computed. ``out`` is ``frame_features``' spectrogram buffer.
     """
     n_frames = len(frame_signal(samples))
     if n_frames < TEXTURE_FRAMES:
         raise TooShortError(f"need at least {TEXTURE_FRAMES} frames, got {n_frames}")
     used = n_frames // TEXTURE_FRAMES * TEXTURE_FRAMES
-    return texture_vectors(frame_features(np.asarray(samples)[:FRAME_SIZE + (used - 1) * HOP]))
+    return texture_vectors(frame_features(np.asarray(samples)[:FRAME_SIZE + (used - 1) * HOP],
+                                          out=out))
+
+
+def map_clips(corpus: Corpus, analyse, workers: int = 1) -> dict:
+    """``analyse(excerpt, samples, buffer)`` for each excerpt's audio, keyed by id in
+    corpus order, on ``workers`` threads; the result does not depend on the count.
+    A ``TooShortError`` names the audio file. Each thread hands every clip one
+    ``stft_magnitude`` buffer, grown to the longest clip it has seen, so no
+    clip-sized block is allocated and faulted in anew per clip."""
+    local = threading.local()
+
+    def one(ex):
+        samples = load_audio(ex)
+        with in_file(ex.audio_path, TooShortError):
+            size = len(frame_signal(samples)) * (FRAME_SIZE // 2 + 1)
+            if getattr(local, "buffer", np.empty(0)).size < size:
+                local.buffer = np.empty(size)
+            return ex.id, analyse(ex, samples, local.buffer)
+
+    if workers <= 1:
+        return dict(map(one, corpus.excerpts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return dict(pool.map(one, corpus.excerpts))
 
 
 @dataclass(frozen=True)

@@ -41,16 +41,14 @@ offset is within one frame of its own, is the distance between two
 ``searchsorted`` bounds.
 """
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, load_audio, read_records, write_records
-from .errors import ParseError, TooShortError, in_file
-from .features import FRAME_SIZE, frame_signal, stft_magnitude
+from .corpus import Corpus, read_records, write_records
+from .errors import ParseError
+from .features import map_clips, stft_magnitude
 
 DEFAULT_THRESHOLD = 0.25
 
@@ -313,28 +311,9 @@ def compute_fingerprint(samples: np.ndarray, owner: str = "",
 
 
 def fingerprint_corpus(corpus: Corpus, workers: int = 1) -> dict[str, HashSet]:
-    """Each excerpt's hash set, keyed by id, from its audio.
-
-    With ``workers`` above one, excerpts are loaded and hashed on that many
-    threads; the result does not depend on the count. Each thread builds
-    its spectrograms in one buffer for the whole pass, grown to the longest
-    clip it has seen, so no clip-sized block is allocated and faulted in
-    anew per clip.
-    """
-    local = threading.local()
-
-    def one(ex):
-        samples = load_audio(ex)
-        with in_file(ex.audio_path, TooShortError):
-            size = len(frame_signal(samples)) * (FRAME_SIZE // 2 + 1)
-            if getattr(local, "buffer", np.empty(0)).size < size:
-                local.buffer = np.empty(size)
-            return ex.id, compute_fingerprint(samples, owner=ex.id, out=local.buffer)
-
-    if workers <= 1:
-        return dict(map(one, corpus.excerpts))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(one, corpus.excerpts))
+    """Each excerpt's hash set, keyed by id, from one ``map_clips`` pass."""
+    return map_clips(corpus, lambda ex, samples, out: (
+        compute_fingerprint(samples, owner=ex.id, out=out)), workers)
 
 
 def match(a: HashSet, b: HashSet) -> MatchScore:
