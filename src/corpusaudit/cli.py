@@ -1,11 +1,15 @@
 """Command-line front end; ``COMMANDS`` lists every command and its arguments.
 
 Exit codes: 0 success, 1 audit findings under ``--strict``, 2 errors, each in one
-``error:`` line (a ``--threshold`` that is not a finite number is one). Commands
-are deterministic given inputs, flags and seed, and randomized ones record their
-seed in the report. Reruns are byte-identical whatever ``AUDIT_THREADS`` (the cap
-on fingerprinting threads; 0 or unset = one per CPU, not a non-negative integer =
-exit 2) or the BLAS thread count.
+``error:`` line (a ``--threshold`` that is not a finite number is one). A warning
+raised while a command runs is printed once per distinct message, as one
+``warning:`` line before any ``error:`` line. Commands are deterministic given
+inputs, flags and seed, and randomized ones record their seed in the report.
+Reruns are byte-identical whatever ``AUDIT_THREADS`` or the BLAS thread count.
+``AUDIT_THREADS`` caps the audio threads of ``audit dupes`` and ``features
+extract`` (0 or unset = one per CPU, not a non-negative integer = exit 2); each
+thread holds one spectrogram buffer for the pass, and one clip's samples and
+feature temporaries at a time.
 """
 
 import argparse
@@ -16,10 +20,12 @@ import io
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import classify, evaluate, faults, features, fingerprint, tagscore
-# perfbench/test_perfbench.py::test_tracer_rebinds_where_functions_are_looked_up_and_restores_them
+# load_audio is unused here, but perfbench/test_perfbench.py::
+# test_tracer_rebinds_where_functions_are_looked_up_and_restores_them looks it up here
 from .corpus import (Corpus, load_audio, load_metadata, load_tags, read_json,  # noqa: F401
                      write_json, write_text)
 from .errors import AuditError, IncompleteFeaturesError, ParseError, in_file
@@ -29,7 +35,7 @@ DEFAULT_SEED = 1234
 
 
 def _worker_count() -> int:
-    """Fingerprinting threads: ``AUDIT_THREADS``, or one per CPU if it is 0 or unset."""
+    """Audio threads: ``AUDIT_THREADS``, or one per CPU if it is 0 or unset."""
     raw = os.environ.get("AUDIT_THREADS", "0")
     try:
         n = int(raw)
@@ -399,11 +405,16 @@ def dispatch(argv) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        return args.func(args)
-    except AuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, error = args.func(args), None
+        except AuditError as exc:
+            code, error = 2, exc
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -62,8 +62,8 @@ class IncompleteVerdictError(AuditError):
 class IncompleteFeaturesError(AuditError):
     """Features that cannot be classified: an excerpt in the partition with no
     cached feature vectors or one that holds a nan or an infinity, a feature
-    file with no feature column, or MMD training vectors whose every feature is
-    constant (a zero covariance)."""
+    file with no feature column, or training vectors whose every feature is
+    constant (for MMD, a zero covariance)."""
 
 
 @contextmanager

@@ -262,9 +262,8 @@ def excerpt_features(samples: np.ndarray, out: np.ndarray | None = None) -> np.n
     n_frames = len(frame_signal(samples))
     if n_frames < TEXTURE_FRAMES:
         raise TooShortError(f"need at least {TEXTURE_FRAMES} frames, got {n_frames}")
-    used = n_frames // TEXTURE_FRAMES * TEXTURE_FRAMES
-    return texture_vectors(frame_features(np.asarray(samples)[:FRAME_SIZE + (used - 1) * HOP],
-                                          out=out))
+    used_samples = FRAME_SIZE + (n_frames // TEXTURE_FRAMES * TEXTURE_FRAMES - 1) * HOP
+    return texture_vectors(frame_features(np.asarray(samples)[:used_samples], out=out))
 
 
 def map_clips(corpus: Corpus, analyse, workers: int = 1) -> dict:
@@ -272,7 +271,7 @@ def map_clips(corpus: Corpus, analyse, workers: int = 1) -> dict:
     corpus order, on ``workers`` threads; the result does not depend on the count.
     A ``TooShortError`` names the audio file. Each thread hands every clip one
     ``stft_magnitude`` buffer, grown to the longest clip it has seen, so no
-    clip-sized block is allocated and faulted in anew per clip."""
+    clip-sized spectrogram is allocated and faulted in anew per clip."""
     local = threading.local()
 
     def one(ex):
@@ -298,11 +297,19 @@ class NormalizationMap:
 
 
 def fit_normalization(vectors: np.ndarray) -> NormalizationMap:
-    """Learn the per-dimension [0,1] map from training vectors."""
+    """Learn the per-dimension [0,1] map from training vectors.
+
+    Vectors whose every feature is constant, a single vector among them, are an
+    ``IncompleteFeaturesError``: the map would send every vector to 0, and every
+    classifier would give every excerpt the same label.
+    """
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[0] < 1:
         raise ValueError("need a non-empty 2-D array of training vectors")
-    return NormalizationMap(mins=vectors.min(axis=0), maxs=vectors.max(axis=0))
+    nmap = NormalizationMap(mins=vectors.min(axis=0), maxs=vectors.max(axis=0))
+    if np.array_equal(nmap.mins, nmap.maxs):
+        raise IncompleteFeaturesError("every training feature is constant")
+    return nmap
 
 
 def apply_normalization(nmap: NormalizationMap, vectors: np.ndarray,
@@ -401,8 +408,11 @@ def read_feature_cache(path) -> dict[str, np.ndarray]:
     well-formed, holds the SHA-256 of the CSV's bytes and has no empty
     record, its arrays are returned and nothing is parsed. Otherwise, the
     companion missing, stale (an older format's, say) or damaged, the CSV
-    is parsed.
+    is parsed. A path that is not a regular file, such as a pipe, which can
+    be read only once, is parsed with no companion lookup.
     """
+    if not Path(path).is_file():
+        return _parse_feature_csv(path)
     header = COMPANION_MAGIC + _csv_digest(path)
     try:
         cached = read_records(companion_path(path), "feature companion", header,

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +264,35 @@ def test_audit_threads_not_a_count_exits_two(workspace, tmp_path, monkeypatch, c
     monkeypatch.setenv("AUDIT_THREADS", threads)
     out = tmp_path / "dupes.csv"
     assert _audit_dupes(workspace, tmp_path / "prints.bin", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "AUDIT_THREADS" in err and repr(threads) in err
+    assert not out.exists()
+
+
+def _features_extract(workspace, out):
+    return dispatch(["features", "extract",
+                     "--metadata", str(workspace / "metadata.csv"),
+                     "--audio-dir", str(workspace / "audio"),
+                     "--out", str(out)])
+
+
+def test_features_extract_same_bytes_for_any_thread_count(workspace, tmp_path, monkeypatch):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("AUDIT_THREADS", threads)
+        out = tmp_path / f"features{threads}.csv"
+        assert _features_extract(workspace, out) == 0
+        outputs.append((out.read_bytes(), companion_path(out).read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3"])
+def test_audit_threads_not_a_count_stops_features_extract(workspace, tmp_path, monkeypatch,
+                                                          capsys, threads):
+    monkeypatch.setenv("AUDIT_THREADS", threads)
+    out = tmp_path / "features.csv"
+    assert _features_extract(workspace, out) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert "AUDIT_THREADS" in err and repr(threads) in err
@@ -982,6 +1013,12 @@ BAD_INPUTS = {
         _constant_features,
         lambda fx, bad: _eval_run(fx, bad, "--scheme", "st", "--classifier", "mmd"),
         "every training feature is constant"),
+    "md_on_constant_features": (
+        _constant_features, lambda fx, bad: _eval_run(fx, bad),
+        "every training feature is constant"),
+    "nn_on_constant_features": (
+        _constant_features, lambda fx, bad: _eval_run(fx, bad, "--classifier", "nn"),
+        "every training feature is constant"),
     "unknown_recording_id": (
         _text("recordings.json", json.dumps([["amber.000", "nope.999"]])),
         lambda fx, bad: _catalog_build(fx, bad, "--recordings"), "'nope.999'"),
@@ -1196,6 +1233,56 @@ def test_bad_input_exits_two(good_inputs, tmp_path, capsys, case):
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert str(bad) in err and needle in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["clip_too_short_to_fingerprint",
+                                  "clip_too_short_for_a_texture_window"])
+def test_too_short_clip_on_two_threads_exits_two(good_inputs, tmp_path, capsys, monkeypatch,
+                                                 case):
+    """A worker thread's TooShortError names the file, as the serial pass's does."""
+    monkeypatch.setenv("AUDIT_THREADS", "2")
+    test_bad_input_exits_two(good_inputs, tmp_path, capsys, case)
+
+
+def test_constant_feature_column_gives_one_warning_line(good_inputs, tmp_path, capsys):
+    """f1 is 0.5 in every window, so each fold's normalization warns about it, and
+    under the "always" filter (``python -W always``) every one of those warnings is
+    raised; the command prints the message once, as one line, and exits 0."""
+    with good_inputs["metadata"].open(newline="") as fh:
+        ids = [row["id"] for row in csv.DictReader(fh)]
+    path = tmp_path / "half-constant.csv"
+    path.write_text("id,window_index,f0,f1\n" + "".join(
+        f"{eid},{w},{i + w / 4},0.5\n" for i, eid in enumerate(ids) for w in (0, 1)))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert dispatch(["eval", "run", "--metadata", str(good_inputs["metadata"]),
+                         "--features", str(path), "--scheme", "st", "--classifier", "md",
+                         "--realizations", "2", "--out", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().err == "warning: degenerate feature dimensions mapped to 0: [1]\n"
+
+
+def test_eval_run_reads_features_from_a_pipe(good_inputs, tmp_path):
+    """A pipe, such as the shell's ``<(cat features.csv)``, can be read only once: it
+    is parsed, with no digest and no companion, into the report the file gives."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(good_inputs["features"].read_bytes())
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    out = tmp_path / "report.json"
+    try:
+        code = dispatch(["eval", "run", "--metadata", str(good_inputs["metadata"]),
+                         "--features", f"/dev/fd/{read_end}", "--scheme", "st",
+                         "--classifier", "md", "--out", str(out)])
+    finally:
+        os.close(read_end)  # a writer still blocked on a full pipe gets EPIPE
+        writer.join()
+    assert code == 0
+    assert out.read_bytes() == good_inputs["report"].read_bytes()
 
 
 def _field_paths(value, path=()):

@@ -19,6 +19,7 @@ from corpusaudit.features import (
     HOP,
     MEL_BANK,
     N_TEXTURE_DIMS,
+    NormalizationMap,
     apply_normalization,
     companion_path,
     excerpt_features,
@@ -369,6 +370,16 @@ def test_normalization_degenerate_dimension_warns():
     assert out[0, 1] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("train", [[[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+                                   [[0.25, -3.0]]],  # one vector: every feature constant
+                         ids=["constant_columns", "one_row"])
+def test_fit_normalization_refuses_training_vectors_whose_every_feature_is_constant(train):
+    """Such a map sends every vector to 0, so every classifier would give every
+    excerpt the same label; a single training vector is refused for that reason."""
+    with pytest.raises(IncompleteFeaturesError, match="every training feature is constant"):
+        fit_normalization(np.array(train))
+
+
 def reference_normalization(nmap, vectors):
     """``apply_normalization`` as the allocating formula with a ``vectors - mins``
     temporary, kept as its oracle."""
@@ -391,11 +402,13 @@ NORMALIZATION_VALUES = st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.0, 5e
 @example((np.array([[0.0, np.inf], [1.0, 2.0]]), np.array([[np.nan, np.inf], [-0.0, 1.0]])))
 def test_apply_normalization_into_out_equals_the_allocating_formula(arrays):
     """Bit for bit, into a new array, into a given one and into the vectors
-    themselves; without ``out`` the vectors are left unchanged."""
+    themselves; without ``out`` the vectors are left unchanged. The map is built
+    as ``fit_normalization`` builds it, also where that refuses every dimension
+    being degenerate."""
     train_x, test_x = arrays
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")  # the degenerate-dimension warning, inf - inf
-        nmap = fit_normalization(train_x)
+        nmap = NormalizationMap(mins=train_x.min(axis=0), maxs=train_x.max(axis=0))
         expected = reference_normalization(nmap, test_x)
         before = test_x.tobytes()
         allocated = apply_normalization(nmap, test_x)

@@ -19,8 +19,11 @@ from corpusaudit.features import (
     FRAME_SIZE,
     HOP,
     N_TEXTURE_DIMS,
+    TEXTURE_FRAMES,
     companion_path,
+    excerpt_features,
     frame_features,
+    map_clips,
     read_feature_cache,
     stft_magnitude,
     write_feature_cache,
@@ -272,6 +275,21 @@ def test_fingerprint_corpus_with_one_buffer_equals_each_clip_alone(tmp_path, clo
     assert list(got) == [name for name, _ in signals]
     for ex in corpus.excerpts:
         assert got[ex.id] == compute_fingerprint(load_audio(ex), owner=ex.id)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("order", sorted(CLIP_ORDERS))
+def test_features_with_one_buffer_equal_each_clip_alone(tmp_path, clouds, workers, order):
+    """``excerpt_features`` through ``map_clips``' shared buffer. Each clip is one
+    texture window longer than its ``CLIP_ORDERS`` length, so every clip has one."""
+    signals = [(f"g.{i:03d}", np.tile(clouds[i], 2)[:n + TEXTURE_FRAMES * HOP])
+               for i, n in enumerate(CLIP_ORDERS[order])]
+    corpus = write_clips(tmp_path, signals)
+    got = map_clips(corpus, lambda ex, samples, out: excerpt_features(samples, out=out),
+                    workers=workers)
+    assert list(got) == [name for name, _ in signals]
+    for ex in corpus.excerpts:
+        assert got[ex.id].tobytes() == excerpt_features(load_audio(ex)).tobytes()
 
 
 def test_find_exact_repetitions_names_an_excerpt_without_audio(tmp_path):

@@ -8,13 +8,16 @@ Each tree is a checkout of this repository; its ``src/`` and ``demos/`` are run.
 The inputs are built once, by this checkout's ``perfbench.inputs`` at seeds 5 and
 8 (with the benchmark's seed keys): a 16-clip audio corpus of 30 s clips with
 planted re-cuts, and the eval-grid files (1000 excerpts, tags, dupes, distortions).
-To these the tool adds two manual recording groups and an artist-fold file.
+To these the tool adds two manual recording groups, an artist-fold file and, for
+seed 5, the 16-bit clips rewritten as IEEE float32 and float64 WAV files, whose
+RIFF header it writes itself.
 
 Every command runs in a fresh interpreter, with ``PYTHONPATH`` set to the tree's
 ``src``, and writes into a directory of its own; a command that reads an earlier
 command's output reads that tree's own. The commands are ``audit dupes`` cold and
-warm (also from a cache that holds ids the metadata lacks) at ``AUDIT_THREADS`` 1
-and 2, ``features extract``, ``audit labels``, ``catalog build`` (with the
+warm (also from a cache that holds ids the metadata lacks) and ``features extract``
+at ``AUDIT_THREADS`` 1 and 2, cold ``audit dupes`` and ``features extract`` on the
+float WAV files, ``audit labels``, ``catalog build`` (with the
 recording groups, and again with them alone, without the dupes) and ``show``,
 ``partition make`` for each scheme, ``eval run`` for each scheme and classifier at
 1 and 2 BLAS threads (and for ``st`` from a feature CSV without its binary
@@ -37,16 +40,20 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import wave
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from perfbench.inputs import make_audio_corpus, make_eval_inputs  # noqa: E402
+from perfbench.inputs import SAMPLE_RATE, make_audio_corpus, make_eval_inputs  # noqa: E402
 
 AUDIO_CLIPS = 16
 SCHEMES = ("st", "st-prime", "af", "af-prime")
@@ -55,13 +62,24 @@ THREADS = (1, 2)
 SEEDS = (5, 8)
 EVAL_SEED = 7
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+FLOAT_SEED = 5
+FLOAT_TYPES = {"float32": "<f4", "float64": "<f8"}
+WAVE_FORMAT_IEEE_FLOAT = 3
 
 
 def build_inputs(root: Path, seed: int) -> dict[str, Path]:
     """The audio corpus and eval-grid files of one seed, plus the audio metadata
     without its first three rows and reversed, a copy of the feature CSV with no
-    companion, and the recording groups and artist folds of ``manual_evidence``."""
+    companion, the recording groups and artist folds of ``manual_evidence`` and, at
+    ``FLOAT_SEED``, a directory of the clips as float WAV files per ``FLOAT_TYPES``."""
     audio = make_audio_corpus(root / "audio", [seed, 1], AUDIO_CLIPS)
+    floats = {}
+    if seed == FLOAT_SEED:
+        for name, dtype in FLOAT_TYPES.items():
+            floats[name] = root / "audio" / name
+            floats[name].mkdir()
+            for clip in sorted(audio.audio_dir.glob("*.wav")):
+                write_float_wav(floats[name] / clip.name, read_pcm16(clip), dtype)
     header, *rows = audio.metadata.read_text(encoding="utf-8").splitlines()
     subset = root / "audio" / "subset.csv"
     subset.write_text("\n".join([header, *reversed(rows[3:])]) + "\n", encoding="utf-8")
@@ -75,7 +93,25 @@ def build_inputs(root: Path, seed: int) -> dict[str, Path]:
     return {"metadata": audio.metadata, "audio": audio.audio_dir, "subset": subset,
             "eval_metadata": ev.metadata, "features": ev.features, "plain": plain,
             "tags": ev.tags, "dupes": ev.dupes, "distortions": ev.distortions,
-            "recordings": recordings, "artist_folds": artist_folds}
+            "recordings": recordings, "artist_folds": artist_folds, "floats": floats}
+
+
+def read_pcm16(path: Path) -> np.ndarray:
+    """A 16-bit mono WAV file's samples scaled to [-1, 1), as ``load_audio`` scales them."""
+    with wave.open(str(path), "rb") as w:
+        return np.frombuffer(w.readframes(w.getnframes()), dtype="<i2") / 32768
+
+
+def write_float_wav(path: Path, samples: np.ndarray, dtype: str) -> None:
+    """A mono ``SAMPLE_RATE`` RIFF WAVE file of IEEE float samples of ``dtype``: the
+    16-byte ``fmt `` chunk of a plain format tag, then the ``data`` chunk."""
+    data = np.asarray(samples, dtype=dtype).tobytes()
+    width = np.dtype(dtype).itemsize
+    fmt = struct.pack("<HHIIHH", WAVE_FORMAT_IEEE_FLOAT, 1, SAMPLE_RATE,
+                      SAMPLE_RATE * width, width, 8 * width)
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + 8 + len(fmt) + 8 + len(data)) + b"WAVE"
+                     + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                     + b"data" + struct.pack("<I", len(data)) + data)
 
 
 def manual_evidence(metadata: Path, dupes: Path) -> tuple[list, dict]:
@@ -121,8 +157,15 @@ def commands(seed: int, inp: dict[str, Path]) -> list[tuple[str, list, dict]]:
             add(f"audit-dupes-{name}-t{k}", ["audit", "dupes", "--metadata", metadata, *audio,
                                              "--cache", cache, "--out", "{here}/dupes.csv"],
                 audit_threads=k)
-    add("features-extract", ["features", "extract", "--metadata", inp["metadata"],
-                             "--audio-dir", inp["audio"], "--out", "{here}/features.csv"])
+        add(f"features-extract-t{k}", ["features", "extract", "--metadata", inp["metadata"],
+                                       *audio, "--out", "{here}/features.csv"],
+            audit_threads=k)
+    for name, audio_dir in inp["floats"].items():
+        audio = ["--metadata", inp["metadata"], "--audio-dir", audio_dir]
+        add(f"audit-dupes-{name}", ["audit", "dupes", *audio, "--cache", "{here}/fp.bin",
+                                    "--out", "{here}/dupes.csv"])
+        add(f"features-extract-{name}", ["features", "extract", *audio,
+                                         "--out", "{here}/features.csv"])
 
     metadata = ["--metadata", inp["eval_metadata"]]
     catalog = "{catalog-build}/catalog.json"
